@@ -18,13 +18,21 @@ BUILD="${1:-build-tsan}"
 cmake -B "$BUILD" -S . -G Ninja \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DDSMCPIC_SANITIZE=thread
-cmake --build "$BUILD" --target par_test support_test determinism_test trace_test obs_test pic_test balance_policy_test ensemble_test fleet_test telemetry_test -j
+cmake --build "$BUILD" --target par_test support_test linalg_test determinism_test trace_test obs_test pic_test balance_policy_test ensemble_test fleet_test telemetry_test -j
 
 # halt_on_error so a race fails the script, not just prints a report.
 export TSAN_OPTIONS="halt_on_error=1 ${TSAN_OPTIONS:-}"
 
 "$BUILD"/tests/support_test --gtest_filter='ThreadPool.*:KernelExec.*'
 "$BUILD"/tests/par_test
+# The distributed CG's halo exchanger (DESIGN.md §2i) moves no payloads:
+# each rank packs into its own slots of one shared buffer in the send
+# superstep, and its peers read those slots in the next superstep. The
+# reference suite runs dist_cg threaded at 1, 24 and 1,024 ranks, so a
+# receiver reading a slot before the superstep join ordered its write would
+# be flagged here; the halo tests cover the receive-side plan checks.
+"$BUILD"/tests/linalg_test \
+  --gtest_filter='RankCounts/DistCgTest.*:Dist.Halo*:Ranks/Dataset2Reference.DistCg*'
 # The blocked parallel deposit (DESIGN.md §2g) above the candidate cutoff:
 # per-block scatter buffers + ascending-block reduction on real kernel
 # lanes. The solver-level suites stay below the cutoff, so this unit test

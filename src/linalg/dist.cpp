@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <map>
-#include <unordered_map>
 
 #include "support/error.hpp"
 
@@ -52,26 +51,27 @@ DistLayout DistLayout::build(int nranks, std::span<const std::int32_t> row_owner
     return static_cast<std::int32_t>(it - o.begin());
   };
 
-  // recv plans: group each rank's halo by owner; send plans mirror them.
-  std::vector<std::map<int, DistLayout::Plan>> send_acc(nranks);
-  for (int r = 0; r < nranks; ++r) {
-    std::map<int, DistLayout::Plan> recv_acc;
+  // One message per (owner, halo rank) pair; its values follow the
+  // receiver's halo order. Slots are assigned in (sender, receiver) order.
+  struct Msg {
+    std::vector<std::int32_t> owned_idx, halo_idx;
+  };
+  std::vector<std::map<int, Msg>> msgs(nranks);  // msgs[sender][receiver]
+  for (int r = 0; r < nranks; ++r)
     for (std::size_t h = 0; h < l.halo[r].size(); ++h) {
       const std::int32_t g = l.halo[r][h];
-      const int p = row_owner[g];
-      auto& rplan = recv_acc[p];
-      rplan.peer = p;
-      rplan.idx.push_back(static_cast<std::int32_t>(h));
-      auto& splan = send_acc[p][r];
-      splan.peer = r;
-      splan.idx.push_back(owned_index(p, g));
+      Msg& m = msgs[row_owner[g]][r];
+      m.owned_idx.push_back(owned_index(row_owner[g], g));
+      m.halo_idx.push_back(static_cast<std::int32_t>(h));
     }
-    for (auto& [peer, plan] : recv_acc)
-      l.recv_plan[r].push_back(std::move(plan));
-  }
-  for (int r = 0; r < nranks; ++r)
-    for (auto& [peer, plan] : send_acc[r])
-      l.send_plan[r].push_back(std::move(plan));
+  for (int p = 0; p < nranks; ++p)
+    for (const auto& [r, m] : msgs[p]) {
+      const DistLayout::Plan plan{r, l.send_idx.size(), m.owned_idx.size()};
+      l.send_plan[p].push_back(plan);
+      l.recv_plan[r].push_back({p, plan.slot, plan.count});
+      l.send_idx.insert(l.send_idx.end(), m.owned_idx.begin(), m.owned_idx.end());
+      l.recv_idx.insert(l.recv_idx.end(), m.halo_idx.begin(), m.halo_idx.end());
+    }
   return l;
 }
 
@@ -111,6 +111,31 @@ DistMatrix DistMatrix::build(const CsrMatrix& a, DistLayout layout) {
     dm.local[r] = CsrMatrix::from_triplets(
         static_cast<std::int32_t>(l.owned[r].size()), l.local_size(r), trips);
   }
+
+  dm.factor.resize(l.nranks);
+  for (int r = 0; r < l.nranks; ++r) {
+    const CsrMatrix& m = dm.local[r];
+    const auto& lrp = m.row_ptr();
+    const auto& lci = m.col_idx();
+    const auto& lv = m.values();
+    const auto nowned = static_cast<std::int32_t>(l.owned[r].size());
+    dm.factor[r].resize(static_cast<std::size_t>(nowned));
+    for (std::int32_t i = 0; i < nowned; ++i) {
+      const auto row = lci.begin() + lrp[i];
+      const auto row_end = lci.begin() + lrp[i + 1];
+      const auto lo = std::lower_bound(row, row_end, i);
+      const auto up = std::upper_bound(lo, row_end, i);
+      DistMatrix::RowFactor& f = dm.factor[r][static_cast<std::size_t>(i)];
+      f.lower_end = lo - lci.begin();
+      f.upper_begin = up - lci.begin();
+      f.halo_begin = std::lower_bound(up, row_end, nowned) - lci.begin();
+      // Local row diag is complete (diagonal entries live on the owner).
+      const double d = (lo != up) ? lv[static_cast<std::size_t>(lo - lci.begin())]
+                                  : 0.0;
+      f.diag = (d == 0.0) ? 1.0 : d;
+      f.inv_diag = 1.0 / f.diag;
+    }
+  }
   return dm;
 }
 
@@ -135,84 +160,111 @@ std::vector<double> gather_vector(const DistLayout& layout, const DistVector& v)
   return out;
 }
 
+namespace {
+
+// The halo exchange of every distributed kernel here, as two superstep
+// halves. Messages carry only their accounted size (Comm::send_sized), so
+// virtual time is that of the payloads they stand for; the values move
+// through one flat pack buffer. In the send superstep each rank packs its
+// own slots; in the NEXT superstep each rank copies its halo from its
+// peers' slots, after the superstep join that ordered those writes. No
+// rank may pack again before every receiver has read, and send and recv
+// never run in the same superstep.
+class HaloExchanger {
+ public:
+  explicit HaloExchanger(const DistLayout& layout)
+      : layout_(layout), pack_(layout.send_idx.size()) {}
+
+  // Send half: packs and ships rank c.rank()'s owned values of `local`
+  // (its owned-then-halo vector).
+  void send(par::Comm& c, std::span<const double> local) {
+    for (const DistLayout::Plan& plan : layout_.send_plan[c.rank()]) {
+      for (std::size_t i = plan.slot; i < plan.slot + plan.count; ++i)
+        pack_[i] = local[layout_.send_idx[i]];
+      const std::size_t nbytes = plan.count * sizeof(double);
+      c.charge(par::WorkKind::kPackByte, static_cast<double>(nbytes));
+      c.send_sized(plan.peer, /*tag=*/0, nbytes, par::CostClass::kGrid);
+    }
+  }
+
+  // Receive half: fills the halo suffix of `local`. Throws dsmcpic::Error
+  // when the inbox does not match the receive plans in count, peer or size
+  // (a lost or stray message).
+  void recv(par::Comm& c, std::span<double> local) const {
+    const int r = c.rank();
+    const auto& plans = layout_.recv_plan[r];
+    const auto& inbox = c.inbox();
+    DSMCPIC_CHECK_MSG(inbox.size() == plans.size(),
+                      "rank " << r << " expected " << plans.size()
+                              << " halo messages, got " << inbox.size());
+    const std::span<double> halo = local.subspan(layout_.owned[r].size());
+    // The inbox is source-major and the plans are sorted by peer, so the
+    // k-th message answers the k-th plan.
+    for (std::size_t k = 0; k < plans.size(); ++k) {
+      const DistLayout::Plan& plan = plans[k];
+      const par::Message& msg = inbox[k];
+      DSMCPIC_CHECK_MSG(
+          msg.src == plan.peer && msg.bytes == plan.count * sizeof(double),
+          "rank " << r << " halo message " << k << " from rank " << msg.src
+                  << " (" << msg.bytes << " bytes) does not match its plan ("
+                  << plan.count * sizeof(double) << " bytes from rank "
+                  << plan.peer << ")");
+      for (std::size_t i = plan.slot; i < plan.slot + plan.count; ++i)
+        halo[static_cast<std::size_t>(layout_.recv_idx[i])] = pack_[i];
+    }
+  }
+
+ private:
+  const DistLayout& layout_;
+  std::vector<double> pack_;
+};
+
+}  // namespace
+
 void halo_exchange(par::Runtime& rt, const std::string& phase,
                    const DistLayout& layout,
                    std::vector<std::vector<double>>& local) {
-  rt.superstep(phase, [&](par::Comm& c) {
-    const int r = c.rank();
-    for (const auto& plan : layout.send_plan[r]) {
-      auto buf = c.acquire_payload(plan.idx.size() * sizeof(double));
-      auto* d = reinterpret_cast<double*>(buf.data());
-      for (std::size_t i = 0; i < plan.idx.size(); ++i)
-        d[i] = local[r][plan.idx[i]];
-      c.charge(par::WorkKind::kPackByte, static_cast<double>(buf.size()));
-      c.send_owned(plan.peer, /*tag=*/0, std::move(buf),
-                   par::CostClass::kGrid);
-    }
-  });
-  rt.superstep(phase, [&](par::Comm& c) {
-    const int r = c.rank();
-    const std::size_t nowned = layout.owned[r].size();
-    for (const auto& msg : c.inbox()) {
-      const std::span<const double> buf = msg.view<double>();
-      const auto it = std::find_if(
-          layout.recv_plan[r].begin(), layout.recv_plan[r].end(),
-          [&msg](const DistLayout::Plan& p) { return p.peer == msg.src; });
-      DSMCPIC_CHECK_MSG(it != layout.recv_plan[r].end(),
-                        "unexpected halo message from rank " << msg.src);
-      DSMCPIC_CHECK(buf.size() == it->idx.size());
-      for (std::size_t i = 0; i < buf.size(); ++i)
-        local[r][nowned + static_cast<std::size_t>(it->idx[i])] = buf[i];
-    }
-  });
+  HaloExchanger halo(layout);
+  rt.superstep(phase, [&](par::Comm& c) { halo.send(c, local[c.rank()]); });
+  rt.superstep(phase, [&](par::Comm& c) { halo.recv(c, local[c.rank()]); });
 }
 
-namespace {
-
-/// Applies the local preconditioner z = M^-1 r on one rank's owned block.
-/// For kBlockSsor: M = (D+L) D^-1 (D+U) restricted to owned columns (block
-/// Jacobi across ranks); SPD, so CG-safe. `diag`/`inv_diag` are the owned
-/// rows' diagonal and its inverse; `scratch` must be owned-sized.
-void apply_precon_local(const CsrMatrix& a, std::size_t nowned,
-                        Precon kind, std::span<const double> diag,
-                        std::span<const double> inv_diag,
-                        std::span<const double> r, std::span<double> z,
-                        std::vector<double>& scratch) {
+void apply_precon(const DistMatrix& a, int rank, Precon kind,
+                  std::span<const double> r, std::span<double> z,
+                  std::span<double> scratch) {
+  const std::vector<DistMatrix::RowFactor>& f = a.factor[rank];
+  const std::size_t nowned = f.size();
   switch (kind) {
     case Precon::kNone:
       for (std::size_t i = 0; i < nowned; ++i) z[i] = r[i];
       return;
     case Precon::kJacobi:
-      for (std::size_t i = 0; i < nowned; ++i) z[i] = inv_diag[i] * r[i];
+      for (std::size_t i = 0; i < nowned; ++i) z[i] = f[i].inv_diag * r[i];
       return;
     case Precon::kBlockSsor:
       break;
   }
-  const auto& rp = a.row_ptr();
-  const auto& ci = a.col_idx();
-  const auto& vals = a.values();
-  auto& u = scratch;
+  const auto& ci = a.local[rank].col_idx();
+  const auto& vals = a.local[rank].values();
+  const auto& rp = a.local[rank].row_ptr();
+  const std::span<double> u = scratch;
   // Forward solve (D+L) u = r over owned columns only.
   for (std::size_t i = 0; i < nowned; ++i) {
     double s = r[i];
-    for (std::int64_t e = rp[i]; e < rp[i + 1]; ++e) {
-      const auto j = static_cast<std::size_t>(ci[static_cast<std::size_t>(e)]);
-      if (j < i) s -= vals[static_cast<std::size_t>(e)] * u[j];
-    }
-    u[i] = s * inv_diag[i];
+    for (std::int64_t e = rp[i]; e < f[i].lower_end; ++e)
+      s -= vals[static_cast<std::size_t>(e)] *
+           u[static_cast<std::size_t>(ci[static_cast<std::size_t>(e)])];
+    u[i] = s * f[i].inv_diag;
   }
   // Backward solve (D+U) z = D u over owned columns only.
-  for (std::size_t ii = nowned; ii-- > 0;) {
-    double s = diag[ii] * u[ii];
-    for (std::int64_t e = rp[ii]; e < rp[ii + 1]; ++e) {
-      const auto j = static_cast<std::size_t>(ci[static_cast<std::size_t>(e)]);
-      if (j > ii && j < nowned) s -= vals[static_cast<std::size_t>(e)] * z[j];
-    }
-    z[ii] = s * inv_diag[ii];
+  for (std::size_t i = nowned; i-- > 0;) {
+    double s = f[i].diag * u[i];
+    for (std::int64_t e = f[i].upper_begin; e < f[i].halo_begin; ++e)
+      s -= vals[static_cast<std::size_t>(e)] *
+           z[static_cast<std::size_t>(ci[static_cast<std::size_t>(e)])];
+    z[i] = s * f[i].inv_diag;
   }
 }
-
-}  // namespace
 
 SolveResult dist_cg(par::Runtime& rt, const std::string& phase,
                     const DistMatrix& a, const DistVector& b, DistVector& x,
@@ -223,7 +275,7 @@ SolveResult dist_cg(par::Runtime& rt, const std::string& phase,
 
   // Per-rank state: owned-sized r, z, q, x; local-sized p (owned + halo).
   std::vector<std::vector<double>> rvec(nranks), zvec(nranks), qvec(nranks),
-      pvec(nranks), minv(nranks), diag(nranks), scratch(nranks);
+      pvec(nranks), scratch(nranks);
   for (int r = 0; r < nranks; ++r) {
     const auto n = l.owned[r].size();
     DSMCPIC_CHECK(b[r].size() == n);
@@ -233,64 +285,29 @@ SolveResult dist_cg(par::Runtime& rt, const std::string& phase,
     qvec[r].resize(n);
     scratch[r].resize(n);
     pvec[r].assign(static_cast<std::size_t>(l.local_size(r)), 0.0);
-    minv[r].resize(n);
-    diag[r] = a.local[r].diagonal();
-    for (std::size_t i = 0; i < n; ++i) {
-      // Local row diag is complete (diagonal entries live on the owner).
-      const double d = diag[r][i];
-      if (d == 0.0) diag[r][i] = 1.0;
-      minv[r][i] = 1.0 / diag[r][i];
-    }
   }
   const double precon_flops =
       (opt.dist_precon == Precon::kBlockSsor) ? 4.0 : 1.0;
   auto precondition = [&](int r) {
-    apply_precon_local(a.local[r], l.owned[r].size(), opt.dist_precon,
-                       diag[r], minv[r], rvec[r], zvec[r], scratch[r]);
+    apply_precon(a, r, opt.dist_precon, rvec[r], zvec[r], scratch[r]);
   };
 
   std::vector<std::vector<double>> partials(nranks, std::vector<double>(2, 0.0));
 
-  // Inlined halo send/recv over pvec: the send piggybacks on whichever
-  // superstep produced the new p (one superstep saved per CG iteration —
-  // the runtime's closure dispatch is the simulator's hot path at 1536
-  // virtual ranks).
-  auto send_halo = [&](par::Comm& c) {
-    const int r = c.rank();
-    for (const auto& plan : l.send_plan[r]) {
-      auto buf = c.acquire_payload(plan.idx.size() * sizeof(double));
-      auto* d = reinterpret_cast<double*>(buf.data());
-      for (std::size_t i = 0; i < plan.idx.size(); ++i)
-        d[i] = pvec[r][plan.idx[i]];
-      c.charge(par::WorkKind::kPackByte, static_cast<double>(buf.size()));
-      c.send_owned(plan.peer, 0, std::move(buf), par::CostClass::kGrid);
-    }
-  };
-  auto recv_halo = [&](par::Comm& c) {
-    const int r = c.rank();
-    const std::size_t nowned = l.owned[r].size();
-    for (const auto& msg : c.inbox()) {
-      const std::span<const double> buf = msg.view<double>();
-      const auto it = std::find_if(
-          l.recv_plan[r].begin(), l.recv_plan[r].end(),
-          [&msg](const DistLayout::Plan& p) { return p.peer == msg.src; });
-      DSMCPIC_CHECK_MSG(it != l.recv_plan[r].end(),
-                        "unexpected halo message from rank " << msg.src);
-      DSMCPIC_CHECK(buf.size() == it->idx.size());
-      for (std::size_t i = 0; i < buf.size(); ++i)
-        pvec[r][nowned + static_cast<std::size_t>(it->idx[i])] = buf[i];
-    }
-  };
+  // Halo of pvec: the send piggybacks on whichever superstep produced the
+  // new p (one superstep saved per CG iteration — the runtime's closure
+  // dispatch is the simulator's hot path at 1536 virtual ranks).
+  HaloExchanger halo(l);
 
   // r = b - A x  (x is the warm start): needs one halo exchange of x.
   rt.superstep(phase, [&](par::Comm& c) {
     const int r = c.rank();
     std::copy(x[r].begin(), x[r].end(), pvec[r].begin());
-    send_halo(c);
+    halo.send(c, pvec[r]);
   });
   rt.superstep(phase, [&](par::Comm& c) {
     const int r = c.rank();
-    recv_halo(c);
+    halo.recv(c, pvec[r]);
     const auto n = l.owned[r].size();
     a.local[r].matvec(pvec[r], rvec[r]);
     c.charge(par::WorkKind::kSpmvFlop, 2.0 * static_cast<double>(a.local[r].nnz()));
@@ -315,7 +332,7 @@ SolveResult dist_cg(par::Runtime& rt, const std::string& phase,
   rt.superstep(phase, [&](par::Comm& c) {
     const int r = c.rank();
     std::copy(zvec[r].begin(), zvec[r].end(), pvec[r].begin());
-    send_halo(c);
+    halo.send(c, pvec[r]);
   });
 
   SolveResult res;
@@ -339,7 +356,7 @@ SolveResult dist_cg(par::Runtime& rt, const std::string& phase,
   for (int it = 0; it < opt.max_iterations; ++it) {
     rt.superstep(phase, [&](par::Comm& c) {
       const int r = c.rank();
-      recv_halo(c);
+      halo.recv(c, pvec[r]);
       a.local[r].matvec(pvec[r], qvec[r]);
       c.charge(par::WorkKind::kSpmvFlop,
                2.0 * static_cast<double>(a.local[r].nnz()));
@@ -389,7 +406,7 @@ SolveResult dist_cg(par::Runtime& rt, const std::string& phase,
       for (std::size_t i = 0; i < n; ++i)
         pvec[r][i] = zvec[r][i] + beta * pvec[r][i];
       c.charge(par::WorkKind::kVecFlop, 2.0 * static_cast<double>(n));
-      send_halo(c);
+      halo.send(c, pvec[r]);
     });
   }
   return res;
@@ -405,7 +422,7 @@ SolveResult dist_bicgstab(par::Runtime& rt, const std::string& phase,
   // Per-rank state: owned-sized r, r0, s, t, v, p; local-sized work vector
   // for the two halo'd matvecs (its owned prefix carries M^-1 p / M^-1 s).
   std::vector<std::vector<double>> rvec(nranks), r0vec(nranks), svec(nranks),
-      tvec(nranks), vvec(nranks), pvec(nranks), work(nranks), minv(nranks);
+      tvec(nranks), vvec(nranks), pvec(nranks), work(nranks);
   for (int r = 0; r < nranks; ++r) {
     const auto n = l.owned[r].size();
     DSMCPIC_CHECK(b[r].size() == n);
@@ -417,48 +434,23 @@ SolveResult dist_bicgstab(par::Runtime& rt, const std::string& phase,
     vvec[r].resize(n);
     pvec[r].assign(n, 0.0);
     work[r].assign(static_cast<std::size_t>(l.local_size(r)), 0.0);
-    minv[r].resize(n);
-    const auto diag = a.local[r].diagonal();
-    for (std::size_t i = 0; i < n; ++i)
-      minv[r][i] = (opt.jacobi_precondition && diag[i] != 0.0)
-                       ? 1.0 / diag[i]
-                       : 1.0;
   }
+  // M^-1 entry i of rank r (Jacobi, or identity when disabled).
+  auto minv = [&](int r, std::size_t i) {
+    return opt.jacobi_precondition ? a.factor[r][i].inv_diag : 1.0;
+  };
 
-  auto send_halo = [&](par::Comm& c) {
-    const int r = c.rank();
-    for (const auto& plan : l.send_plan[r]) {
-      auto buf = c.acquire_payload(plan.idx.size() * sizeof(double));
-      auto* d = reinterpret_cast<double*>(buf.data());
-      for (std::size_t i = 0; i < plan.idx.size(); ++i)
-        d[i] = work[r][plan.idx[i]];
-      c.charge(par::WorkKind::kPackByte, static_cast<double>(buf.size()));
-      c.send_owned(plan.peer, 0, std::move(buf), par::CostClass::kGrid);
-    }
-  };
-  auto recv_halo = [&](par::Comm& c) {
-    const int r = c.rank();
-    const std::size_t nowned = l.owned[r].size();
-    for (const auto& msg : c.inbox()) {
-      const std::span<const double> buf = msg.view<double>();
-      const auto it = std::find_if(
-          l.recv_plan[r].begin(), l.recv_plan[r].end(),
-          [&msg](const DistLayout::Plan& p) { return p.peer == msg.src; });
-      DSMCPIC_CHECK(it != l.recv_plan[r].end() && buf.size() == it->idx.size());
-      for (std::size_t i = 0; i < buf.size(); ++i)
-        work[r][nowned + static_cast<std::size_t>(it->idx[i])] = buf[i];
-    }
-  };
+  HaloExchanger halo(l);
   // y[r] = A * (work's owned prefix as filled by fill_owned): two supersteps.
   auto halo_matvec = [&](auto fill_owned, std::vector<std::vector<double>>& y) {
     rt.superstep(phase, [&](par::Comm& c) {
       const int r = c.rank();
       fill_owned(r);
-      send_halo(c);
+      halo.send(c, work[r]);
     });
     rt.superstep(phase, [&](par::Comm& c) {
       const int r = c.rank();
-      recv_halo(c);
+      halo.recv(c, work[r]);
       a.local[r].matvec(work[r], y[r]);
       c.charge(par::WorkKind::kSpmvFlop,
                2.0 * static_cast<double>(a.local[r].nnz()));
@@ -520,7 +512,7 @@ SolveResult dist_bicgstab(par::Runtime& rt, const std::string& phase,
             pvec[r][i] =
                 (it == 0) ? rvec[r][i]
                           : rvec[r][i] + beta * (pvec[r][i] - omega * vvec[r][i]);
-            work[r][i] = minv[r][i] * pvec[r][i];
+            work[r][i] = minv(r, i) * pvec[r][i];
           }
         },
         vvec);
@@ -539,7 +531,7 @@ SolveResult dist_bicgstab(par::Runtime& rt, const std::string& phase,
         [&](int r) {
           for (std::size_t i = 0; i < l.owned[r].size(); ++i) {
             svec[r][i] = rvec[r][i] - alpha * vvec[r][i];
-            work[r][i] = minv[r][i] * svec[r][i];
+            work[r][i] = minv(r, i) * svec[r][i];
           }
         },
         tvec);
@@ -558,8 +550,8 @@ SolveResult dist_bicgstab(par::Runtime& rt, const std::string& phase,
     sums = reduce2([&](int r, std::vector<double>& p) {
       double rr = 0.0;
       for (std::size_t i = 0; i < l.owned[r].size(); ++i) {
-        x[r][i] += alpha * minv[r][i] * pvec[r][i] +
-                   omega * minv[r][i] * svec[r][i];
+        x[r][i] += alpha * minv(r, i) * pvec[r][i] +
+                   omega * minv(r, i) * svec[r][i];
         rvec[r][i] = svec[r][i] - omega * tvec[r][i];
         rr += rvec[r][i] * rvec[r][i];
       }

@@ -8,6 +8,7 @@
 // communication-to-computation ratio that makes Poisson_Solve the paper's
 // scalability bottleneck (Table IV) emerges from exactly these messages.
 
+#include <cstddef>
 #include <cstdint>
 #include <span>
 #include <string>
@@ -27,15 +28,23 @@ struct DistLayout {
   std::vector<std::vector<std::int32_t>> owned;  // per rank, sorted global ids
   std::vector<std::vector<std::int32_t>> halo;   // per rank, sorted global ids
 
+  /// One halo message: `count` values at [slot, slot + count) of the flat
+  /// pack-buffer layout below.
   struct Plan {
     int peer = -1;
-    std::vector<std::int32_t> idx;  // local indices (see send/recv semantics)
+    std::size_t slot = 0;
+    std::size_t count = 0;
   };
-  // send_plan[r]: for each peer, indices into owned[r] whose values the peer
-  // needs; ordered to match the peer's recv_plan entry for r.
+  // send_plan[r]: one plan per peer (ascending) that needs owned values of r.
   std::vector<std::vector<Plan>> send_plan;
-  // recv_plan[r]: for each peer, indices into halo[r] filled by that peer.
+  // recv_plan[r]: one plan per peer (ascending) that owns halo values of r;
+  // it shares its slots with that peer's send plan for r.
   std::vector<std::vector<Plan>> recv_plan;
+  // Flat pack-buffer layout, one entry per slot, in (sender, receiver)
+  // order: the value's index into the sender's owned[] and into the
+  // receiver's halo[].
+  std::vector<std::int32_t> send_idx;
+  std::vector<std::int32_t> recv_idx;
 
   /// Derives the layout from a row->rank map and the sparsity pattern of the
   /// (square) matrix: rank r's halo is every column referenced by its rows
@@ -60,6 +69,20 @@ struct DistMatrix {
   DistLayout layout;
   std::vector<CsrMatrix> local;  // per rank: rows = #owned, cols = local_size
 
+  /// One owned row's preconditioner data, fixed per layout. Local columns
+  /// are sorted and owned columns precede halo ones, so row i's entries are
+  /// [cols < i | diagonal | i < cols < #owned | halo cols]; the sweeps read
+  /// those ranges in place (no values are copied). One record per row keeps
+  /// a sweep's per-row reads on one cache line.
+  struct RowFactor {
+    std::int64_t lower_end = 0;    // first entry with col >= i
+    std::int64_t upper_begin = 0;  // first entry with col > i
+    std::int64_t halo_begin = 0;   // first entry with col >= #owned
+    double diag = 1.0;             // stored diagonal, 1 where it is zero
+    double inv_diag = 1.0;         // 1 / diag
+  };
+  std::vector<std::vector<RowFactor>> factor;  // per rank, per owned row
+
   static DistMatrix build(const CsrMatrix& a, DistLayout layout);
 };
 
@@ -69,6 +92,14 @@ using DistVector = std::vector<std::vector<double>>;
 /// Scatters a global vector into per-rank owned segments / gathers it back.
 DistVector scatter_vector(const DistLayout& layout, std::span<const double> v);
 std::vector<double> gather_vector(const DistLayout& layout, const DistVector& v);
+
+/// Applies rank `rank`'s local preconditioner z = M^-1 r over its owned
+/// rows. For kBlockSsor, M = (D+L) D^-1 (D+U) restricted to owned columns
+/// (block Jacobi across ranks); SPD, so CG-safe. `scratch` must be
+/// owned-sized.
+void apply_precon(const DistMatrix& a, int rank, Precon kind,
+                  std::span<const double> r, std::span<double> z,
+                  std::span<double> scratch);
 
 /// Preconditioned CG across virtual ranks. `x` is the warm-start guess on
 /// input and the solution on output. All communication costs are charged
@@ -84,10 +115,12 @@ SolveResult dist_bicgstab(par::Runtime& rt, const std::string& phase,
                           const DistMatrix& a, const DistVector& b,
                           DistVector& x, const SolveOptions& opt = {});
 
-/// One halo exchange: ships owned values listed in send plans, fills halo
-/// slots. `local` holds per-rank vectors of local_size (owned then halo);
-/// the owned prefix must be filled on entry, the halo suffix is filled on
-/// return. Exposed for reuse by the PIC field gather.
+/// One halo exchange (two supersteps): ships owned values listed in send
+/// plans, fills halo slots. `local` holds per-rank vectors of local_size
+/// (owned then halo); the owned prefix must be filled on entry, the halo
+/// suffix is filled on return. Messages carry only their accounted size
+/// (Comm::send_sized); throws dsmcpic::Error when a rank's inbox does not
+/// match its receive plans in count, peer or size.
 void halo_exchange(par::Runtime& rt, const std::string& phase,
                    const DistLayout& layout,
                    std::vector<std::vector<double>>& local);

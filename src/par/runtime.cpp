@@ -44,6 +44,16 @@ std::vector<std::byte> Comm::acquire_payload(std::size_t nbytes) {
 
 void Comm::send_owned(int dst, int tag, std::vector<std::byte>&& payload,
                       CostClass cls) {
+  const std::size_t nbytes = payload.size();
+  stage(dst, tag, nbytes, std::move(payload), cls);
+}
+
+void Comm::send_sized(int dst, int tag, std::size_t nbytes, CostClass cls) {
+  stage(dst, tag, nbytes, {}, cls);
+}
+
+void Comm::stage(int dst, int tag, std::size_t nbytes,
+                 std::vector<std::byte>&& payload, CostClass cls) {
   DSMCPIC_CHECK_MSG(rt_->in_superstep_, "send() outside a superstep");
   DSMCPIC_CHECK_MSG(dst >= 0 && dst < rt_->active_,
                     "bad destination rank " << dst << " (active set is [0, "
@@ -53,6 +63,7 @@ void Comm::send_owned(int dst, int tag, std::vector<std::byte>&& payload,
   m.dst = dst;
   m.tag = tag;
   m.byte_scale = rt_->scale_of(cls);
+  m.bytes = nbytes;
   m.payload = std::move(payload);
   // Sender-private buffer: safe under concurrent superstep bodies.
   rt_->staged_[rank_].push_back(std::move(m));
@@ -336,7 +347,7 @@ void Runtime::route_messages(int phase) {
   for (int src = 0; src < active_; ++src) {
     auto& buf = staged_[src];
     for (Message& m : buf) {
-      const double bytes = static_cast<double>(m.payload.size()) * m.byte_scale;
+      const double bytes = static_cast<double>(m.bytes) * m.byte_scale;
       const double cost =
           topo_.alpha(m.src, m.dst) * congestion_mult + bytes * prof.beta;
       const double send_begin = clocks_[m.src];
@@ -353,7 +364,7 @@ void Runtime::route_messages(int phase) {
         rec.src = m.src;
         rec.dst = m.dst;
         rec.tag = m.tag;
-        rec.bytes = m.payload.size();
+        rec.bytes = m.bytes;
         rec.scaled_bytes = bytes;
         rec.send_begin = send_begin;
         rec.send_end = clocks_[m.src];
@@ -393,8 +404,8 @@ void Runtime::apply_nic_serialization(int phase, std::uint64_t hint) {
     std::fill(nic_load_.begin(), nic_load_.end(), per_node);
   } else {
     for (int src = 0; src < active_; ++src) {
+      const int ns = src / ppn;
       for (const Message& m : staged_[src]) {
-        const int ns = m.src / ppn;
         const int nd = m.dst / ppn;
         if (ns == nd) continue;
         nic_load_[ns] += 1.0;

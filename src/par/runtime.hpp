@@ -68,6 +68,10 @@ struct Message {
   int dst = -1;
   int tag = 0;
   double byte_scale = 1.0;  // cost-model multiplier for the payload bytes
+  // Accounted payload bytes: what routing, phase bytes and trace records
+  // charge for. Equals payload.size() for data messages; a
+  // Comm::send_sized message carries no payload but the same accounting.
+  std::size_t bytes = 0;
   std::vector<std::byte> payload;
 
   /// Reinterprets the payload as an array of trivially copyable T.
@@ -114,6 +118,13 @@ class Comm {
   void send_owned(int dst, int tag, std::vector<std::byte>&& payload,
                   CostClass cls = CostClass::kParticle);
 
+  /// Sends a message that carries no payload but is costed exactly like a
+  /// payload of `nbytes` bytes (routing, NIC model, phase bytes, trace
+  /// records). For protocols whose data moves through rank-indexed shared
+  /// buffers instead, e.g. linalg's halo exchanger.
+  void send_sized(int dst, int tag, std::size_t nbytes,
+                  CostClass cls = CostClass::kParticle);
+
   /// Builds a byte buffer from trivially copyable elements and move-sends it.
   /// The buffer comes from this rank's payload pool (zero steady-state
   /// allocations once the pool is warm).
@@ -158,6 +169,8 @@ class Comm {
  private:
   friend class Runtime;
   Comm(Runtime* rt, int rank) : rt_(rt), rank_(rank) {}
+  void stage(int dst, int tag, std::size_t nbytes,
+             std::vector<std::byte>&& payload, CostClass cls);
   Runtime* rt_;
   int rank_;
 };

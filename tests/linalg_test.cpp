@@ -1,13 +1,26 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <map>
+#include <memory>
+#include <string>
 #include <vector>
 
+#include "core/case_geometry.hpp"
+#include "core/datasets.hpp"
 #include "linalg/csr.hpp"
 #include "linalg/dist.hpp"
 #include "linalg/krylov.hpp"
+#include "linalg_reference.hpp"
 #include "par/machine.hpp"
 #include "par/runtime.hpp"
+#include "partition/partitioner.hpp"
+#include "pic/fine_grid.hpp"
+#include "pic/node_exchange.hpp"
+#include "pic/poisson.hpp"
+#include "support/error.hpp"
 #include "support/rng.hpp"
 
 namespace dsmcpic::linalg {
@@ -163,10 +176,11 @@ TEST(Dist, LayoutPlansAreConsistent) {
       for (const auto& sp : peer_sends) {
         if (sp.peer != r) continue;
         found = true;
-        ASSERT_EQ(sp.idx.size(), rp.idx.size());
+        ASSERT_EQ(sp.count, rp.count);
+        ASSERT_EQ(sp.slot, rp.slot);
         // Same global ids in the same order on both sides.
-        for (std::size_t i = 0; i < sp.idx.size(); ++i) {
-          EXPECT_EQ(l.owned[rp.peer][sp.idx[i]], l.halo[r][rp.idx[i]]);
+        for (std::size_t i = sp.slot; i < sp.slot + sp.count; ++i) {
+          EXPECT_EQ(l.owned[rp.peer][l.send_idx[i]], l.halo[r][l.recv_idx[i]]);
         }
       }
       EXPECT_TRUE(found);
@@ -201,6 +215,52 @@ TEST(Dist, HaloExchangeFillsGhosts) {
     for (std::size_t h = 0; h < l.halo[r].size(); ++h)
       EXPECT_DOUBLE_EQ(local[r][l.owned[r].size() + h],
                        static_cast<double>(l.halo[r][h]));
+}
+
+/// Builds the round-robin layout of an n-row 1-D Laplace matrix on `nranks`
+/// ranks, lets `mutate` corrupt its plans, and runs one halo exchange.
+template <typename Mutate>
+void halo_exchange_with(int nranks, std::int32_t n, Mutate mutate) {
+  const CsrMatrix a = laplace_1d(n);
+  DistLayout l = DistLayout::build(nranks, round_robin_owner(n, nranks), a);
+  mutate(l);
+  par::Runtime rt(nranks,
+                  par::Topology(par::MachineProfile::tianhe2(), nranks));
+  std::vector<std::vector<double>> local(nranks);
+  for (int r = 0; r < nranks; ++r) local[r].assign(l.local_size(r), 0.0);
+  halo_exchange(rt, "halo", l, local);
+}
+
+TEST(Dist, HaloRejectsMissingMessage) {
+  // A lost message must not leave stale ghosts behind: the receiver checks
+  // its inbox against its plans. Rank 1 no longer ships to rank 0.
+  EXPECT_NO_THROW(halo_exchange_with(3, 12, [](DistLayout&) {}));
+  EXPECT_THROW(halo_exchange_with(3, 12,
+                                  [](DistLayout& l) {
+                                    ASSERT_EQ(l.send_plan[1][0].peer, 0);
+                                    l.send_plan[1].erase(l.send_plan[1].begin());
+                                  }),
+               Error);
+}
+
+TEST(Dist, HaloRejectsMismatchedMessage) {
+  // Right count, wrong size: rank 1's message to rank 0 is one value short.
+  EXPECT_THROW(halo_exchange_with(3, 12,
+                                  [](DistLayout& l) {
+                                    ASSERT_GT(l.send_plan[1][0].count, 1u);
+                                    --l.send_plan[1][0].count;
+                                  }),
+               Error);
+  // Right count and size, wrong sender: on 4 round-robin ranks, rank 0
+  // hears from ranks 1 and 3; rank 2 now sends rank 1's message instead.
+  EXPECT_THROW(halo_exchange_with(4, 16,
+                                  [](DistLayout& l) {
+                                    ASSERT_EQ(l.send_plan[1][0].peer, 0);
+                                    l.send_plan[2].insert(l.send_plan[2].begin(),
+                                                          l.send_plan[1][0]);
+                                    l.send_plan[1].erase(l.send_plan[1].begin());
+                                  }),
+               Error);
 }
 
 /// Distributed CG must match the serial solution for any rank count.
@@ -322,6 +382,125 @@ TEST(Dist, SsorBeatsJacobiOnOneRank) {
   // uses in production it is ~2x, see the solver integration tests.)
   EXPECT_LT(solve(Precon::kBlockSsor), solve(Precon::kJacobi));
 }
+
+// ---- bitwise equality with the test-only references -------------------------
+
+/// The Dataset-2 Poisson system distributed the way the solver distributes
+/// it: unweighted k-way partition of the coarse cells, node rows owned as
+/// pic::NodeExchange assigns them. Built once per rank count.
+struct Dataset2System {
+  DistMatrix dm;
+  DistVector b;  // RHS of a random charge distribution
+};
+
+const Dataset2System& dataset2(int nranks) {
+  static std::map<int, std::unique_ptr<Dataset2System>> cache;
+  auto& slot = cache[nranks];
+  if (slot) return *slot;
+  const core::Dataset ds = core::make_dataset(2);
+  const auto geom = core::CaseGeometry::build(ds.config.nozzle);
+  const pic::PoissonSystem psys(geom->refined.mesh, ds.config.poisson_bcs);
+  partition::Graph dual;
+  geom->coarse.dual_graph(dual.xadj, dual.adjncy);
+  const std::vector<std::int32_t> owner =
+      nranks == 1
+          ? std::vector<std::int32_t>(
+                static_cast<std::size_t>(geom->coarse.num_tets()), 0)
+          : partition::part_graph_kway(dual, nranks, {}).part;
+  const pic::NodeExchange nodex(pic::FineGrid(geom->coarse, geom->refined),
+                                owner, nranks);
+  slot = std::make_unique<Dataset2System>();
+  slot->dm = DistMatrix::build(
+      psys.matrix(),
+      DistLayout::build(nranks, nodex.node_owner(), psys.matrix()));
+  std::vector<double> charge(static_cast<std::size_t>(psys.num_nodes()));
+  Rng rng(2);
+  for (double& q : charge) q = rng.uniform(0.0, 1e-12);
+  slot->b = scatter_vector(slot->dm.layout, psys.rhs(charge));
+  return *slot;
+}
+
+/// Index of the first element whose bits differ, or -1.
+std::ptrdiff_t first_bit_difference(std::span<const double> a,
+                                    std::span<const double> b) {
+  if (a.size() != b.size()) return 0;
+  for (std::size_t i = 0; i < a.size(); ++i)
+    if (std::bit_cast<std::uint64_t>(a[i]) != std::bit_cast<std::uint64_t>(b[i]))
+      return static_cast<std::ptrdiff_t>(i);
+  return -1;
+}
+
+class Dataset2Reference : public ::testing::TestWithParam<int> {};
+
+TEST_P(Dataset2Reference, FactoredSweepMatchesBranchySweep) {
+  const DistMatrix& dm = dataset2(GetParam()).dm;
+  Rng rng(5);
+  for (int r = 0; r < dm.layout.nranks; ++r) {
+    const std::size_t n = dm.layout.owned[r].size();
+    std::vector<double> rv(n), diag, inv_diag;
+    for (double& v : rv) v = rng.uniform(-1.0, 1.0);
+    reference::guarded_diagonal(dm.local[r], n, diag, inv_diag);
+    for (const Precon kind :
+         {Precon::kNone, Precon::kJacobi, Precon::kBlockSsor}) {
+      std::vector<double> z(n), z_ref(n), u(n), u_ref(n);
+      apply_precon(dm, r, kind, rv, z, u);
+      reference::block_ssor_sweep(dm.local[r], n, kind, diag, inv_diag, rv,
+                                  z_ref, u_ref);
+      ASSERT_EQ(first_bit_difference(z, z_ref), -1)
+          << "rank " << r << " precon " << static_cast<int>(kind);
+    }
+  }
+}
+
+TEST_P(Dataset2Reference, DistCgMatchesReferenceInBothExecModes) {
+  const int nranks = GetParam();
+  const Dataset2System& sys = dataset2(nranks);
+  const core::Dataset ds = core::make_dataset(2);
+  const SolveOptions opt{.rel_tol = 1e-5, .max_iterations = 200};
+  auto runtime = [&](par::ExecMode mode) {
+    return par::Runtime(nranks,
+                        par::Topology(par::MachineProfile::tianhe2(), nranks),
+                        ds.paper_particle_scale, ds.paper_grid_scale,
+                        par::ExecOptions{mode, 3});
+  };
+  par::Runtime rt_ref = runtime(par::ExecMode::kSequential);
+  DistVector x_ref(nranks);
+  const SolveResult ref =
+      reference::dist_cg(rt_ref, "solve", sys.dm, sys.b, x_ref, opt);
+  ASSERT_TRUE(ref.converged);
+  ASSERT_GT(ref.iterations, 10);
+
+  for (const par::ExecMode mode :
+       {par::ExecMode::kSequential, par::ExecMode::kThreaded}) {
+    SCOPED_TRACE(par::exec_mode_name(mode));
+    par::Runtime rt = runtime(mode);
+    DistVector x(nranks);
+    const SolveResult res = dist_cg(rt, "solve", sys.dm, sys.b, x, opt);
+    EXPECT_EQ(res.iterations, ref.iterations);
+    EXPECT_EQ(res.converged, ref.converged);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(res.residual),
+              std::bit_cast<std::uint64_t>(ref.residual));
+    for (int r = 0; r < nranks; ++r)
+      ASSERT_EQ(first_bit_difference(x[r], x_ref[r]), -1) << "rank " << r;
+    // Payload-free halo messages cost exactly what the payloads did.
+    for (int r = 0; r < nranks; ++r)
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(rt.clock(r)),
+                std::bit_cast<std::uint64_t>(rt_ref.clock(r)))
+          << "rank " << r;
+    const par::PhaseStats s = rt.phase_stats("solve");
+    const par::PhaseStats s_ref = rt_ref.phase_stats("solve");
+    EXPECT_EQ(rt.phase_busy("solve"), rt_ref.phase_busy("solve"));
+    EXPECT_EQ(s.transactions, s_ref.transactions);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(s.bytes),
+              std::bit_cast<std::uint64_t>(s_ref.bytes));
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Ranks, Dataset2Reference,
+                         ::testing::Values(1, 24, 1024),
+                         [](const ::testing::TestParamInfo<int>& info) {
+                           return "r" + std::to_string(info.param);
+                         });
 
 }  // namespace
 }  // namespace dsmcpic::linalg

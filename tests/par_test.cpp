@@ -3,10 +3,12 @@
 #include <algorithm>
 #include <cstring>
 #include <numeric>
+#include <tuple>
 #include <vector>
 
 #include "par/machine.hpp"
 #include "par/runtime.hpp"
+#include "trace/recorder.hpp"
 
 namespace dsmcpic::par {
 namespace {
@@ -393,6 +395,84 @@ TEST(Runtime, PayloadPoolStopsAllocatingInSteadyState) {
   EXPECT_EQ(steady.misses, warm.misses) << "steady-state supersteps allocated";
   EXPECT_GT(steady.acquires, warm.acquires);
   EXPECT_GT(steady.recycles, warm.recycles);
+}
+
+// A payload-free message of an accounted size (Comm::send_sized) must be
+// indistinguishable from a real payload of that size in every accounted
+// number: clocks, phase stats and trace message records, on the per-message
+// NIC-serialization path and on the hinted congestion path alike.
+TEST(Runtime, AccountedSizeMessagesMatchPayloadMessages) {
+  struct Outcome {
+    std::vector<double> clocks;
+    std::vector<PhaseStats> stats;
+    std::vector<std::vector<double>> busy;
+    std::vector<trace::MessageRec> msgs;
+  };
+  auto run = [](bool sized, bool hinted, bool nic = true) {
+    MachineProfile prof = MachineProfile::tianhe2();
+    prof.cores_per_node = 2;  // 6 ranks on 3 nodes: inter-node NIC traffic
+    if (!nic) prof.nic_overhead = 0.0;
+    Runtime rt(6, Topology(prof, 6), 3.0, 2.0);
+    trace::TraceRecorder rec(6);
+    rt.set_tracer(&rec);
+    if (hinted) rt.hint_round_transactions(30);
+    rt.superstep("round", [&](Comm& c) {
+      for (int k = 0; k < 4; ++k) {
+        const int dst = (c.rank() + k + 1) % c.size();
+        const std::size_t nbytes = 24 * static_cast<std::size_t>(c.rank() * k);
+        const CostClass cls = (k % 2) ? CostClass::kGrid : CostClass::kParticle;
+        c.charge(WorkKind::kPackByte, static_cast<double>(nbytes));
+        if (sized)
+          c.send_sized(dst, k, nbytes, cls);
+        else
+          c.send_owned(dst, k, c.acquire_payload(nbytes), cls);
+      }
+    });
+    rt.superstep("drain", [&](Comm& c) {
+      for (const Message& m : c.inbox()) {
+        EXPECT_EQ(m.bytes, 24 * static_cast<std::size_t>(m.src * m.tag));
+        EXPECT_EQ(m.payload.size(), sized ? 0u : m.bytes);
+      }
+    });
+    rt.barrier("end");
+    Outcome o;
+    for (int r = 0; r < rt.size(); ++r) o.clocks.push_back(rt.clock(r));
+    for (const auto& p : rt.phases()) {
+      o.stats.push_back(rt.phase_stats(p));
+      o.busy.push_back(rt.phase_busy(p));
+    }
+    o.msgs = rec.messages();
+    return o;
+  };
+  for (const bool hinted : {false, true}) {
+    SCOPED_TRACE(hinted ? "hinted round" : "NIC-serialized round");
+    const Outcome a = run(/*sized=*/true, hinted);
+    const Outcome b = run(/*sized=*/false, hinted);
+    EXPECT_EQ(a.clocks, b.clocks);
+    EXPECT_EQ(a.busy, b.busy);
+    ASSERT_EQ(a.stats.size(), b.stats.size());
+    for (std::size_t i = 0; i < a.stats.size(); ++i) {
+      EXPECT_EQ(a.stats[i].busy_max, b.stats[i].busy_max);
+      EXPECT_EQ(a.stats[i].busy_min, b.stats[i].busy_min);
+      EXPECT_EQ(a.stats[i].busy_sum, b.stats[i].busy_sum);
+      EXPECT_EQ(a.stats[i].transactions, b.stats[i].transactions);
+      EXPECT_EQ(a.stats[i].bytes, b.stats[i].bytes);
+    }
+    ASSERT_EQ(a.msgs.size(), 24u);
+    ASSERT_EQ(a.msgs.size(), b.msgs.size());
+    for (std::size_t i = 0; i < a.msgs.size(); ++i) {
+      const trace::MessageRec& x = a.msgs[i];
+      const trace::MessageRec& y = b.msgs[i];
+      EXPECT_EQ(std::tie(x.src, x.dst, x.tag, x.bytes, x.phase, x.seq),
+                std::tie(y.src, y.dst, y.tag, y.bytes, y.phase, y.seq));
+      EXPECT_EQ(std::tie(x.scaled_bytes, x.send_begin, x.send_end,
+                         x.recv_begin, x.recv_end),
+                std::tie(y.scaled_bytes, y.send_begin, y.send_end,
+                         y.recv_begin, y.recv_end));
+    }
+    // The NIC term is live on this path: without it the clocks differ.
+    EXPECT_NE(run(/*sized=*/true, hinted, /*nic=*/false).clocks, a.clocks);
+  }
 }
 
 TEST(Runtime, AcquiredPayloadsAreZeroFilled) {
