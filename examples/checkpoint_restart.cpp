@@ -12,7 +12,7 @@
 #include "core/autotune.hpp"
 #include "core/datasets.hpp"
 #include "core/solver.hpp"
-#include "core/timeline.hpp"
+#include "obs/telemetry.hpp"
 #include "support/cli.hpp"
 #include "support/table.hpp"
 
@@ -46,19 +46,22 @@ int main(int argc, char** argv) {
   par.balance.period = tuned.best_period;
   par.balance.threshold = tuned.best_threshold;
 
-  // 2. First half + checkpoint (with a phase timeline for inspection).
+  // 2. First half + checkpoint, with a telemetry hub for inspection: its
+  //    metrics.json holds per-step series (phase_busy_max/<phase>, lii,
+  //    exchange_bytes, ...) of the run up to the checkpoint.
   const int half = static_cast<int>(*steps) / 2;
   {
+    obs::TelemetryConfig tc;
+    tc.metrics_prom_path = "demo_metrics.prom";
+    tc.metrics_json_path = "demo_metrics.json";
+    obs::TelemetryHub hub(tc);
     core::CoupledSolver solver(ds.config, par);
-    core::PhaseTimeline timeline(solver);
-    for (int s = 0; s < half; ++s) {
-      solver.step();
-      timeline.record_step();
-    }
+    solver.set_telemetry(&hub);
+    solver.run(half);
     solver.save_checkpoint(*ckpt);
-    timeline.write_csv("demo_timeline.csv");
-    std::printf("checkpointed at step %d -> %s (%lld particles); timeline in "
-                "demo_timeline.csv\n",
+    hub.publish();
+    std::printf("checkpointed at step %d -> %s (%lld particles); telemetry "
+                "in demo_metrics.json / demo_metrics.prom\n",
                 solver.current_step(), ckpt->c_str(),
                 static_cast<long long>(solver.total_particles()));
   }

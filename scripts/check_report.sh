@@ -22,8 +22,12 @@ cmake --build "$BUILD" --target bench_fig05_imbalance bench_kernels bench_fleet 
 "$BUILD"/bench/bench_fig05_imbalance \
   --ranks 4 --steps 3 --audit warn --report "$OUT/report.json" >/dev/null
 
-# bench_fig05 runs two cases (LB off / LB on) -> report.json + report.case1.json
-for f in "$OUT"/report.json "$OUT"/report.case1.json; do
+# bench_fig05 writes one report per case: report.json, report.case1.json, ...
+shopt -s nullglob
+REPORTS=("$OUT"/report.json "$OUT"/report.case*.json)
+[ "${#REPORTS[@]}" -ge 2 ] \
+  || { echo "FAIL: expected a report per case, got ${REPORTS[*]}" >&2; exit 1; }
+for f in "${REPORTS[@]}"; do
   [ -f "$f" ] || { echo "FAIL: $f was not written" >&2; exit 1; }
   python3 - "$f" <<'EOF'
 import json, sys

@@ -773,113 +773,70 @@ void CoupledSolver::resize_active(int target) {
   }
 }
 
-void CoupledSolver::record_trace_counters(const StepDiagnostics& diag) {
-  trace::TraceRecorder* tr = rt_->tracer();
-  if (!tr) return;
-  trace::MetricsRegistry& m = tr->metrics();
-  const std::int64_t step = diag.dsmc_step;
-  for (int r = 0; r < pcfg_.nranks; ++r) {
-    m.add("particles_owned", step, r,
-          static_cast<double>(diag.particles_per_rank[r]), rt_->clock(r));
-    m.add("cells_owned", step, r, static_cast<double>(my_cells_[r].size()),
-          rt_->clock(r));
+CoupledSolver::ExchangeVolume CoupledSolver::exchange_volume() const {
+  ExchangeVolume v;
+  for (const char* phase :
+       {phases::kDsmcExchange, phases::kPicExchange, phases::kRebalance}) {
+    const par::PhaseStats ps = rt_->phase_stats(phase);
+    v.bytes += ps.bytes;
+    v.messages += ps.transactions;
   }
-  const double t = rt_->total_time();
-  m.add("lii", step, -1, diag.lii, t);
-  m.add("migrated_dsmc", step, -1, static_cast<double>(diag.migrated_dsmc), t);
-  m.add("migrated_pic", step, -1, static_cast<double>(diag.migrated_pic), t);
-  const double exch_bytes = rt_->phase_stats(phases::kDsmcExchange).bytes +
-                            rt_->phase_stats(phases::kPicExchange).bytes +
-                            rt_->phase_stats(phases::kRebalance).bytes;
-  m.add("bytes_migrated", step, -1, exch_bytes - trace_prev_exch_bytes_, t);
-  trace_prev_exch_bytes_ = exch_bytes;
-  if (diag.rebalanced)
-    tr->add_instant(-1, "rebalance @ step " + std::to_string(step), t);
+  return v;
 }
 
-void CoupledSolver::record_telemetry(const StepDiagnostics& diag) {
-  if (!telemetry_) return;
-  obs::TelemetrySample s;
-  s.step = diag.dsmc_step;
-  s.supersteps = rt_->supersteps();
-  s.virtual_time = rt_->total_time();
-  s.active_ranks = active_;
-
-  s.particles = total_particles();
-  s.total_h = diag.total_h;
-  s.total_hplus = diag.total_hplus;
-  s.injected = diag.injected;
-  s.migrated_dsmc = diag.migrated_dsmc;
-  s.migrated_pic = diag.migrated_pic;
-  s.collisions = diag.collisions;
-  s.ionizations = diag.ionizations;
-  s.recombinations = diag.recombinations;
-  s.exited_dsmc = diag.exited_dsmc;
-  s.exited_pic = diag.exited_pic;
-  s.pic_lost = diag.pic_lost;
-  s.particles_per_rank = diag.particles_per_rank;
-  s.lii = diag.lii;
-  s.rebalanced = diag.rebalanced;
-  s.poisson_iterations = diag.poisson_iterations;
+void CoupledSolver::record_step(const StepDiagnostics& diag,
+                                const ExchangeVolume& start) {
+  obs::StepRecord rec;
+  rec.diag = diag;
+  rec.supersteps = rt_->supersteps();
+  rec.virtual_time = rt_->total_time();
+  rec.active_ranks = active_;
+  rec.particles = total_particles();
 
   for (const std::string& name : rt_->phases()) {
     const par::PhaseStats ps = rt_->phase_stats(name);
-    obs::TelemetryPhase p;
-    p.name = name;
-    p.busy_max = ps.busy_max;
-    p.busy_min = ps.busy_min;
-    p.busy_sum = ps.busy_sum;
-    p.transactions = ps.transactions;
-    p.bytes = ps.bytes;
-    s.phases.push_back(std::move(p));
+    rec.phases.push_back({name, ps.busy_max, ps.busy_min, ps.busy_sum,
+                          ps.transactions, ps.bytes});
   }
-  const double exch_bytes = rt_->phase_stats(phases::kDsmcExchange).bytes +
-                            rt_->phase_stats(phases::kPicExchange).bytes +
-                            rt_->phase_stats(phases::kRebalance).bytes;
-  const std::uint64_t exch_msgs =
-      rt_->phase_stats(phases::kDsmcExchange).transactions +
-      rt_->phase_stats(phases::kPicExchange).transactions +
-      rt_->phase_stats(phases::kRebalance).transactions;
-  s.exchange_bytes_delta = exch_bytes - telem_prev_exch_bytes_;
-  s.exchange_messages_delta = exch_msgs - telem_prev_exch_msgs_;
-  telem_prev_exch_bytes_ = exch_bytes;
-  telem_prev_exch_msgs_ = exch_msgs;
+  const ExchangeVolume end = exchange_volume();
+  rec.exchange_bytes = end.bytes - start.bytes;
+  rec.exchange_messages = end.messages - start.messages;
   const par::PoolStats pool = rt_->pool_stats();
-  s.pool_acquires = pool.acquires;
-  s.pool_misses = pool.misses;
-  s.pool_recycles = pool.recycles;
+  rec.pool_acquires = pool.acquires;
+  rec.pool_misses = pool.misses;
+  rec.pool_recycles = pool.recycles;
 
-  double scale_min = 0.0, scale_max = 0.0, scale_sum = 0.0;
+  double scale_sum = 0.0;
   for (int r = 0; r < active_; ++r) {
     const double sc = cost_model_.rank_scale(r);
-    if (r == 0 || sc < scale_min) scale_min = sc;
-    if (r == 0 || sc > scale_max) scale_max = sc;
+    if (r == 0 || sc < rec.cost_scale_min) rec.cost_scale_min = sc;
+    if (r == 0 || sc > rec.cost_scale_max) rec.cost_scale_max = sc;
     scale_sum += sc;
   }
-  s.cost_scale_min = scale_min;
-  s.cost_scale_max = scale_max;
-  s.cost_scale_mean = active_ > 0 ? scale_sum / active_ : 1.0;
+  if (active_ > 0) rec.cost_scale_mean = scale_sum / active_;
 
   const std::vector<balance::PolicyDecision>& decisions = policy_.decisions();
-  for (auto it = decisions.rbegin();
-       it != decisions.rend() && it->step == diag.dsmc_step; ++it) {
-    obs::TelemetryDecision d;
-    d.step = it->step;
-    d.lii = it->lii;
-    d.imbalance_per_step = it->imbalance_per_step;
-    d.projected_imbalance_cost = it->projected_imbalance_cost;
-    d.rebalance_cost_estimate = it->rebalance_cost_estimate;
-    d.rebalance = it->rebalance;
-    s.decisions.push_back(d);
-  }
-  std::reverse(s.decisions.begin(), s.decisions.end());
+  auto first = decisions.end();
+  while (first != decisions.begin() && (first - 1)->step == diag.dsmc_step)
+    --first;
+  for (auto it = first; it != decisions.end(); ++it)
+    rec.decisions.push_back({it->step, it->lii, it->imbalance_per_step,
+                             it->projected_imbalance_cost,
+                             it->rebalance_cost_estimate, it->rebalance});
 
   if (auditor_) {
-    s.audit_checks = auditor_->report().checks();
-    s.audit_violations = auditor_->report().violations();
+    rec.audit_checks = auditor_->report().checks();
+    rec.audit_violations = auditor_->report().violations();
   }
 
-  telemetry_->on_step(s);
+  for (int r = 0; r < pcfg_.nranks; ++r) {
+    rec.cells_owned.push_back(static_cast<std::int64_t>(my_cells_[r].size()));
+    rec.rank_clocks.push_back(rt_->clock(r));
+  }
+
+  if (trace::TraceRecorder* tr = rt_->tracer())
+    obs::record_trace_counters(*tr, rec);
+  if (telemetry_) telemetry_->on_step(rec);
 }
 
 StepDiagnostics CoupledSolver::step() {
@@ -912,6 +869,11 @@ StepDiagnostics CoupledSolver::step() {
 StepDiagnostics CoupledSolver::step_impl() {
   StepDiagnostics diag;
   diag.dsmc_step = step_;
+  // The step record's exchange volume is the difference to this snapshot,
+  // so it stays per-step across checkpoint restores.
+  const bool observed = telemetry_ != nullptr || rt_->tracer() != nullptr;
+  const ExchangeVolume exch_start =
+      observed ? exchange_volume() : ExchangeVolume{};
 
   if (auditor_) auditor_->begin_step(step_, total_particles());
   do_inject(diag);
@@ -929,7 +891,6 @@ StepDiagnostics CoupledSolver::step_impl() {
     diag.total_h += store.count_species(dsmc::kSpeciesH);
     diag.total_hplus += store.count_species(dsmc::kSpeciesHPlus);
   }
-  record_trace_counters(diag);
 
   if (auditor_) {
     auditor_->check_ownership(owner_, active_, my_cells_);
@@ -937,10 +898,10 @@ StepDiagnostics CoupledSolver::step_impl() {
         total_particles(),
         static_cast<std::int64_t>(rt_->undelivered_messages()));
   }
-  // After the auditor closed the step, so the sample carries this step's
-  // full audit tallies; an abort above leaves this step out of the flight
-  // recorder (only COMPLETED supersteps are recorded).
-  record_telemetry(diag);
+  // After the auditor closed the step, so the record carries this step's
+  // full audit tallies; an abort above leaves this step out of every sink
+  // (only COMPLETED steps are recorded).
+  if (observed) record_step(diag, exch_start);
 
   ++step_;
   history_.push_back(diag);

@@ -27,6 +27,7 @@
 #include "dsmc/sampling.hpp"
 #include "linalg/dist.hpp"
 #include "mesh/refine.hpp"
+#include "obs/step_record.hpp"
 #include "par/runtime.hpp"
 #include "pic/deposit.hpp"
 #include "pic/fine_grid.hpp"
@@ -42,25 +43,8 @@ class TelemetryHub;
 
 namespace dsmcpic::core {
 
-/// Per-DSMC-step diagnostics (drives Fig. 5 / Fig. 9-style outputs).
-struct StepDiagnostics {
-  int dsmc_step = 0;
-  std::vector<std::int64_t> particles_per_rank;
-  std::int64_t total_h = 0;
-  std::int64_t total_hplus = 0;
-  std::int64_t injected = 0;
-  std::int64_t migrated_dsmc = 0;
-  std::int64_t migrated_pic = 0;
-  std::int64_t collisions = 0;
-  std::int64_t ionizations = 0;
-  std::int64_t recombinations = 0;
-  std::int64_t exited_dsmc = 0;  // neutrals removed through inlet/outlet
-  std::int64_t exited_pic = 0;   // charged particles removed at boundaries
-  std::int64_t pic_lost = 0;     // charged particles the fine locate lost
-  int poisson_iterations = 0;  // last PIC substep
-  double lii = 0.0;            // load imbalance indicator this step
-  bool rebalanced = false;
-};
+/// Per-DSMC-step diagnostics; defined with the step record it feeds.
+using StepDiagnostics = obs::StepDiagnostics;
 
 /// End-of-run accounting used by the bench harness.
 struct RunSummary {
@@ -178,16 +162,20 @@ class CoupledSolver {
   /// `phase` when charge_costs is true.
   void rebuild_parallel_structures(const std::string& phase, bool charge_costs);
 
-  /// Feeds the per-step counter registry of an attached trace recorder
-  /// (particles/cells owned per rank, migration volume, lii) and marks
-  /// rebalance decisions as instant events. No-op without a recorder;
-  /// reads accounting state only, so it cannot perturb the run.
-  void record_trace_counters(const StepDiagnostics& diag);
+  /// Bytes and messages routed so far by the three particle-exchange
+  /// phases (DSMC_Exchange, PIC_Exchange, Rebalance).
+  struct ExchangeVolume {
+    double bytes = 0.0;
+    std::uint64_t messages = 0;
+  };
+  ExchangeVolume exchange_volume() const;
 
-  /// Copies the step's deterministic accounting into a TelemetrySample and
-  /// feeds the attached hub. No-op without a hub; reads accounting state
-  /// only, so it cannot perturb the run.
-  void record_telemetry(const StepDiagnostics& diag);
+  /// Builds the step's obs::StepRecord — the one per-step source of every
+  /// observability sink — and feeds it to the attached trace recorder's
+  /// counters and the telemetry hub. `start` is exchange_volume() at the
+  /// start of this step. Reads accounting state only, so it cannot perturb
+  /// the run.
+  void record_step(const StepDiagnostics& diag, const ExchangeVolume& start);
   /// step() body; step() wraps it to dump the flight recorder on abort.
   StepDiagnostics step_impl();
 
@@ -259,7 +247,6 @@ class CoupledSolver {
 
   int step_ = 0;
   int steps_since_rebalance_ = 0;
-  double trace_prev_exch_bytes_ = 0.0;  // per-step migration-bytes delta
   std::vector<double> prev_total_, prev_pm_, prev_poi_;  // lii window
   std::vector<double> prev_particle_;  // particle-phase window (cost model)
   std::vector<double> prev_predicted_;  // last step's static wlm per rank
@@ -272,8 +259,6 @@ class CoupledSolver {
   obs::HealthAuditor* auditor_ = nullptr;  // not owned
   obs::HostProfiler* prof_ = nullptr;      // not owned
   obs::TelemetryHub* telemetry_ = nullptr;  // not owned
-  double telem_prev_exch_bytes_ = 0.0;  // telemetry's own migration deltas
-  std::uint64_t telem_prev_exch_msgs_ = 0;
   bool fault_fired_ = false;  // a fault-injection site was reached
 };
 

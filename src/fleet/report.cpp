@@ -39,25 +39,12 @@ void fill_run_report(obs::RunReport& rep, const core::CoupledSolver& solver,
     rep.phases.push_back({summary.phase_names[i], st.busy_max, st.busy_min,
                           st.busy_sum, st.transactions, st.bytes});
   }
-  rep.steps.final_particles = summary.final_particles;
-  add_step_totals(rep.steps, history);
+  rep.final_particles = summary.final_particles;
+  for (const core::StepDiagnostics& d : history) rep.steps.add(d);
   for (const balance::PolicyDecision& d : summary.decisions)
     rep.rebalance_decisions.push_back({d.step, d.lii, d.imbalance_per_step,
                                        d.projected_imbalance_cost,
                                        d.rebalance_cost_estimate, d.rebalance});
-}
-
-void add_step_totals(obs::RunReportSteps& steps,
-                     std::span<const core::StepDiagnostics> history) {
-  for (const core::StepDiagnostics& d : history) {
-    steps.injected += d.injected;
-    steps.migrated_dsmc += d.migrated_dsmc;
-    steps.migrated_pic += d.migrated_pic;
-    steps.collisions += d.collisions;
-    steps.ionizations += d.ionizations;
-    steps.recombinations += d.recombinations;
-    steps.rebalances += d.rebalanced ? 1 : 0;
-  }
 }
 
 }  // namespace dsmcpic::fleet

@@ -26,20 +26,15 @@ struct ReportMeta {
 };
 
 /// Fills `rep` from a finished solver: config echo, ensemble section,
-/// virtual-time totals + phases, step totals, and every rebalance decision.
-/// Step totals are ADDED onto whatever rep.steps already holds — zeros for
-/// a plain bench case; the carried pre-park totals for a fleet run resumed
-/// from a checkpoint (whose history covers only the final lease) —
-/// final_particles is overwritten. The audit/profiler pointers are left
+/// virtual-time totals + phases, final particles, step totals, and every
+/// rebalance decision. `history`'s step totals are ADDED onto whatever
+/// rep.steps already holds — zeros for a plain bench case; the carried
+/// pre-park totals for a fleet run resumed from a checkpoint (whose history
+/// covers only the final lease). The audit/profiler pointers are left
 /// untouched for the caller to attach.
 void fill_run_report(obs::RunReport& rep, const core::CoupledSolver& solver,
                      const core::RunSummary& summary,
                      std::span<const core::StepDiagnostics> history,
                      const ReportMeta& meta);
-
-/// Adds `history`'s per-step physics totals onto `steps` (final_particles
-/// untouched). The fleet runner uses this to carry totals across leases.
-void add_step_totals(obs::RunReportSteps& steps,
-                     std::span<const core::StepDiagnostics> history);
 
 }  // namespace dsmcpic::fleet

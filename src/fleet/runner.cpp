@@ -13,7 +13,6 @@
 #include "support/error.hpp"
 #include "support/serialize.hpp"
 #include "support/thread_pool.hpp"
-#include "trace/chrome_writer.hpp"
 #include "trace/json_writer.hpp"
 
 namespace dsmcpic::fleet {
@@ -54,7 +53,7 @@ struct FleetRunner::JobState {
   int steps_done = 0;
   int leases = 0;
   RunDigest digest;                // streaming golden digest
-  obs::RunReportSteps carried;     // step totals of completed leases
+  obs::StepTotals carried;         // step totals of completed leases
   double wall_ms = 0.0;
 
   // Valid once state == kDone.
@@ -202,7 +201,7 @@ void FleetRunner::run_lease(JobState& js) {
   } else {
     DSMCPIC_CHECK_MSG(!js.dir.empty(),
                       "preempting a run requires a results dir");
-    add_step_totals(js.carried, solver.history());
+    for (const core::StepDiagnostics& d : solver.history()) js.carried.add(d);
     solver.save_checkpoint(js.dir + "/checkpoint.bin");
     write_sidecar(js);
     js.has_checkpoint = true;
@@ -410,50 +409,54 @@ void FleetRunner::write_fleet_metrics(
     done += r.state == RunState::kDone ? 1 : 0;
     parked += r.state == RunState::kParked ? 1 : 0;
   }
+  const auto runs = static_cast<std::int64_t>(results.size());
   std::ostringstream os;
-  auto gauge = [&os](const char* name, const char* help) {
-    os << "# HELP " << name << " " << help << "\n";
-    os << "# TYPE " << name << " gauge\n";
+  const auto gauge = [&os](const char* name, const char* help) {
+    return obs::PromFamily(os, "", name, "gauge", help);
   };
-  gauge("dsmcpic_fleet_slots", "Configured concurrent solver slots.");
-  os << "dsmcpic_fleet_slots " << opts_.slots << "\n";
-  gauge("dsmcpic_fleet_runs", "Queued runs in this fleet.");
-  os << "dsmcpic_fleet_runs " << results.size() << "\n";
-  gauge("dsmcpic_fleet_runs_done", "Runs completed so far.");
-  os << "dsmcpic_fleet_runs_done " << done << "\n";
-  gauge("dsmcpic_fleet_runs_parked", "Runs parked at their park point.");
-  os << "dsmcpic_fleet_runs_parked " << parked << "\n";
-  gauge("dsmcpic_fleet_runs_pending", "Runs waiting for their next lease.");
-  os << "dsmcpic_fleet_runs_pending "
-     << static_cast<std::int64_t>(results.size()) - done - parked << "\n";
+  gauge("dsmcpic_fleet_slots", "Configured concurrent solver slots.")
+      .sample(opts_.slots);
+  gauge("dsmcpic_fleet_runs", "Queued runs in this fleet.")
+      .sample(static_cast<double>(runs));
+  gauge("dsmcpic_fleet_runs_done", "Runs completed so far.")
+      .sample(static_cast<double>(done));
+  gauge("dsmcpic_fleet_runs_parked", "Runs parked at their park point.")
+      .sample(static_cast<double>(parked));
+  gauge("dsmcpic_fleet_runs_pending", "Runs waiting for their next lease.")
+      .sample(static_cast<double>(runs - done - parked));
 
-  auto labels = [](const FleetRunResult& r) {
-    std::ostringstream ls;
-    ls << "{run=\"" << r.run_id << "\",scenario=\"" << r.scenario
-       << "\",state=\"" << state_name(r.state) << "\"}";
-    return ls.str();
+  const auto labels = [](const FleetRunResult& r) {
+    return obs::label("run", r.run_id) + "," +
+           obs::label("scenario", r.scenario) + "," +
+           obs::label("state", state_name(r.state));
   };
-  gauge("dsmcpic_fleet_run_steps_done", "DSMC steps completed per run.");
-  for (const FleetRunResult& r : results)
-    os << "dsmcpic_fleet_run_steps_done" << labels(r) << " " << r.steps_done
-       << "\n";
-  gauge("dsmcpic_fleet_run_steps_total", "DSMC step budget per run.");
-  for (const FleetRunResult& r : results)
-    os << "dsmcpic_fleet_run_steps_total" << labels(r) << " " << r.steps_total
-       << "\n";
-  gauge("dsmcpic_fleet_run_leases", "Leases consumed per run.");
-  for (const FleetRunResult& r : results)
-    os << "dsmcpic_fleet_run_leases" << labels(r) << " " << r.leases << "\n";
-  gauge("dsmcpic_fleet_run_particles",
-        "Final particle count per completed run.");
-  for (const FleetRunResult& r : results)
-    os << "dsmcpic_fleet_run_particles" << labels(r) << " "
-       << r.final_particles << "\n";
-  gauge("dsmcpic_fleet_run_virtual_seconds",
-        "End-to-end virtual time per completed run.");
-  for (const FleetRunResult& r : results)
-    os << "dsmcpic_fleet_run_virtual_seconds" << labels(r) << " "
-       << trace::format_double(r.virtual_seconds) << "\n";
+  {
+    obs::PromFamily f =
+        gauge("dsmcpic_fleet_run_steps_done", "DSMC steps completed per run.");
+    for (const FleetRunResult& r : results) f.sample(r.steps_done, labels(r));
+  }
+  {
+    obs::PromFamily f =
+        gauge("dsmcpic_fleet_run_steps_total", "DSMC step budget per run.");
+    for (const FleetRunResult& r : results) f.sample(r.steps_total, labels(r));
+  }
+  {
+    obs::PromFamily f =
+        gauge("dsmcpic_fleet_run_leases", "Leases consumed per run.");
+    for (const FleetRunResult& r : results) f.sample(r.leases, labels(r));
+  }
+  {
+    obs::PromFamily f = gauge("dsmcpic_fleet_run_particles",
+                              "Final particle count per completed run.");
+    for (const FleetRunResult& r : results)
+      f.sample(static_cast<double>(r.final_particles), labels(r));
+  }
+  {
+    obs::PromFamily f = gauge("dsmcpic_fleet_run_virtual_seconds",
+                              "End-to-end virtual time per completed run.");
+    for (const FleetRunResult& r : results)
+      f.sample(r.virtual_seconds, labels(r));
+  }
   obs::atomic_write_file(opts_.results_dir + "/fleet_metrics.prom", os.str());
 }
 

@@ -47,23 +47,12 @@ void write_run_report(std::ostream& os, const RunReport& report) {
   w.begin_object();
   w.kv("total_seconds", report.total_virtual_time);
   w.key("phases");
-  w.begin_array();
-  for (const RunReportPhase& p : report.phases) {
-    w.begin_object();
-    w.kv("phase", p.name);
-    w.kv("busy_max", p.busy_max);
-    w.kv("busy_min", p.busy_min);
-    w.kv("busy_sum", p.busy_sum);
-    w.kv("transactions", p.transactions);
-    w.kv("bytes", p.bytes);
-    w.end_object();
-  }
-  w.end_array();
+  write_phases(w, report.phases);
   w.end_object();
 
   w.key("steps");
   w.begin_object();
-  w.kv("final_particles", report.steps.final_particles);
+  w.kv("final_particles", report.final_particles);
   w.kv("injected", report.steps.injected);
   w.kv("migrated_dsmc", report.steps.migrated_dsmc);
   w.kv("migrated_pic", report.steps.migrated_pic);
@@ -74,18 +63,7 @@ void write_run_report(std::ostream& os, const RunReport& report) {
   w.end_object();
 
   w.key("rebalance_decisions");
-  w.begin_array();
-  for (const RunReportDecision& d : report.rebalance_decisions) {
-    w.begin_object();
-    w.kv("step", d.step);
-    w.kv("lii", d.lii);
-    w.kv("imbalance_per_step", d.imbalance_per_step);
-    w.kv("projected_imbalance_cost", d.projected_imbalance_cost);
-    w.kv("rebalance_cost_estimate", d.rebalance_cost_estimate);
-    w.kv("rebalance", d.rebalance);
-    w.end_object();
-  }
-  w.end_array();
+  write_decisions(w, report.rebalance_decisions);
 
   w.key("audit");
   w.begin_object();

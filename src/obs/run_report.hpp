@@ -9,10 +9,11 @@
 //
 // The struct is plain values so this module stays below core in the layer
 // graph: the bench harness (or any caller) copies the numbers out of
-// core::RunSummary / StepDiagnostics and the runtime; obs never includes
-// core headers. Serialization uses trace::JsonWriter, so identical inputs
-// produce identical bytes (the host-profile milliseconds are wall-clock
-// and naturally vary; the document *structure* never does).
+// core::RunSummary and the step history into the PhaseRecord /
+// DecisionRecord / StepTotals types of obs/step_record.hpp; obs never
+// includes core headers. Serialization uses trace::JsonWriter, so
+// identical inputs produce identical bytes (the host-profile milliseconds
+// are wall-clock and naturally vary; the document *structure* never does).
 
 #include <cstdint>
 #include <iosfwd>
@@ -21,20 +22,11 @@
 
 #include "obs/health_auditor.hpp"
 #include "obs/host_profiler.hpp"
+#include "obs/step_record.hpp"
 
 namespace dsmcpic::obs {
 
 inline constexpr const char* kRunReportSchema = "dsmcpic.run_report.v1";
-
-/// Cumulative virtual-time accounting of one runtime phase.
-struct RunReportPhase {
-  std::string name;
-  double busy_max = 0.0;
-  double busy_min = 0.0;
-  double busy_sum = 0.0;
-  std::uint64_t transactions = 0;
-  double bytes = 0.0;
-};
 
 /// Echo of the case configuration (strings pre-rendered by the caller).
 struct RunReportConfig {
@@ -69,38 +61,17 @@ struct RunReportEnsemble {
   int resizes = 0;
 };
 
-/// One when-to-rebalance decision, copied out of the balancer's policy by
-/// the caller (plain values — obs stays below balance in the layer graph).
-struct RunReportDecision {
-  int step = 0;
-  double lii = 0.0;
-  double imbalance_per_step = 0.0;
-  double projected_imbalance_cost = 0.0;
-  double rebalance_cost_estimate = 0.0;
-  bool rebalance = false;
-};
-
-/// Whole-run physics totals (summed over steps unless noted).
-struct RunReportSteps {
-  std::int64_t final_particles = 0;
-  std::int64_t injected = 0;
-  std::int64_t migrated_dsmc = 0;
-  std::int64_t migrated_pic = 0;
-  std::int64_t collisions = 0;
-  std::int64_t ionizations = 0;
-  std::int64_t recombinations = 0;
-  std::int64_t rebalances = 0;
-};
-
 struct RunReport {
   RunReportConfig config;
   RunReportEnsemble ensemble;
   double total_virtual_time = 0.0;
-  std::vector<RunReportPhase> phases;
-  RunReportSteps steps;
+  std::vector<PhaseRecord> phases;
+  std::int64_t final_particles = 0;
+  /// Whole-run physics totals; the report prints all but exited/pic_lost.
+  StepTotals steps;
   /// Every policy decision made during the run (empty when balancing was
   /// off). Deterministic: virtual-time inputs only.
-  std::vector<RunReportDecision> rebalance_decisions;
+  std::vector<DecisionRecord> rebalance_decisions;
   /// Optional sections; null pointer renders as {"enabled": false}.
   const AuditReport* audit = nullptr;
   const HostProfiler* profiler = nullptr;

@@ -12,9 +12,8 @@
 
 namespace dsmcpic::obs {
 
-namespace {
+// ---- Prometheus text format ----------------------------------------------
 
-/// Escapes a Prometheus label value (backslash, quote, newline).
 std::string escape_label(const std::string& v) {
   std::string out;
   out.reserve(v.size());
@@ -31,41 +30,28 @@ std::string escape_label(const std::string& v) {
   return out;
 }
 
-/// Emits one metric family in Prometheus text format: HELP + TYPE header,
-/// then one sample line per labeled value. The `run` label (when set) is
-/// prepended to every sample so a fleet aggregator can merge files from
-/// several runs without collisions.
-class PromFamily {
- public:
-  PromFamily(std::ostream& os, const std::string& run_label,
-             const std::string& name, const char* type, const char* help)
-      : os_(os), name_(name) {
-    if (!run_label.empty()) run_ = "run=\"" + escape_label(run_label) + "\"";
-    os_ << "# HELP " << name_ << " " << help << "\n";
-    os_ << "# TYPE " << name_ << " " << type << "\n";
-  }
-
-  void sample(double value, const std::string& extra_labels = "") {
-    os_ << name_;
-    if (!run_.empty() || !extra_labels.empty()) {
-      os_ << "{" << run_;
-      if (!run_.empty() && !extra_labels.empty()) os_ << ",";
-      os_ << extra_labels << "}";
-    }
-    os_ << " " << trace::format_double(value) << "\n";
-  }
-
- private:
-  std::ostream& os_;
-  std::string name_;
-  std::string run_;
-};
-
 std::string label(const char* key, const std::string& value) {
   return std::string(key) + "=\"" + escape_label(value) + "\"";
 }
 
-}  // namespace
+PromFamily::PromFamily(std::ostream& os, const std::string& run_label,
+                       const std::string& name, const char* type,
+                       const char* help)
+    : os_(os), name_(name) {
+  if (!run_label.empty()) run_ = label("run", run_label);
+  os_ << "# HELP " << name_ << " " << help << "\n";
+  os_ << "# TYPE " << name_ << " " << type << "\n";
+}
+
+void PromFamily::sample(double value, const std::string& extra_labels) {
+  os_ << name_;
+  if (!run_.empty() || !extra_labels.empty()) {
+    os_ << "{" << run_;
+    if (!run_.empty() && !extra_labels.empty()) os_ << ",";
+    os_ << extra_labels << "}";
+  }
+  os_ << " " << trace::format_double(value) << "\n";
+}
 
 // ---- TelemetrySeries -------------------------------------------------------
 
@@ -106,52 +92,45 @@ void TelemetryHub::push_series(const std::string& name, std::int64_t step,
   it->second.push(step, value);
 }
 
-void TelemetryHub::on_step(const TelemetrySample& s) {
-  const std::int64_t step = s.step;
-  push_series("particles", step, static_cast<double>(s.particles));
-  push_series("particles_h", step, static_cast<double>(s.total_h));
-  push_series("particles_hplus", step, static_cast<double>(s.total_hplus));
-  push_series("injected", step, static_cast<double>(s.injected));
-  push_series("migrated_dsmc", step, static_cast<double>(s.migrated_dsmc));
-  push_series("migrated_pic", step, static_cast<double>(s.migrated_pic));
-  push_series("collisions", step, static_cast<double>(s.collisions));
-  push_series("ionizations", step, static_cast<double>(s.ionizations));
-  push_series("recombinations", step, static_cast<double>(s.recombinations));
-  push_series("lii", step, s.lii);
-  push_series("rebalanced", step, s.rebalanced ? 1.0 : 0.0);
+void TelemetryHub::on_step(const StepRecord& rec) {
+  const StepDiagnostics& d = rec.diag;
+  const std::int64_t step = d.dsmc_step;
+  push_series("particles", step, static_cast<double>(rec.particles));
+  push_series("particles_h", step, static_cast<double>(d.total_h));
+  push_series("particles_hplus", step, static_cast<double>(d.total_hplus));
+  push_series("injected", step, static_cast<double>(d.injected));
+  push_series("migrated_dsmc", step, static_cast<double>(d.migrated_dsmc));
+  push_series("migrated_pic", step, static_cast<double>(d.migrated_pic));
+  push_series("collisions", step, static_cast<double>(d.collisions));
+  push_series("ionizations", step, static_cast<double>(d.ionizations));
+  push_series("recombinations", step, static_cast<double>(d.recombinations));
+  push_series("lii", step, d.lii);
+  push_series("rebalanced", step, d.rebalanced ? 1.0 : 0.0);
   push_series("poisson_iterations", step,
-              static_cast<double>(s.poisson_iterations));
-  push_series("active_ranks", step, static_cast<double>(s.active_ranks));
-  push_series("virtual_seconds", step, s.virtual_time);
-  push_series("exchange_bytes", step, s.exchange_bytes_delta);
+              static_cast<double>(d.poisson_iterations));
+  push_series("active_ranks", step, static_cast<double>(rec.active_ranks));
+  push_series("virtual_seconds", step, rec.virtual_time);
+  push_series("exchange_bytes", step, rec.exchange_bytes);
   push_series("exchange_messages", step,
-              static_cast<double>(s.exchange_messages_delta));
-  push_series("pool_acquires", step, static_cast<double>(s.pool_acquires));
-  push_series("pool_misses", step, static_cast<double>(s.pool_misses));
-  push_series("pool_recycles", step, static_cast<double>(s.pool_recycles));
-  push_series("cost_scale_min", step, s.cost_scale_min);
-  push_series("cost_scale_max", step, s.cost_scale_max);
-  push_series("cost_scale_mean", step, s.cost_scale_mean);
-  push_series("audit_checks", step, static_cast<double>(s.audit_checks));
+              static_cast<double>(rec.exchange_messages));
+  push_series("pool_acquires", step, static_cast<double>(rec.pool_acquires));
+  push_series("pool_misses", step, static_cast<double>(rec.pool_misses));
+  push_series("pool_recycles", step, static_cast<double>(rec.pool_recycles));
+  push_series("cost_scale_min", step, rec.cost_scale_min);
+  push_series("cost_scale_max", step, rec.cost_scale_max);
+  push_series("cost_scale_mean", step, rec.cost_scale_mean);
+  push_series("audit_checks", step, static_cast<double>(rec.audit_checks));
   push_series("audit_violations", step,
-              static_cast<double>(s.audit_violations));
-  for (const TelemetryPhase& p : s.phases)
+              static_cast<double>(rec.audit_violations));
+  for (const PhaseRecord& p : rec.phases)
     push_series("phase_busy_max/" + p.name, step, p.busy_max);
   if (prof_) push_series("host_ms", step, prof_->total_ms());
 
-  injected_total_ += s.injected;
-  migrated_dsmc_total_ += s.migrated_dsmc;
-  migrated_pic_total_ += s.migrated_pic;
-  collisions_total_ += s.collisions;
-  ionizations_total_ += s.ionizations;
-  recombinations_total_ += s.recombinations;
-  exited_total_ += s.exited_dsmc + s.exited_pic;
-  pic_lost_total_ += s.pic_lost;
-  rebalances_total_ += s.rebalanced ? 1 : 0;
-  exchange_bytes_total_ += s.exchange_bytes_delta;
-  exchange_messages_total_ += s.exchange_messages_delta;
+  totals_.add(d);
+  exchange_bytes_total_ += rec.exchange_bytes;
+  exchange_messages_total_ += rec.exchange_messages;
 
-  flight_.push_back(s);
+  flight_.push_back(rec);
   while (static_cast<int>(flight_.size()) > cfg_.flight_recorder)
     flight_.pop_front();
 
@@ -174,147 +153,95 @@ void TelemetryHub::publish() {
 }
 
 void TelemetryHub::write_prometheus(std::ostream& os) const {
-  const TelemetrySample* last = flight_.empty() ? nullptr : &flight_.back();
+  // Before the first step every gauge reads the empty record's defaults.
+  const StepRecord none;
+  const StepRecord& last = flight_.empty() ? none : flight_.back();
+  const StepDiagnostics& d = last.diag;
   const std::string& run = cfg_.run_label;
+  const auto single = [&](const char* name, const char* type,
+                          const char* help, double value) {
+    PromFamily(os, run, name, type, help).sample(value);
+  };
 
-  {
-    PromFamily f(os, run, "dsmcpic_step", "gauge", "current DSMC step");
-    f.sample(last ? static_cast<double>(last->step) : 0.0);
-  }
-  {
-    PromFamily f(os, run, "dsmcpic_supersteps_total", "counter",
-                 "runtime supersteps executed");
-    f.sample(last ? static_cast<double>(last->supersteps) : 0.0);
-  }
-  {
-    PromFamily f(os, run, "dsmcpic_virtual_seconds_total", "counter",
-                 "end-to-end virtual time (cost-model seconds)");
-    f.sample(last ? last->virtual_time : 0.0);
-  }
-  {
-    PromFamily f(os, run, "dsmcpic_active_ranks", "gauge",
-                 "virtual ranks currently active");
-    f.sample(last ? static_cast<double>(last->active_ranks) : 0.0);
-  }
-  {
-    PromFamily f(os, run, "dsmcpic_particles", "gauge",
-                 "particles alive across all ranks");
-    f.sample(last ? static_cast<double>(last->particles) : 0.0);
-  }
+  single("dsmcpic_step", "gauge", "current DSMC step", d.dsmc_step);
+  single("dsmcpic_supersteps_total", "counter", "runtime supersteps executed",
+         static_cast<double>(last.supersteps));
+  single("dsmcpic_virtual_seconds_total", "counter",
+         "end-to-end virtual time (cost-model seconds)", last.virtual_time);
+  single("dsmcpic_active_ranks", "gauge", "virtual ranks currently active",
+         last.active_ranks);
+  single("dsmcpic_particles", "gauge", "particles alive across all ranks",
+         static_cast<double>(last.particles));
   {
     PromFamily f(os, run, "dsmcpic_particles_species", "gauge",
                  "particles alive by species");
-    f.sample(last ? static_cast<double>(last->total_h) : 0.0,
-             label("species", "H"));
-    f.sample(last ? static_cast<double>(last->total_hplus) : 0.0,
-             label("species", "Hplus"));
+    f.sample(static_cast<double>(d.total_h), label("species", "H"));
+    f.sample(static_cast<double>(d.total_hplus), label("species", "Hplus"));
   }
-  {
-    PromFamily f(os, run, "dsmcpic_lii", "gauge",
-                 "load imbalance indicator (last step)");
-    f.sample(last ? last->lii : 0.0);
-  }
-  {
-    PromFamily f(os, run, "dsmcpic_poisson_iterations", "gauge",
-                 "CG iterations of the last Poisson solve");
-    f.sample(last ? static_cast<double>(last->poisson_iterations) : 0.0);
-  }
-  {
-    PromFamily f(os, run, "dsmcpic_injected_total", "counter",
-                 "particles injected");
-    f.sample(static_cast<double>(injected_total_));
-  }
+  single("dsmcpic_lii", "gauge", "load imbalance indicator (last step)",
+         d.lii);
+  single("dsmcpic_poisson_iterations", "gauge",
+         "CG iterations of the last Poisson solve", d.poisson_iterations);
+  single("dsmcpic_injected_total", "counter", "particles injected",
+         static_cast<double>(totals_.injected));
   {
     PromFamily f(os, run, "dsmcpic_migrated_total", "counter",
                  "particles migrated between ranks, by exchange path");
-    f.sample(static_cast<double>(migrated_dsmc_total_),
+    f.sample(static_cast<double>(totals_.migrated_dsmc),
              label("path", "dsmc"));
-    f.sample(static_cast<double>(migrated_pic_total_), label("path", "pic"));
+    f.sample(static_cast<double>(totals_.migrated_pic), label("path", "pic"));
   }
-  {
-    PromFamily f(os, run, "dsmcpic_collisions_total", "counter",
-                 "DSMC collisions");
-    f.sample(static_cast<double>(collisions_total_));
-  }
-  {
-    PromFamily f(os, run, "dsmcpic_ionizations_total", "counter",
-                 "ionization events");
-    f.sample(static_cast<double>(ionizations_total_));
-  }
-  {
-    PromFamily f(os, run, "dsmcpic_recombinations_total", "counter",
-                 "recombination events");
-    f.sample(static_cast<double>(recombinations_total_));
-  }
-  {
-    PromFamily f(os, run, "dsmcpic_exited_total", "counter",
-                 "particles removed at boundaries");
-    f.sample(static_cast<double>(exited_total_));
-  }
-  {
-    PromFamily f(os, run, "dsmcpic_pic_lost_total", "counter",
-                 "charged particles the fine locate lost");
-    f.sample(static_cast<double>(pic_lost_total_));
-  }
-  {
-    PromFamily f(os, run, "dsmcpic_rebalances_total", "counter",
-                 "rebalance events");
-    f.sample(static_cast<double>(rebalances_total_));
-  }
-  {
-    PromFamily f(os, run, "dsmcpic_exchange_bytes_total", "counter",
-                 "scaled payload bytes migrated");
-    f.sample(exchange_bytes_total_);
-  }
-  {
-    PromFamily f(os, run, "dsmcpic_exchange_messages_total", "counter",
-                 "point-to-point messages routed by the exchanges");
-    f.sample(static_cast<double>(exchange_messages_total_));
-  }
-  {
-    PromFamily f(os, run, "dsmcpic_pool_acquires_total", "counter",
-                 "payload-pool buffers handed out");
-    f.sample(last ? static_cast<double>(last->pool_acquires) : 0.0);
-  }
-  {
-    PromFamily f(os, run, "dsmcpic_pool_misses_total", "counter",
-                 "payload-pool acquires that allocated fresh memory");
-    f.sample(last ? static_cast<double>(last->pool_misses) : 0.0);
-  }
-  {
-    PromFamily f(os, run, "dsmcpic_pool_recycles_total", "counter",
-                 "delivered payloads returned to a pool");
-    f.sample(last ? static_cast<double>(last->pool_recycles) : 0.0);
-  }
-  {
-    PromFamily f(os, run, "dsmcpic_audit_checks_total", "counter",
-                 "health-audit checks run");
-    f.sample(last ? static_cast<double>(last->audit_checks) : 0.0);
-  }
-  {
-    PromFamily f(os, run, "dsmcpic_audit_violations_total", "counter",
-                 "health-audit violations tallied");
-    f.sample(last ? static_cast<double>(last->audit_violations) : 0.0);
-  }
+  single("dsmcpic_collisions_total", "counter", "DSMC collisions",
+         static_cast<double>(totals_.collisions));
+  single("dsmcpic_ionizations_total", "counter", "ionization events",
+         static_cast<double>(totals_.ionizations));
+  single("dsmcpic_recombinations_total", "counter", "recombination events",
+         static_cast<double>(totals_.recombinations));
+  single("dsmcpic_exited_total", "counter", "particles removed at boundaries",
+         static_cast<double>(totals_.exited));
+  single("dsmcpic_pic_lost_total", "counter",
+         "charged particles the fine locate lost",
+         static_cast<double>(totals_.pic_lost));
+  single("dsmcpic_rebalances_total", "counter", "rebalance events",
+         static_cast<double>(totals_.rebalances));
+  single("dsmcpic_exchange_bytes_total", "counter",
+         "scaled payload bytes migrated", exchange_bytes_total_);
+  single("dsmcpic_exchange_messages_total", "counter",
+         "point-to-point messages routed by the exchanges",
+         static_cast<double>(exchange_messages_total_));
+  single("dsmcpic_pool_acquires_total", "counter",
+         "payload-pool buffers handed out",
+         static_cast<double>(last.pool_acquires));
+  single("dsmcpic_pool_misses_total", "counter",
+         "payload-pool acquires that allocated fresh memory",
+         static_cast<double>(last.pool_misses));
+  single("dsmcpic_pool_recycles_total", "counter",
+         "delivered payloads returned to a pool",
+         static_cast<double>(last.pool_recycles));
+  single("dsmcpic_audit_checks_total", "counter", "health-audit checks run",
+         static_cast<double>(last.audit_checks));
+  single("dsmcpic_audit_violations_total", "counter",
+         "health-audit violations tallied",
+         static_cast<double>(last.audit_violations));
   {
     PromFamily f(os, run, "dsmcpic_cost_scale", "gauge",
                  "cost-model per-rank correction factors over active ranks");
-    f.sample(last ? last->cost_scale_min : 1.0, label("stat", "min"));
-    f.sample(last ? last->cost_scale_max : 1.0, label("stat", "max"));
-    f.sample(last ? last->cost_scale_mean : 1.0, label("stat", "mean"));
+    f.sample(last.cost_scale_min, label("stat", "min"));
+    f.sample(last.cost_scale_max, label("stat", "max"));
+    f.sample(last.cost_scale_mean, label("stat", "mean"));
   }
-  if (last && !last->phases.empty()) {
+  if (!last.phases.empty()) {
     PromFamily busy(os, run, "dsmcpic_phase_busy_seconds", "counter",
                     "cumulative busy_max virtual seconds per runtime phase");
-    for (const TelemetryPhase& p : last->phases)
+    for (const PhaseRecord& p : last.phases)
       busy.sample(p.busy_max, label("phase", p.name));
     PromFamily bytes(os, run, "dsmcpic_phase_bytes_total", "counter",
                      "cumulative scaled payload bytes per runtime phase");
-    for (const TelemetryPhase& p : last->phases)
+    for (const PhaseRecord& p : last.phases)
       bytes.sample(p.bytes, label("phase", p.name));
     PromFamily msgs(os, run, "dsmcpic_phase_messages_total", "counter",
                     "cumulative messages routed per runtime phase");
-    for (const TelemetryPhase& p : last->phases)
+    for (const PhaseRecord& p : last.phases)
       msgs.sample(static_cast<double>(p.transactions),
                   label("phase", p.name));
   }
@@ -324,20 +251,16 @@ void TelemetryHub::write_prometheus(std::ostream& os) const {
     for (const auto& [name, st] : prof_->stats())
       f.sample(st.total_ms, label("kernel", name));
   }
-  {
-    PromFamily f(os, run, "dsmcpic_telemetry_samples_total", "counter",
-                 "telemetry samples ingested");
-    f.sample(static_cast<double>(samples_seen_));
-  }
-  {
-    PromFamily f(os, run, "dsmcpic_telemetry_publishes_total", "counter",
-                 "exposition publications (including this one)");
-    f.sample(static_cast<double>(publishes_ + 1));
-  }
+  single("dsmcpic_telemetry_samples_total", "counter",
+         "telemetry samples ingested", static_cast<double>(samples_seen_));
+  single("dsmcpic_telemetry_publishes_total", "counter",
+         "exposition publications (including this one)",
+         static_cast<double>(publishes_ + 1));
 }
 
 void TelemetryHub::write_json_snapshot(std::ostream& os) const {
-  const TelemetrySample* last = flight_.empty() ? nullptr : &flight_.back();
+  const StepRecord none;
+  const StepRecord& last = flight_.empty() ? none : flight_.back();
   trace::JsonWriter w(os);
   w.begin_object();
   w.kv("schema", kMetricsSchema);
@@ -348,25 +271,25 @@ void TelemetryHub::write_json_snapshot(std::ostream& os) const {
 
   w.key("gauges");
   w.begin_object();
-  w.kv("step", last ? last->step : 0);
-  w.kv("supersteps", last ? last->supersteps : 0);
-  w.kv("virtual_seconds", last ? last->virtual_time : 0.0);
-  w.kv("active_ranks", last ? last->active_ranks : 0);
-  w.kv("particles", last ? last->particles : 0);
-  w.kv("lii", last ? last->lii : 0.0);
+  w.kv("step", last.diag.dsmc_step);
+  w.kv("supersteps", last.supersteps);
+  w.kv("virtual_seconds", last.virtual_time);
+  w.kv("active_ranks", last.active_ranks);
+  w.kv("particles", last.particles);
+  w.kv("lii", last.diag.lii);
   w.end_object();
 
   w.key("counters");
   w.begin_object();
-  w.kv("injected", injected_total_);
-  w.kv("migrated_dsmc", migrated_dsmc_total_);
-  w.kv("migrated_pic", migrated_pic_total_);
-  w.kv("collisions", collisions_total_);
-  w.kv("ionizations", ionizations_total_);
-  w.kv("recombinations", recombinations_total_);
-  w.kv("exited", exited_total_);
-  w.kv("pic_lost", pic_lost_total_);
-  w.kv("rebalances", rebalances_total_);
+  w.kv("injected", totals_.injected);
+  w.kv("migrated_dsmc", totals_.migrated_dsmc);
+  w.kv("migrated_pic", totals_.migrated_pic);
+  w.kv("collisions", totals_.collisions);
+  w.kv("ionizations", totals_.ionizations);
+  w.kv("recombinations", totals_.recombinations);
+  w.kv("exited", totals_.exited);
+  w.kv("pic_lost", totals_.pic_lost);
+  w.kv("rebalances", totals_.rebalances);
   w.kv("exchange_bytes", exchange_bytes_total_);
   w.kv("exchange_messages", exchange_messages_total_);
   w.end_object();
@@ -410,69 +333,48 @@ void TelemetryHub::write_postmortem(std::ostream& os,
   w.kv("samples_seen", samples_seen_);
   w.key("records");
   w.begin_array();
-  for (const TelemetrySample& s : flight_) {
+  for (const StepRecord& rec : flight_) {
+    const StepDiagnostics& d = rec.diag;
     w.begin_object();
-    w.kv("step", s.step);
-    w.kv("supersteps", s.supersteps);
-    w.kv("virtual_seconds", s.virtual_time);
-    w.kv("active_ranks", s.active_ranks);
-    w.kv("particles", s.particles);
-    w.kv("particles_h", s.total_h);
-    w.kv("particles_hplus", s.total_hplus);
-    w.kv("injected", s.injected);
-    w.kv("migrated_dsmc", s.migrated_dsmc);
-    w.kv("migrated_pic", s.migrated_pic);
-    w.kv("collisions", s.collisions);
-    w.kv("ionizations", s.ionizations);
-    w.kv("recombinations", s.recombinations);
-    w.kv("exited_dsmc", s.exited_dsmc);
-    w.kv("exited_pic", s.exited_pic);
-    w.kv("pic_lost", s.pic_lost);
-    w.kv("lii", s.lii);
-    w.kv("rebalanced", s.rebalanced);
-    w.kv("poisson_iterations", s.poisson_iterations);
+    w.kv("step", d.dsmc_step);
+    w.kv("supersteps", rec.supersteps);
+    w.kv("virtual_seconds", rec.virtual_time);
+    w.kv("active_ranks", rec.active_ranks);
+    w.kv("particles", rec.particles);
+    w.kv("particles_h", d.total_h);
+    w.kv("particles_hplus", d.total_hplus);
+    w.kv("injected", d.injected);
+    w.kv("migrated_dsmc", d.migrated_dsmc);
+    w.kv("migrated_pic", d.migrated_pic);
+    w.kv("collisions", d.collisions);
+    w.kv("ionizations", d.ionizations);
+    w.kv("recombinations", d.recombinations);
+    w.kv("exited_dsmc", d.exited_dsmc);
+    w.kv("exited_pic", d.exited_pic);
+    w.kv("pic_lost", d.pic_lost);
+    w.kv("lii", d.lii);
+    w.kv("rebalanced", d.rebalanced);
+    w.kv("poisson_iterations", d.poisson_iterations);
     w.key("particles_per_rank");
     w.begin_array();
-    for (std::int64_t n : s.particles_per_rank) w.value(n);
+    for (std::int64_t n : d.particles_per_rank) w.value(n);
     w.end_array();
     w.key("phases");
-    w.begin_array();
-    for (const TelemetryPhase& p : s.phases) {
-      w.begin_object();
-      w.kv("phase", p.name);
-      w.kv("busy_max", p.busy_max);
-      w.kv("busy_min", p.busy_min);
-      w.kv("busy_sum", p.busy_sum);
-      w.kv("transactions", p.transactions);
-      w.kv("bytes", p.bytes);
-      w.end_object();
-    }
-    w.end_array();
-    w.kv("exchange_bytes", s.exchange_bytes_delta);
-    w.kv("exchange_messages", s.exchange_messages_delta);
+    write_phases(w, rec.phases);
+    w.kv("exchange_bytes", rec.exchange_bytes);
+    w.kv("exchange_messages", rec.exchange_messages);
     w.key("cost_scale");
     w.begin_object();
-    w.kv("min", s.cost_scale_min);
-    w.kv("max", s.cost_scale_max);
-    w.kv("mean", s.cost_scale_mean);
+    w.kv("min", rec.cost_scale_min);
+    w.kv("max", rec.cost_scale_max);
+    w.kv("mean", rec.cost_scale_mean);
     w.end_object();
     w.key("decisions");
-    w.begin_array();
-    for (const TelemetryDecision& d : s.decisions) {
-      w.begin_object();
-      w.kv("step", d.step);
-      w.kv("lii", d.lii);
-      w.kv("imbalance_per_step", d.imbalance_per_step);
-      w.kv("projected_imbalance_cost", d.projected_imbalance_cost);
-      w.kv("rebalance_cost_estimate", d.rebalance_cost_estimate);
-      w.kv("rebalance", d.rebalance);
-      w.end_object();
-    }
-    w.end_array();
+    write_decisions(w, rec.decisions);
     w.key("audit");
     w.begin_object();
-    w.kv("checks", s.audit_checks);
-    w.kv("violations", s.audit_violations);
+    w.kv("checks", rec.audit_checks);
+    w.kv("violations", rec.audit_violations);
     w.end_object();
     w.end_object();
   }

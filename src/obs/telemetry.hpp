@@ -6,15 +6,16 @@
 // step loop live, from three angles:
 //
 //   * TelemetrySeries — fixed-capacity superstep time-series. Every DSMC
-//     step the solver pushes one TelemetrySample (per-phase virtual time,
-//     particle ledger, imbalance, rebalance decisions + cost-model
-//     corrections, exchange bytes/messages, payload-pool stats, audit
-//     tallies) and the hub fans the scalars into named series. When a
-//     series fills it downsamples 2:1 — keep every other sample, double
-//     the step stride — driven purely by the step index, so the retained
-//     sample set is a pure function of (capacity, steps run).
+//     step the solver hands the hub its StepRecord (obs/step_record.hpp:
+//     per-phase virtual time, particle ledger, imbalance, rebalance
+//     decisions + cost-model corrections, exchange bytes/messages,
+//     payload-pool stats, audit tallies) and the hub fans the scalars into
+//     named series. When a series fills it downsamples 2:1 — keep every
+//     other sample, double the step stride — driven purely by the step
+//     index, so the retained sample set is a pure function of (capacity,
+//     steps run).
 //
-//   * Flight recorder — ring of the last N full TelemetrySamples. On a
+//   * Flight recorder — ring of the last N StepRecords. On a
 //     HealthAuditor abort, a fault-injection trip, or a solver park it
 //     dumps postmortem.json: the deterministic slice of those records
 //     (virtual time, ledger, phases, decisions, audit tallies — no
@@ -27,11 +28,10 @@
 //     wall-clock kernel totals from an attached HostProfiler ride along
 //     here (and only here — they never enter the postmortem).
 //
-// Like every observer in obs/, the hub is pure observation: the solver
-// copies values it already computed into a plain TelemetrySample (obs
-// never includes core headers), nothing feeds back into physics, clocks
-// or RNG streams, and attaching a hub cannot perturb golden digests,
-// trace bytes or run_report.json bytes (tests/telemetry_test.cpp,
+// Like every observer in obs/, the hub is pure observation: it reads
+// nothing but the records, nothing feeds back into physics, clocks or RNG
+// streams, and attaching a hub cannot perturb golden digests, trace bytes
+// or run_report.json bytes (tests/telemetry_test.cpp,
 // tests/golden_test.cpp).
 
 #include <cstdint>
@@ -41,84 +41,14 @@
 #include <string>
 #include <vector>
 
+#include "obs/step_record.hpp"
+
 namespace dsmcpic::obs {
 
 class HostProfiler;
 
 inline constexpr const char* kPostmortemSchema = "dsmcpic.postmortem.v1";
 inline constexpr const char* kMetricsSchema = "dsmcpic.metrics.v1";
-
-/// Cumulative virtual-time accounting of one runtime phase at a step
-/// boundary (plain copy of par::PhaseStats + its name).
-struct TelemetryPhase {
-  std::string name;
-  double busy_max = 0.0;
-  double busy_min = 0.0;
-  double busy_sum = 0.0;
-  std::uint64_t transactions = 0;
-  double bytes = 0.0;
-};
-
-/// One when-to-rebalance decision (plain copy of balance::PolicyDecision —
-/// obs stays below balance in the layer graph).
-struct TelemetryDecision {
-  int step = 0;
-  double lii = 0.0;
-  double imbalance_per_step = 0.0;
-  double projected_imbalance_cost = 0.0;
-  double rebalance_cost_estimate = 0.0;
-  bool rebalance = false;
-};
-
-/// Everything the solver knows at one superstep boundary, as plain values.
-/// All fields except pool_* derive from deterministic virtual state, so
-/// they are bit-identical across execution backends.
-struct TelemetrySample {
-  int step = 0;
-  std::uint64_t supersteps = 0;   // runtime supersteps executed so far
-  double virtual_time = 0.0;      // end-to-end virtual seconds so far
-  int active_ranks = 0;
-
-  // ---- particle ledger (this step) ----------------------------------------
-  std::int64_t particles = 0;  // alive at step end
-  std::int64_t total_h = 0;
-  std::int64_t total_hplus = 0;
-  std::int64_t injected = 0;
-  std::int64_t migrated_dsmc = 0;
-  std::int64_t migrated_pic = 0;
-  std::int64_t collisions = 0;
-  std::int64_t ionizations = 0;
-  std::int64_t recombinations = 0;
-  std::int64_t exited_dsmc = 0;
-  std::int64_t exited_pic = 0;
-  std::int64_t pic_lost = 0;
-  std::vector<std::int64_t> particles_per_rank;
-
-  double lii = 0.0;
-  bool rebalanced = false;
-  int poisson_iterations = 0;
-
-  // ---- runtime accounting (cumulative at this boundary) -------------------
-  std::vector<TelemetryPhase> phases;
-  double exchange_bytes_delta = 0.0;        // migration bytes this step
-  std::uint64_t exchange_messages_delta = 0;  // migration messages this step
-  std::uint64_t pool_acquires = 0;  // PayloadPool counters (cumulative)
-  std::uint64_t pool_misses = 0;
-  std::uint64_t pool_recycles = 0;
-
-  // ---- balancer state -----------------------------------------------------
-  /// Cost-model per-rank correction factors over the active set (1.0
-  /// everywhere on the static model).
-  double cost_scale_min = 1.0;
-  double cost_scale_max = 1.0;
-  double cost_scale_mean = 1.0;
-  /// Policy decisions recorded at this step (usually empty or one).
-  std::vector<TelemetryDecision> decisions;
-
-  // ---- audit tallies (cumulative; zero without an auditor) ----------------
-  std::int64_t audit_checks = 0;
-  std::int64_t audit_violations = 0;
-};
 
 /// Fixed-capacity (step, value) series with deterministic 2:1 downsampling.
 /// Pushes are accepted only for steps that are multiples of the current
@@ -173,10 +103,10 @@ class TelemetryHub {
   /// publish time (nullptr detaches). Never enters the postmortem.
   void set_host_profiler(const HostProfiler* prof) { prof_ = prof; }
 
-  /// Ingests one superstep boundary: updates every series, the flight
-  /// recorder and the cumulative counters, then republishes the exposition
-  /// files when the sample ordinal crosses the configured interval.
-  void on_step(const TelemetrySample& s);
+  /// Ingests one step's record: updates every series, the flight recorder
+  /// and the cumulative counters, then republishes the exposition files
+  /// when the sample ordinal crosses the configured interval.
+  void on_step(const StepRecord& rec);
 
   /// Writes metrics.prom / metrics.json (whichever paths are configured)
   /// atomically: the document is staged to "<path>.tmp" and renamed over
@@ -198,7 +128,7 @@ class TelemetryHub {
 
   // ---- inspection ---------------------------------------------------------
   std::int64_t samples_seen() const { return samples_seen_; }
-  const std::deque<TelemetrySample>& flight() const { return flight_; }
+  const std::deque<StepRecord>& flight() const { return flight_; }
   /// Named series, keys sorted (std::map) so exposition order is stable.
   const std::map<std::string, TelemetrySeries>& series() const {
     return series_;
@@ -216,20 +146,36 @@ class TelemetryHub {
   bool postmortem_written_ = false;
 
   std::map<std::string, TelemetrySeries> series_;
-  std::deque<TelemetrySample> flight_;
+  std::deque<StepRecord> flight_;
 
-  // Cumulative ledger counters (sums of per-step deltas).
-  std::int64_t injected_total_ = 0;
-  std::int64_t migrated_dsmc_total_ = 0;
-  std::int64_t migrated_pic_total_ = 0;
-  std::int64_t collisions_total_ = 0;
-  std::int64_t ionizations_total_ = 0;
-  std::int64_t recombinations_total_ = 0;
-  std::int64_t exited_total_ = 0;
-  std::int64_t pic_lost_total_ = 0;
-  std::int64_t rebalances_total_ = 0;
+  // Cumulative counters: sums of the ingested records' per-step values.
+  StepTotals totals_;
   double exchange_bytes_total_ = 0.0;
   std::uint64_t exchange_messages_total_ = 0;
+};
+
+/// Escapes a Prometheus label value (backslash, quote, newline).
+std::string escape_label(const std::string& v);
+
+/// `key="value"` with the value escaped — one entry of a label set.
+std::string label(const char* key, const std::string& value);
+
+/// Emits one metric family in Prometheus text format: HELP + TYPE header,
+/// then one sample line per labeled value (numbers via format_double). The
+/// `run` label (when set) is prepended to every sample so a fleet
+/// aggregator can merge files from several runs without collisions.
+class PromFamily {
+ public:
+  PromFamily(std::ostream& os, const std::string& run_label,
+             const std::string& name, const char* type, const char* help);
+
+  /// `extra_labels` is a comma-joined list of label() entries.
+  void sample(double value, const std::string& extra_labels = "");
+
+ private:
+  std::ostream& os_;
+  std::string name_;
+  std::string run_;
 };
 
 /// Writes `content` to "<path>.tmp" and renames it over `path` (POSIX

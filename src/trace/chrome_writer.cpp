@@ -47,12 +47,8 @@ std::string format_double(double v) {
 
 // ---- ChromeTraceWriter ------------------------------------------------------
 
-ChromeTraceWriter::ChromeTraceWriter(std::ostream& os, Style style)
-    : os_(os), style_(style) {
-  if (style_ == Style::kObject)
-    os_ << "{\"traceEvents\": [";
-  else
-    os_ << "[";
+ChromeTraceWriter::ChromeTraceWriter(std::ostream& os) : os_(os) {
+  os_ << "{\"traceEvents\": [";
 }
 
 ChromeTraceWriter::~ChromeTraceWriter() { finish(); }
@@ -60,9 +56,7 @@ ChromeTraceWriter::~ChromeTraceWriter() { finish(); }
 void ChromeTraceWriter::finish() {
   if (finished_) return;
   finished_ = true;
-  os_ << "\n]";
-  if (style_ == Style::kObject) os_ << "}";
-  os_ << "\n";
+  os_ << "\n]}\n";
 }
 
 void ChromeTraceWriter::begin_event() {
@@ -157,7 +151,7 @@ std::string span_args(const TraceRecorder& rec, const Span& s) {
 }  // namespace
 
 void write_chrome_trace(const TraceRecorder& rec, std::ostream& os) {
-  ChromeTraceWriter w(os, ChromeTraceWriter::Style::kObject);
+  ChromeTraceWriter w(os);
 
   w.metadata("process_name", 0, 0, "{\"name\": \"virtual machine\"}");
   for (int r = 0; r < rec.nranks(); ++r) {

@@ -4,8 +4,7 @@
 //
 //   * ChromeTraceWriter — a low-level streaming emitter for trace events
 //     with proper JSON string escaping and shortest-round-trip number
-//     formatting. Shared by the trace exporter below and by
-//     core::PhaseTimeline::write_chrome_trace.
+//     formatting.
 //   * write_chrome_trace(TraceRecorder) — the full exporter: one lane
 //     (tid) per virtual rank, "X" spans for compute/comm/wait/sync
 //     segments, "s"/"f" flow arrows for routed messages, "i" instants,
@@ -31,13 +30,9 @@ std::string format_double(double v);
 
 class ChromeTraceWriter {
  public:
-  enum class Style {
-    kArray,   // bare [...] — what PhaseTimeline historically emitted
-    kObject,  // {"traceEvents": [...]} — preferred by Perfetto
-  };
-
-  /// Starts the event stream on `os`; finish() (or destruction) closes it.
-  ChromeTraceWriter(std::ostream& os, Style style);
+  /// Starts the {"traceEvents": [...]} document on `os`; finish() (or
+  /// destruction) closes it.
+  explicit ChromeTraceWriter(std::ostream& os);
   ~ChromeTraceWriter();
 
   ChromeTraceWriter(const ChromeTraceWriter&) = delete;
@@ -70,7 +65,6 @@ class ChromeTraceWriter {
   void begin_event();
 
   std::ostream& os_;
-  Style style_;
   bool first_ = true;
   bool finished_ = false;
 };

@@ -1,6 +1,6 @@
 // Tests for the solver's production features: checkpoint/restart, the
-// balance auto-tuner, the phase timeline, and the hierarchical exchange
-// strategy driving a full simulation.
+// balance auto-tuner, and the hierarchical exchange strategy driving a full
+// simulation.
 
 #include <gtest/gtest.h>
 
@@ -11,7 +11,6 @@
 #include "core/autotune.hpp"
 #include "core/datasets.hpp"
 #include "core/solver.hpp"
-#include "core/timeline.hpp"
 
 namespace dsmcpic::core {
 namespace {
@@ -154,34 +153,6 @@ TEST(Autotune, PicksAValidCombination) {
   EXPECT_EQ(r.best_period, r.trials.front().period);
   EXPECT_EQ(r.best_threshold, r.trials.front().threshold);
   EXPECT_TRUE(r.best_period == 4 || r.best_period == 8);
-}
-
-TEST(Timeline, RecordsPerStepPhaseTimes) {
-  CoupledSolver solver(tiny_config(), tiny_parallel(2));
-  PhaseTimeline timeline(solver);
-  for (int s = 0; s < 5; ++s) {
-    solver.step();
-    timeline.record_step();
-  }
-  ASSERT_EQ(timeline.num_steps(), 5u);
-  // Every step runs the core phases.
-  for (std::size_t s = 0; s < 5; ++s) {
-    EXPECT_GT(timeline.at(s, phases::kInject), 0.0);
-    EXPECT_GT(timeline.at(s, phases::kPoissonSolve), 0.0);
-  }
-  // Sum of per-step deltas ~ cumulative phase max.
-  double sum = 0.0;
-  for (std::size_t s = 0; s < 5; ++s) sum += timeline.at(s, phases::kInject);
-  EXPECT_NEAR(sum, solver.summary().phase_max(phases::kInject), 1e-9);
-
-  const std::string csv = temp_path("dsmcpic_timeline.csv");
-  const std::string json = temp_path("dsmcpic_timeline.json");
-  timeline.write_csv(csv);
-  timeline.write_chrome_trace(json);
-  EXPECT_GT(std::filesystem::file_size(csv), 100u);
-  EXPECT_GT(std::filesystem::file_size(json), 100u);
-  std::filesystem::remove(csv);
-  std::filesystem::remove(json);
 }
 
 TEST(HierarchicalStrategy, DrivesAFullSimulation) {

@@ -492,7 +492,7 @@ obs::RunReport sample_report(const obs::AuditReport* audit,
   rep.config.audit_severity = audit ? "warn" : "off";
   rep.total_virtual_time = 12.5;
   rep.phases.push_back({"Inject", 1.0, 0.5, 3.0, 24, 4096.0});
-  rep.steps.final_particles = 1000;
+  rep.final_particles = 1000;
   rep.steps.injected = 1200;
   rep.audit = audit;
   rep.profiler = prof;

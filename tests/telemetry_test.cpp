@@ -3,7 +3,9 @@
 // dumps (byte-identical across execution knobs, triggered by fault trips,
 // auditor aborts and fleet parks), the atomic Prometheus/JSON exposition,
 // and — the load-bearing claim — that attaching a TelemetryHub perturbs
-// neither solver digests nor run_report.json bytes.
+// neither solver digests nor run_report.json bytes. Golden pins hold the
+// bytes of every per-run observability file fixed across commits, and the
+// restore tests hold the per-step exchange volume across checkpoints.
 
 #include <gtest/gtest.h>
 
@@ -23,6 +25,8 @@
 #include "obs/run_report.hpp"
 #include "obs/telemetry.hpp"
 #include "support/error.hpp"
+#include "trace/chrome_writer.hpp"
+#include "trace/recorder.hpp"
 
 namespace dsmcpic::core {
 namespace {
@@ -276,6 +280,184 @@ TEST(Exposition, PublishesPromAndJsonAtomically) {
   const std::string json = slurp(tc.metrics_json_path);
   EXPECT_NE(json.find(obs::kMetricsSchema), std::string::npos);
   EXPECT_NE(json.find("\"series\""), std::string::npos);
+}
+
+// ---- golden artifact bytes --------------------------------------------------
+//
+// FNV-1a-64 pins of every deterministic per-run file the observability sinks
+// write for the tiny scenario (run report with count-mode audits, fault
+// postmortem, trace JSON + metrics CSV, metrics exposition). The other tests
+// compare these bytes within one build; these constants hold them fixed
+// across commits, so a refactor of the sinks cannot drift a byte unnoticed.
+
+std::uint64_t fnv1a64(const std::string& bytes) {
+  std::uint64_t h = 14695981039346656037ULL;
+  for (const char c : bytes) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 1099511628211ULL;
+  }
+  return h;
+}
+
+ParallelConfig rebalancing_parallel() {
+  ParallelConfig par;
+  par.nranks = 6;
+  par.balance.enabled = true;
+  par.balance.period = 3;
+  par.balance.threshold = 1.01;  // rebalances within the step budget
+  return par;
+}
+
+TEST(GoldenArtifacts, RunReportWithCountAudits) {
+  const SolverConfig cfg = tiny_config();
+  obs::HealthAuditor auditor({obs::AuditSeverity::kCountOnly});
+  CoupledSolver solver(cfg, rebalancing_parallel());
+  solver.set_auditor(&auditor);
+  solver.run(9);
+  ASSERT_GT(solver.rebalance_stats().rebalances, 0);
+  obs::RunReport rep;
+  fleet::ReportMeta meta;
+  meta.bench = "telemetry_test";
+  meta.case_name = "tiny";
+  meta.seed = cfg.seed;
+  meta.steps = 9;
+  meta.audit = "count";
+  fleet::fill_run_report(rep, solver, solver.summary(), solver.history(),
+                         meta);
+  rep.audit = &auditor.report();
+  std::ostringstream os;
+  obs::write_run_report(os, rep);
+  EXPECT_EQ(fnv1a64(os.str()), 0x4d6da2ca38965b99ULL) << os.str();
+}
+
+TEST(GoldenArtifacts, SkewDepositPostmortem) {
+  const std::string bytes = faulted_postmortem(
+      FaultInjection::kSkewDeposit, Knobs{},
+      ::testing::TempDir() + "telemetry_golden_pm");
+  EXPECT_EQ(fnv1a64(bytes), 0x10bb669fd716d188ULL) << bytes;
+}
+
+TEST(GoldenArtifacts, TraceJsonAndMetricsCsv) {
+  CoupledSolver solver(tiny_config(), rebalancing_parallel());
+  trace::TraceRecorder rec(6);
+  solver.runtime().set_tracer(&rec);
+  solver.run(9);
+  ASSERT_GT(solver.rebalance_stats().rebalances, 0);
+  std::ostringstream json, csv;
+  trace::write_chrome_trace(rec, json);
+  rec.metrics().write_csv(csv);
+  EXPECT_EQ(fnv1a64(json.str()), 0x3c40de35eb2bd08eULL);
+  EXPECT_EQ(fnv1a64(csv.str()), 0x7c7bfce0a8d704b7ULL) << csv.str();
+}
+
+TEST(GoldenArtifacts, MetricsExposition) {
+  obs::HealthAuditor auditor({obs::AuditSeverity::kCountOnly});
+  obs::TelemetryConfig tc;
+  tc.series_capacity = 4;  // exercises the 2:1 downsampling
+  tc.run_label = "golden";
+  obs::TelemetryHub hub(tc);
+  CoupledSolver solver(tiny_config(), rebalancing_parallel());
+  solver.set_auditor(&auditor);
+  solver.set_telemetry(&hub);
+  solver.run(9);
+  std::ostringstream prom, json;
+  hub.write_prometheus(prom);
+  hub.write_json_snapshot(json);
+  EXPECT_EQ(fnv1a64(prom.str()), 0x22f2b7ad6f8f0385ULL) << prom.str();
+  EXPECT_EQ(fnv1a64(json.str()), 0xb4b77d1974fdfbdbULL) << json.str();
+}
+
+// ---- checkpoint restore -----------------------------------------------------
+
+/// What the sinks saw of the last steps: the postmortem's records array
+/// (header stripped — samples_seen counts every step the hub ingested) and
+/// the trace's bytes_migrated samples of the last `steps` steps.
+struct RestoreView {
+  std::string records;
+  std::vector<std::int64_t> trace_steps;
+  std::vector<double> bytes_migrated;
+};
+
+RestoreView restore_view(const obs::TelemetryHub& hub,
+                         const trace::TraceRecorder& rec, int steps) {
+  RestoreView v;
+  std::ostringstream os;
+  hub.write_postmortem(os, "probe");
+  const std::string pm = os.str();
+  const std::size_t at = pm.find("\"records\"");
+  EXPECT_NE(at, std::string::npos);
+  if (at != std::string::npos) v.records = pm.substr(at);
+  const trace::MetricsRegistry& m = rec.metrics();
+  for (const trace::CounterSample& s : m.samples())
+    if (m.name_of(s.key) == "bytes_migrated") {
+      v.trace_steps.push_back(s.step);
+      v.bytes_migrated.push_back(s.value);
+    }
+  const std::size_t keep = static_cast<std::size_t>(steps);
+  EXPECT_GE(v.bytes_migrated.size(), keep);
+  v.trace_steps.erase(v.trace_steps.begin(), v.trace_steps.end() - keep);
+  v.bytes_migrated.erase(v.bytes_migrated.begin(),
+                         v.bytes_migrated.end() - keep);
+  return v;
+}
+
+// The per-step exchange volume (telemetry exchange_bytes/messages series and
+// totals, postmortem records, trace bytes_migrated) must not depend on how
+// the solver reached a step: a fresh solver restored from a checkpoint (every
+// fleet lease after the first) and a solver restored back into its own past
+// (the step benchmark's replays) both report what the uninterrupted run did.
+TEST(TelemetryRestore, RecordsMatchUninterruptedRun) {
+  constexpr int kSave = 5, kEnd = 10, kTail = kEnd - kSave;
+  const std::string ckpt = ::testing::TempDir() + "telemetry_restore.ckpt";
+  const SolverConfig cfg = tiny_config();
+  ParallelConfig par;
+  par.nranks = 6;
+  par.balance.enabled = true;
+  par.balance.period = 3;
+  obs::TelemetryConfig tc;
+  tc.flight_recorder = kTail;
+
+  obs::TelemetryHub ref_hub(tc);
+  trace::TraceRecorder ref_rec(6);
+  CoupledSolver ref(cfg, par);
+  ref.set_telemetry(&ref_hub);
+  ref.runtime().set_tracer(&ref_rec);
+  ref.run(kSave);
+  ref.save_checkpoint(ckpt);
+  ref.run(kTail);
+  const RestoreView want = restore_view(ref_hub, ref_rec, kTail);
+  ASSERT_EQ(want.trace_steps.front(), kSave);
+
+  {
+    SCOPED_TRACE("fresh solver restored");
+    obs::TelemetryHub hub(tc);
+    trace::TraceRecorder rec(6);
+    CoupledSolver solver(cfg, par);
+    solver.set_telemetry(&hub);
+    solver.runtime().set_tracer(&rec);
+    solver.restore_checkpoint(ckpt);
+    solver.run(kTail);
+    const RestoreView got = restore_view(hub, rec, kTail);
+    EXPECT_EQ(got.trace_steps, want.trace_steps);
+    EXPECT_EQ(got.bytes_migrated, want.bytes_migrated);
+    EXPECT_EQ(got.records, want.records);
+  }
+  {
+    SCOPED_TRACE("same solver restored into its past");
+    obs::TelemetryHub hub(tc);
+    trace::TraceRecorder rec(6);
+    CoupledSolver solver(cfg, par);
+    solver.set_telemetry(&hub);
+    solver.runtime().set_tracer(&rec);
+    solver.run(kSave + 3);
+    solver.restore_checkpoint(ckpt);
+    solver.run(kTail);
+    const RestoreView got = restore_view(hub, rec, kTail);
+    EXPECT_EQ(got.trace_steps, want.trace_steps);
+    EXPECT_EQ(got.bytes_migrated, want.bytes_migrated);
+    EXPECT_EQ(got.records, want.records);
+  }
+  std::filesystem::remove(ckpt);
 }
 
 // ---- fleet integration ------------------------------------------------------
