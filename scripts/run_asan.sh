@@ -1,0 +1,39 @@
+#!/usr/bin/env bash
+# Builds the particle-ordering and solver tests under AddressSanitizer +
+# UndefinedBehaviorSanitizer (plus libstdc++ bounds assertions) and runs
+# them. The rank-local cell index (DESIGN.md §2g) is an open-addressing
+# table plus index arithmetic over per-slot ranges; the periodic cell sort
+# and the deposit traversal are built on it. An out-of-bounds probe, a
+# stale range after a rebuild or a signed overflow in the slot bookkeeping
+# would fail here rather than corrupt a digest by luck.
+#
+#   scripts/run_asan.sh [build-dir]
+set -euo pipefail
+
+cd "$(dirname "$0")/.."
+BUILD="${1:-build-asan}"
+
+cmake -B "$BUILD" -S . -G Ninja \
+  -DCMAKE_BUILD_TYPE=RelWithDebInfo \
+  -DDSMCPIC_SANITIZE=address
+cmake --build "$BUILD" --target particle_sort_test pic_test dsmc_test determinism_test golden_test -j
+
+# Any report fails the script: ASan aborts by default, and UBSan is built
+# with -fno-sanitize-recover.
+export ASAN_OPTIONS="detect_leaks=1 ${ASAN_OPTIONS:-}"
+export UBSAN_OPTIONS="print_stacktrace=1 ${UBSAN_OPTIONS:-}"
+
+# The index against its global-mesh reference (empty stores, 3 of 10^5
+# cells, one cell, duplicate ids, out-of-range cells) and the store
+# primitives the sort is built on.
+"$BUILD"/tests/particle_sort_test
+# The deposit traversal against its reference at kernel lanes 1, 2, 4, and
+# the removal-span checks.
+"$BUILD"/tests/pic_test
+"$BUILD"/tests/dsmc_test
+# Whole solves: the periodic sort composed with the reused Reindex index,
+# and kernel-lane chunking over it.
+"$BUILD"/tests/determinism_test --gtest_filter='SortDeterminism.*:KernelThreads.*'
+"$BUILD"/tests/golden_test
+
+echo "ASan/UBSan sweep clean."

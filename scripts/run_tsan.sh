@@ -8,8 +8,8 @@
 #
 #   scripts/run_tsan.sh [build-dir]
 #
-# Pass -DDSMCPIC_SANITIZE=address instead to the cmake line below for an
-# ASan sweep; the CMake option accepts 'thread' or 'address'.
+# scripts/run_asan.sh is the AddressSanitizer + UBSan counterpart
+# (-DDSMCPIC_SANITIZE=address).
 set -euo pipefail
 
 cd "$(dirname "$0")/.."

@@ -70,7 +70,8 @@ struct SolverConfig {
 
   /// Periodic cell sort (DESIGN.md §2g): every `sort_every` DSMC steps each
   /// rank's particle store is reordered cell-major (stable counting sort) so
-  /// collide/deposit traversals stream memory linearly. 0 disables. Pure
+  /// each cell's particles occupy one contiguous slot range for the
+  /// collide/deposit traversals. 0 disables. Pure
   /// memory-layout work: results, digests and virtual clocks are
   /// bit-identical for ANY value, and like kernel_threads it is not part of
   /// the checkpoint fingerprint.

@@ -208,6 +208,7 @@ void CoupledSolver::do_inject(StepDiagnostics& diag) {
   }
   rt_->superstep(phases::kInject, [&](par::Comm& c) {
     const int r = c.rank();
+    const obs::HostProfiler::Scope prof(prof_, "inject");
     std::int64_t n_h = 0, n_hp = 0;
     if (cfg_.inject_round_robin) {
       // Shard over the ACTIVE set: parked ranks never run a body, so
@@ -282,6 +283,7 @@ void CoupledSolver::do_reindex() {
       rt_->exscan_sum(phases::kReindex, counts);
   rt_->superstep(phases::kReindex, [&](par::Comm& c) {
     const int r = c.rank();
+    const obs::HostProfiler::Scope prof(prof_, "reindex");
     // Canonical cell-major renumbering: ids are assigned by ascending coarse
     // cell, ascending PREVIOUS id within each cell (CellIndex sorts its
     // per-cell lists by id). Previous ids are canonical by induction —
@@ -289,13 +291,13 @@ void CoupledSolver::do_reindex() {
     // per-(cell, step) streams drawn in canonical collide order — so the
     // new ids, and every id-keyed RNG stream downstream (diffuse wall
     // reflection), do not depend on the store's memory layout, i.e. on
-    // whether or when the periodic cell sort ran.
+    // whether or when the periodic cell sort ran. The new ids ascend along
+    // the index, so it stays valid for Colli_React (DESIGN.md §2g).
     dsmc::CellIndex& index = cell_index_[r];
     index.rebuild(stores_[r], coarse_.num_tets());
     auto ids = stores_[r].ids();
     std::int64_t next = offsets[r];
-    for (std::int32_t cell = 0; cell < coarse_.num_tets(); ++cell)
-      for (const std::int32_t p : index.particles_in(cell)) ids[p] = next++;
+    for (const std::int32_t p : index.items()) ids[p] = next++;
     DSMCPIC_CHECK(next == offsets[r] + counts[r]);
     c.charge(par::WorkKind::kReindex, static_cast<double>(ids.size()));
   });
@@ -306,24 +308,29 @@ void CoupledSolver::do_colli_react(StepDiagnostics& diag) {
     std::int64_t collisions = 0, ionizations = 0, recombinations = 0;
   };
   std::vector<RankStats> per_rank(pcfg_.nranks);
-  // Periodic cell sort (DESIGN.md §2g): reorder each store cell-major so the
-  // collide/deposit traversals stream memory linearly. The sort only changes
-  // memory layout — traversal semantics are owned by CellIndex, whose
-  // per-cell lists are canonicalized by particle id — so every observable is
-  // bit-identical for any sort_every. Layout work has no physical analogue,
-  // so it charges no virtual time (wall-clock cost is visible via the "sort"
-  // host-profiler scope and a trace instant).
+  // Periodic cell sort (DESIGN.md §2g): reorder each store cell-major so
+  // each cell's particles occupy one contiguous slot range for the collide
+  // and deposit traversals. The sort only changes memory layout — traversal
+  // semantics are owned by CellIndex, whose per-cell lists are canonicalized
+  // by particle id — so every observable is bit-identical for any
+  // sort_every. Layout work has no physical analogue, so it charges no
+  // virtual time (wall-clock cost is visible via the "sort" host-profiler
+  // scope and a trace instant).
   const bool sorted =
       cfg_.sort_every > 0 && step_ % cfg_.sort_every == 0;
   rt_->superstep(phases::kColliReact, [&](par::Comm& c) {
     const int r = c.rank();
-    if (sorted) {
-      const obs::HostProfiler::Scope prof(prof_, "sort");
-      stores_[r].sort_by_cell(coarse_.num_tets(), sort_scratch_[r],
-                              removed_[r]);
-    }
+    // Reindex built this step's index on the same store; only a sort,
+    // which moves particles between slots, makes it stale.
     dsmc::CellIndex& index = cell_index_[r];
-    index.rebuild(stores_[r], coarse_.num_tets());
+    if (sorted) {
+      {
+        const obs::HostProfiler::Scope prof(prof_, "sort");
+        stores_[r].sort_by_cell(coarse_.num_tets(), sort_scratch_[r],
+                                removed_[r]);
+      }
+      index.rebuild(stores_[r], coarse_.num_tets());
+    }
     dsmc::CollisionStats cs;
     {
       const obs::HostProfiler::Scope prof(prof_, "collide");

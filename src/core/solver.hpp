@@ -129,9 +129,10 @@ class CoupledSolver {
   obs::HealthAuditor* auditor() const { return auditor_; }
 
   /// Attaches a host wall-clock profiler; nullptr detaches. Scopes open
-  /// inside superstep bodies (move/collide/react/deposit) and around the
-  /// driver-side stages (field_solve/exchange/rebalance); samples live only
-  /// in the profiler, strictly outside deterministic state.
+  /// inside superstep bodies (inject/move/reindex/sort/collide/react/
+  /// deposit) and around the stages run between supersteps (field_solve/
+  /// exchange/rebalance); samples live only in the profiler, strictly
+  /// outside deterministic state.
   void set_host_profiler(obs::HostProfiler* prof) { prof_ = prof; }
   obs::HostProfiler* host_profiler() const { return prof_; }
 
@@ -225,7 +226,8 @@ class CoupledSolver {
   // rank bodies — batches serialize on its pool) and per-rank reusable
   // scratch so chunking allocates nothing in steady state.
   std::unique_ptr<support::KernelExec> kexec_;
-  std::vector<dsmc::CellIndex> cell_index_;          // per rank, rebuilt
+  std::vector<dsmc::CellIndex> cell_index_;  // per rank: built by Reindex,
+                                             // reused by Colli_React
   std::vector<dsmc::CollideScratch> collide_scratch_;
   std::vector<pic::DepositScratch> deposit_scratch_;
   std::vector<dsmc::SortScratch> sort_scratch_;      // periodic cell sort

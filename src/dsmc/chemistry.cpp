@@ -58,6 +58,7 @@ ChemistryStats Chemistry::recombine(ParticleStore& store, const CellIndex& index
                                     const mesh::TetMesh& grid, double dt,
                                     int step, std::span<std::uint8_t> removed,
                                     const support::KernelExec* exec) {
+  DSMCPIC_CHECK(removed.size() == store.size());
   ChemistryStats stats;
   if (!cfg_.enabled) return stats;
   const Species& ion = (*table_)[kSpeciesHPlus];

@@ -78,7 +78,7 @@ class Chemistry {
 
   /// Cell-based recombination sweep over the caller's cells: every H+ in a
   /// cell recombines with probability 1 - exp(-k * n_e * dt). Flags removed
-  /// ions in `removed`; converts survivors-of-the-weight-lottery to H in
+  /// ions in `removed` (one flag per particle); converts survivors-of-the-weight-lottery to H in
   /// place. Returns stats. With `exec`, the cell list is chunked (cells are
   /// disjoint, RNG keyed (seed, cell, step), int stats summed in chunk
   /// order), so any chunk count gives the serial result.

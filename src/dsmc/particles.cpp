@@ -1,6 +1,8 @@
 #include "dsmc/particles.hpp"
 
 #include <algorithm>
+#include <bit>
+#include <numeric>
 
 #include "support/serialize.hpp"
 
@@ -150,27 +152,12 @@ void ParticleStore::apply_gather(std::span<const std::int32_t> gather,
 
 void ParticleStore::sort_by_cell(std::int32_t num_cells, SortScratch& scratch,
                                  std::span<std::uint8_t> flags) {
-  const std::size_t n = size();
-  if (n == 0) return;
-  // Counting sort by cell, stable within each cell. This is a pure memory-
-  // layout operation: traversal semantics are owned by CellIndex, whose
-  // per-cell lists are canonicalized by particle id regardless of how the
-  // store is arranged.
-  scratch.start.assign(static_cast<std::size_t>(num_cells) + 1, 0);
-  for (const std::int32_t c : cell_) {
-    DSMCPIC_CHECK_MSG(c >= 0 && c < num_cells,
-                      "particle in invalid cell " << c);
-    ++scratch.start[static_cast<std::size_t>(c) + 1];
-  }
-  for (std::int32_t c = 0; c < num_cells; ++c)
-    scratch.start[static_cast<std::size_t>(c) + 1] +=
-        scratch.start[static_cast<std::size_t>(c)];
-  scratch.cursor.assign(scratch.start.begin(), scratch.start.end() - 1);
-  scratch.gather.resize(n);
-  for (std::size_t i = 0; i < n; ++i)
-    scratch.gather[static_cast<std::size_t>(scratch.cursor[cell_[i]]++)] =
-        static_cast<std::int32_t>(i);
-  apply_gather(scratch.gather, scratch, flags);
+  if (empty()) return;
+  // The slot-stable grouping by cell is the gather. A pure memory-layout
+  // operation: per-cell traversal follows CellIndex's id order, whatever
+  // the store's arrangement.
+  scratch.order.group(cell_, num_cells, [](std::size_t) { return true; });
+  apply_gather(scratch.order.items(), scratch, flags);
 }
 
 std::int64_t ParticleStore::count_species(std::int32_t species_id) const {
@@ -215,18 +202,7 @@ CellIndex::CellIndex(const ParticleStore& store, std::int32_t num_cells) {
 }
 
 void CellIndex::rebuild(const ParticleStore& store, std::int32_t num_cells) {
-  start_.assign(static_cast<std::size_t>(num_cells) + 1, 0);
-  const auto cells = store.cells();
-  for (std::int32_t c : cells) {
-    DSMCPIC_CHECK_MSG(c >= 0 && c < num_cells, "particle in invalid cell " << c);
-    ++start_[static_cast<std::size_t>(c) + 1];
-  }
-  for (std::int32_t c = 0; c < num_cells; ++c) start_[c + 1] += start_[c];
-  items_.resize(store.size());
-  cursor_.assign(start_.begin(), start_.end() - 1);
-  for (std::size_t i = 0; i < store.size(); ++i)
-    items_[static_cast<std::size_t>(cursor_[cells[i]]++)] =
-        static_cast<std::int32_t>(i);
+  group(store.cells(), num_cells, [](std::size_t) { return true; });
   // Canonicalize each cell's list to ascending particle id. Store slots are
   // NOT a reliable within-cell order: a particle whose cell changes without
   // leaving the rank keeps its old slot, so slot order inside the new cell
@@ -236,12 +212,59 @@ void CellIndex::rebuild(const ParticleStore& store, std::int32_t num_cells) {
   // same sequence no matter how the store is arranged. The stable tie-break
   // (ids are unique per step; spawn-id collisions are ~2^-63) keeps the
   // result deterministic regardless.
-  const auto ids = store.ids();
-  for (std::int32_t c = 0; c < num_cells; ++c)
-    std::stable_sort(items_.begin() + start_[c], items_.begin() + start_[c + 1],
+  order_by_id(store.ids());
+}
+
+void CellIndex::order_by_id(std::span<const std::int64_t> ids) {
+  for (const std::int32_t s : by_cell_)  // ranges in memory order
+    std::stable_sort(items_.begin() + begin_[s], items_.begin() + end_[s],
                      [&ids](std::int32_t a, std::int32_t b) {
                        return ids[a] < ids[b];
                      });
+}
+
+void CellIndex::reset(std::int32_t num_cells, std::size_t n) {
+  num_cells_ = num_cells;
+  // Size the table for the previous build's occupancy: steady state needs
+  // no growth, and a rank that once held many cells does not keep a large
+  // table to clear.
+  std::size_t cap = 16;
+  while (cap < 4 * slot_cell_.size()) cap *= 2;
+  slot_cell_.clear();
+  end_.clear();
+  rehash(cap);
+  tag_.resize(n);
+}
+
+void CellIndex::rehash(std::size_t cap) {
+  table_.assign(cap, Entry{});
+  shift_ = 32 - std::countr_zero(cap);
+  for (std::size_t s = 0; s < slot_cell_.size(); ++s)
+    table_[probe(slot_cell_[s])] = {slot_cell_[s], static_cast<std::int32_t>(s)};
+}
+
+void CellIndex::scatter() {
+  // Lay the slots' ranges out by ascending cell, then counting-sort the
+  // tagged indices into them in index order.
+  const std::size_t k = slot_cell_.size();
+  by_cell_.resize(k);
+  std::iota(by_cell_.begin(), by_cell_.end(), 0);
+  std::sort(by_cell_.begin(), by_cell_.end(),
+            [this](std::int32_t a, std::int32_t b) {
+              return slot_cell_[a] < slot_cell_[b];
+            });
+  begin_.resize(k);
+  std::int64_t next = 0;
+  for (const std::int32_t s : by_cell_) {
+    begin_[s] = next;
+    next += end_[s];
+    end_[s] = begin_[s];
+  }
+  items_.resize(static_cast<std::size_t>(next));
+  for (std::size_t i = 0; i < tag_.size(); ++i)
+    if (tag_[i] >= 0)
+      items_[static_cast<std::size_t>(end_[tag_[i]]++)] =
+          static_cast<std::int32_t>(i);
 }
 
 }  // namespace dsmcpic::dsmc

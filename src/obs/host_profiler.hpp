@@ -2,8 +2,8 @@
 // Host wall-clock profiler (DESIGN.md §2f). Where the trace subsystem
 // records *virtual* time — the machine-model seconds the paper reasons
 // about — this records *real* milliseconds spent in the solver's kernels
-// on the host running the simulation: move / collide / react / deposit /
-// field_solve / exchange / rebalance. It answers "is THIS machine getting
+// on the host running the simulation: inject / move / reindex / collide /
+// react / deposit / field_solve / exchange / rebalance. It answers "is THIS machine getting
 // slower", the question the bench regression gate
 // (scripts/check_bench_regression.py) automates for bench_kernels.
 //

@@ -35,6 +35,7 @@ DepositStats deposit_charge(const dsmc::ParticleStore& store,
                             const support::KernelExec* exec,
                             DepositScratch* scratch) {
   DSMCPIC_CHECK(node_charge.size() == sorted_nodes.size());
+  DSMCPIC_CHECK(removed.empty() || removed.size() == store.size());
   DepositStats stats;
   const auto px = store.px();
   const auto py = store.py();
@@ -42,46 +43,26 @@ DepositStats deposit_charge(const dsmc::ParticleStore& store,
   const auto cells = store.cells();
   const auto species = store.species();
   const mesh::TetMesh& fine = grid.fine();
-  const std::int64_t n = static_cast<std::int64_t>(store.size());
 
   DepositScratch local;
   DepositScratch& scr = scratch ? *scratch : local;
 
   // Cell-major traversal order over the deposit candidates (charged, not
-  // removed): counting-sort by coarse cell, then ascending particle id
-  // within each cell. The id sort matters: store slots are layout history
-  // (intra-rank cell changes keep their old slot), so slot order within a
-  // cell differs between sorted and unsorted runs — ids do not. With it,
-  // the traversal and every floating-point grouping derived from it below
-  // are invariant across executors and sort-every settings.
-  const std::int32_t num_cells = grid.coarse().num_tets();
-  const auto ids = store.ids();
-  const auto candidate = [&](std::int64_t i) {
+  // removed): ascending coarse cell, then ascending particle id within each
+  // cell. The id order matters: store slots are layout history (intra-rank
+  // cell changes keep their old slot), so slot order within a cell differs
+  // between sorted and unsorted runs — ids do not. With it, the traversal
+  // and every floating-point grouping derived from it below are invariant
+  // across executors and sort-every settings.
+  const auto candidate = [&](std::size_t i) {
     if (!removed.empty() && removed[i]) return false;
     return table[species[i]].charged();
   };
-  scr.start.assign(static_cast<std::size_t>(num_cells) + 1, 0);
-  for (std::int64_t i = 0; i < n; ++i) {
-    if (!candidate(i)) continue;
-    DSMCPIC_CHECK(cells[i] >= 0 && cells[i] < num_cells);
-    ++scr.start[static_cast<std::size_t>(cells[i]) + 1];
-  }
-  for (std::size_t c = 1; c < scr.start.size(); ++c)
-    scr.start[c] += scr.start[c - 1];
-  const std::int64_t m = scr.start.back();
+  scr.order.group(cells, grid.coarse().num_tets(), candidate);
+  scr.order.order_by_id(store.ids());
+  const std::span<const std::int32_t> order = scr.order.items();
+  const auto m = static_cast<std::int64_t>(order.size());
   if (m == 0) return stats;
-  scr.cursor.assign(scr.start.begin(), scr.start.end() - 1);
-  scr.order.resize(static_cast<std::size_t>(m));
-  for (std::int64_t i = 0; i < n; ++i)
-    if (candidate(i))
-      scr.order[static_cast<std::size_t>(scr.cursor[cells[i]]++)] =
-          static_cast<std::int32_t>(i);
-  for (std::int32_t c = 0; c < num_cells; ++c)
-    std::stable_sort(scr.order.begin() + scr.start[c],
-                     scr.order.begin() + scr.start[c + 1],
-                     [&ids](std::int32_t a, std::int32_t b) {
-                       return ids[a] < ids[b];
-                     });
 
   const auto scatter_one = [&](std::int32_t i, std::span<double> acc,
                                DepositStats& out) {
@@ -103,7 +84,7 @@ DepositStats deposit_charge(const dsmc::ParticleStore& store,
   const int nblocks = (m >= kDepositBlockCutoff) ? kDepositBlocks : 1;
   if (nblocks == 1) {
     for (std::int64_t t = 0; t < m; ++t)
-      scatter_one(scr.order[static_cast<std::size_t>(t)], node_charge, stats);
+      scatter_one(order[static_cast<std::size_t>(t)], node_charge, stats);
     return stats;
   }
 
@@ -121,7 +102,7 @@ DepositStats deposit_charge(const dsmc::ParticleStore& store,
         scr.block_charge.data() + static_cast<std::size_t>(b) * nnodes, nnodes);
     std::fill(acc.begin(), acc.end(), 0.0);
     for (std::int64_t t = begin; t < end; ++t)
-      scatter_one(scr.order[static_cast<std::size_t>(t)], acc, bstats[b]);
+      scatter_one(order[static_cast<std::size_t>(t)], acc, bstats[b]);
   };
   if (exec) {
     exec->for_tasks(nblocks, run_block);

@@ -4,15 +4,16 @@
 // "interpolating the particle charge to the grid nodes" step of the paper's
 // PIC cycle (Sec. III-C).
 //
-// Traversal is cell-major (coarse cell ascending, within-cell store order),
-// built from the same counting-sort prefix CellIndex uses, so after the
-// periodic cell sort (DESIGN.md §2g) the scatter streams the store
-// linearly. The accumulation schedule is a FIXED number of contiguous
-// blocks of that traversal, each scattering into its own node buffer,
-// reduced per node in ascending block order — a deterministic tree
-// reduction whose floating-point grouping depends only on the particle
-// population, never on the executor, so node_charge is bit-identical for
-// every kernel-thread count and exec mode.
+// Traversal is cell-major (coarse cell ascending, ascending particle id
+// within each cell), built by the same rank-local dsmc::CellIndex the
+// collide kernel walks, so it costs O(candidates + occupied cells) and
+// after the periodic cell sort (DESIGN.md §2g) it visits each cell's one
+// contiguous slot range in turn. The accumulation schedule is a FIXED
+// number of contiguous blocks of that traversal, each scattering into its
+// own node buffer, reduced per node in ascending block order — a
+// deterministic tree reduction whose floating-point grouping depends only
+// on the particle population, never on the executor, so node_charge is
+// bit-identical for every kernel-thread count and exec mode.
 
 #include <cstdint>
 #include <span>
@@ -31,20 +32,18 @@ struct DepositStats {
 };
 
 /// Reusable per-rank scratch for the blocked deposit: the cell-major
-/// traversal order (counting-sort prefix + permutation) and the per-block
-/// node-accumulation buffers. Capacities persist across steps so the
-/// deposit allocates nothing in steady state.
+/// traversal order and the per-block node-accumulation buffers. Capacities
+/// persist across steps so the deposit allocates nothing in steady state.
 struct DepositScratch {
-  std::vector<std::int64_t> start;    // per-cell prefix sums
-  std::vector<std::int64_t> cursor;   // fill scratch
-  std::vector<std::int32_t> order;    // cell-major particle traversal
+  dsmc::CellIndex order;              // cell-major candidate traversal
   std::vector<double> block_charge;   // kDepositBlocks x nnodes accumulators
 };
 
 /// Scatters charge (q * fnum, in coulomb) of all charged particles into
 /// `node_charge`, a compact per-rank vector indexed like `sorted_nodes`
 /// (ascending global fine-node ids — see NodeExchange::rank_nodes).
-/// Particles flagged in `removed` are skipped.
+/// Particles flagged in `removed` are skipped; `removed` is empty or has
+/// one flag per particle.
 ///
 /// The blocked schedule is identical with or without `exec` (serial
 /// executors run the same blocks inline, in order), so the result is

@@ -40,7 +40,8 @@ RunResult run_solver(par::ExecMode mode, int nranks, int threads,
                      balance::CostModelKind cost_model =
                          balance::CostModelKind::kStatic,
                      balance::PolicyKind policy =
-                         balance::PolicyKind::kThreshold) {
+                         balance::PolicyKind::kThreshold,
+                     SolverConfig cfg = tiny_config()) {
   ParallelConfig par;
   par.nranks = nranks;
   par.strategy = strategy;
@@ -51,7 +52,6 @@ RunResult run_solver(par::ExecMode mode, int nranks, int threads,
   par.exec_mode = mode;
   par.exec_threads = threads;
   par.kernel_threads = kernel_threads;
-  SolverConfig cfg = tiny_config();
   cfg.sort_every = sort_every;
   CoupledSolver solver(cfg, par);
   solver.run(steps);
@@ -258,6 +258,32 @@ TEST(SortDeterminism, SortedLaneCountIndependence) {
                  exchange::Strategy::kCentralized, /*balance=*/false, 6,
                  /*kernel_threads=*/4, /*sort_every=*/1);
   expect_identical(kt2, kt4);
+}
+
+// Colli_React reuses the index Reindex built and rebuilds it only after a
+// sort (DESIGN.md §2g). The tiny configuration collides nothing, so a stale
+// index would go unnoticed above; a 3000x denser inflow at the same
+// particle count puts every step's NTC loop on the index, including the
+// ones a sort has just rebuilt it for.
+TEST(SortDeterminism, SortIntervalInvarianceWithCollisions) {
+  Dataset d = make_dataset(1, /*particle_scale=*/0.25);
+  d.config.nozzle.radial_divisions = 3;
+  d.config.nozzle.axial_divisions = 6;
+  d.config.density_h *= 3000.0;
+  d.config.set_target_particles(d.target_h, d.target_hplus);
+  const auto run = [&d](int kernel_threads, int sort_every) {
+    return run_solver(par::ExecMode::kSequential, 8, 0,
+                      exchange::Strategy::kDistributed, /*balance=*/true, 10,
+                      kernel_threads, sort_every,
+                      balance::CostModelKind::kStatic,
+                      balance::PolicyKind::kThreshold, d.config);
+  };
+  const RunResult never = run(1, 0);
+  std::int64_t collisions = 0;
+  for (const StepDiagnostics& s : never.history) collisions += s.collisions;
+  EXPECT_GT(collisions, 0);
+  expect_identical(never, run(1, 1));
+  expect_identical(never, run(4, 3));
 }
 
 // ---- Timer cost model + look-ahead policy (DESIGN.md §2h) ------------------

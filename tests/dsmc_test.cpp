@@ -13,6 +13,7 @@
 #include "dsmc/sampling.hpp"
 #include "dsmc/species.hpp"
 #include "mesh/nozzle.hpp"
+#include "support/error.hpp"
 
 namespace dsmcpic::dsmc {
 namespace {
@@ -481,6 +482,27 @@ TEST(Chemistry, RecombinationRemovesIons) {
   // Every ion either removed or converted to H (weight lottery at 1%).
   for (std::size_t i = 0; i < store.size(); ++i)
     EXPECT_TRUE(removed[i] || store.species()[i] == kSpeciesH);
+}
+
+TEST(Chemistry, RecombineRejectsShortRemovedSpan) {
+  const mesh::TetMesh grid = mesh::make_cylinder_nozzle(test_spec());
+  const SpeciesTable table = SpeciesTable::hydrogen(1e12, 1e10);
+  ChemistryConfig cfg;
+  cfg.recombination_rate = 1.0;
+  Chemistry chem(table, cfg);
+  ParticleStore store;
+  for (int i = 0; i < 5; ++i) {
+    ParticleRecord p;
+    p.species = kSpeciesHPlus;
+    p.cell = 0;
+    p.id = i;
+    store.add(p);
+  }
+  std::vector<std::uint8_t> removed(store.size() - 1, 0);
+  const CellIndex index(store, grid.num_tets());
+  const std::vector<std::int32_t> my_cells{0};
+  EXPECT_THROW(chem.recombine(store, index, my_cells, grid, 1e-3, 0, removed),
+               Error);
 }
 
 TEST(Chemistry, ChargeExchangeSwapsIonVelocity) {

@@ -2,17 +2,22 @@
 // periodic cell sort (DESIGN.md §2g) is built on: apply_gather permutation
 // semantics, sort_by_cell correctness + STABILITY (the determinism
 // contract), remove_flagged stability, and a checkpoint round-trip of the
-// component-vector layout. The end-to-end invariance claims live in
-// determinism_test.cpp (SortDeterminism) and golden_test.cpp.
+// component-vector layout — and the rank-local CellIndex checked bitwise
+// against the global-mesh counting sort in cell_index_reference.hpp. The
+// end-to-end invariance claims live in determinism_test.cpp
+// (SortDeterminism) and golden_test.cpp.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <span>
 #include <sstream>
 #include <vector>
 
+#include "cell_index_reference.hpp"
 #include "dsmc/particles.hpp"
+#include "support/error.hpp"
 #include "support/rng.hpp"
 
 namespace dsmcpic::dsmc {
@@ -84,8 +89,10 @@ TEST(ParticleSort, SortByCellGroupsCellsAscending) {
 // Stability keeps the layout predictable: within one cell, particles keep
 // the relative order they had before the sort. (Traversal ORDER semantics
 // are owned by CellIndex, which canonicalizes per-cell lists by id — see
-// CellIndexSortsEachCellById below — but a stable layout permutation means
-// a freshly reindexed, sorted store is exactly id-ascending in memory.)
+// CellIndexSortsEachCellById below. The sort keeps slot order, the index
+// id order, so after a sort the index is generally not the identity; what
+// holds is that each cell's particles form one contiguous slot range — see
+// CellIndexFollowsIdsWithinContiguousSortedRanges.)
 TEST(ParticleSort, SortByCellIsStableWithinCells) {
   const std::int32_t num_cells = 6;
   ParticleStore store = make_store(211, num_cells);
@@ -240,6 +247,150 @@ TEST(ParticleSort, CellIndexSpansAreContiguousAfterSort) {
     for (const std::int32_t p : parts) EXPECT_EQ(p, next++);
   }
   EXPECT_EQ(next, static_cast<std::int32_t>(store.size()));
+}
+
+// The claim the periodic sort can make: each cell's particles occupy one
+// contiguous slot range, cells ascending. Within that range the index
+// follows id order, so on a store whose ids disagree with slot order most
+// items are not at their own slot.
+TEST(ParticleSort, CellIndexFollowsIdsWithinContiguousSortedRanges) {
+  const std::int32_t num_cells = 5;
+  ParticleStore store = make_store(90, num_cells);
+  Rng rng(41);
+  for (auto& id : store.ids())
+    id = static_cast<std::int64_t>(rng.next_u64() >> 1);
+  SortScratch scratch;
+  store.sort_by_cell(num_cells, scratch);
+
+  const CellIndex index(store, num_cells);
+  std::int32_t next = 0;
+  std::size_t at_own_slot = 0;
+  for (std::int32_t c = 0; c < num_cells; ++c) {
+    const auto parts = index.particles_in(c);
+    const std::int32_t begin = next;
+    next += static_cast<std::int32_t>(parts.size());
+    for (std::size_t k = 0; k < parts.size(); ++k) {
+      EXPECT_GE(parts[k], begin);
+      EXPECT_LT(parts[k], next);
+      if (k > 0) {
+        EXPECT_LT(store.ids()[parts[k - 1]], store.ids()[parts[k]]);
+      }
+      at_own_slot += parts[k] == begin + static_cast<std::int32_t>(k);
+    }
+  }
+  EXPECT_EQ(next, static_cast<std::int32_t>(store.size()));
+  EXPECT_LT(at_own_slot, store.size() / 2);
+}
+
+// ---- rank-local CellIndex vs the global-mesh counting sort ---------------
+
+/// A store of `n` particles over the cells `cells` (drawn uniformly), ids
+/// drawn from [0, id_range) — a small range forces duplicate ids.
+ParticleStore random_store(std::size_t n, std::span<const std::int32_t> cells,
+                           std::uint64_t id_range, std::uint64_t seed) {
+  ParticleStore store;
+  Rng rng(seed);
+  for (std::size_t i = 0; i < n; ++i) {
+    ParticleRecord p;
+    p.id = static_cast<std::int64_t>(rng.next_u64() % id_range);
+    p.species = static_cast<std::int32_t>(i % 2);
+    p.cell = cells[rng.next_u64() % cells.size()];
+    store.add(p);
+  }
+  return store;
+}
+
+/// Every cell's list, and the whole cell-major sequence, equal the
+/// reference's bit for bit.
+void expect_matches_reference(const CellIndex& index,
+                              const ParticleStore& store,
+                              std::int32_t num_cells) {
+  const reference::CellIndex ref(store, num_cells);
+  EXPECT_EQ(index.num_cells(), ref.num_cells());
+  const auto got = index.items();
+  const auto want = ref.items();
+  ASSERT_EQ(std::vector<std::int32_t>(got.begin(), got.end()),
+            std::vector<std::int32_t>(want.begin(), want.end()));
+  for (std::int32_t c = 0; c < num_cells; ++c) {
+    const auto a = index.particles_in(c);
+    const auto b = ref.particles_in(c);
+    ASSERT_EQ(std::vector<std::int32_t>(a.begin(), a.end()),
+              std::vector<std::int32_t>(b.begin(), b.end()))
+        << "cell " << c;
+  }
+}
+
+TEST(CellIndexReference, EmptyStore) {
+  const ParticleStore store;
+  const CellIndex index(store, 7);
+  EXPECT_TRUE(index.items().empty());
+  expect_matches_reference(index, store, 7);
+}
+
+TEST(CellIndexReference, ThreeOccupiedOfHundredThousandCells) {
+  const std::int32_t num_cells = 100000;
+  const std::vector<std::int32_t> cells{99999, 7, 50000};
+  const ParticleStore store = random_store(500, cells, 1u << 30, 3);
+  const CellIndex index(store, num_cells);
+  expect_matches_reference(index, store, num_cells);
+  EXPECT_TRUE(index.particles_in(8).empty());
+}
+
+TEST(CellIndexReference, EveryParticleInOneCell) {
+  const std::vector<std::int32_t> cells{4};
+  const ParticleStore store = random_store(300, cells, 1u << 30, 5);
+  const CellIndex index(store, 9);
+  expect_matches_reference(index, store, 9);
+  EXPECT_EQ(index.particles_in(4).size(), store.size());
+}
+
+TEST(CellIndexReference, DuplicateIdsKeepSlotOrder) {
+  const std::vector<std::int32_t> cells{0, 2, 3, 11};
+  const ParticleStore store = random_store(400, cells, 6, 8);
+  const CellIndex index(store, 12);
+  expect_matches_reference(index, store, 12);
+  for (const std::int32_t c : cells) {
+    const auto parts = index.particles_in(c);
+    for (std::size_t k = 1; k < parts.size(); ++k)
+      if (store.ids()[parts[k - 1]] == store.ids()[parts[k]]) {
+        EXPECT_LT(parts[k - 1], parts[k]) << "cell " << c;
+      }
+  }
+}
+
+TEST(CellIndexReference, OutOfRangeCellThrows) {
+  for (const std::int32_t bad : {-1, 10, 1 << 30}) {
+    const std::vector<std::int32_t> cells{3, 5};
+    ParticleStore store = random_store(20, cells, 100, 13);
+    store.cells()[11] = bad;
+    EXPECT_THROW(reference::CellIndex(store, 10), Error) << bad;
+    EXPECT_THROW(CellIndex(store, 10), Error) << bad;
+    SortScratch scratch;
+    EXPECT_THROW(store.sort_by_cell(10, scratch), Error) << bad;
+  }
+}
+
+// One index rebuilt over stores whose occupancy grows and shrinks, so the
+// table is regrown and resized across rebuilds, with sorted and unsorted
+// layouts.
+TEST(CellIndexReference, RandomStoresMatchAcrossRebuilds) {
+  CellIndex index;
+  Rng rng(97);
+  for (int trial = 0; trial < 40; ++trial) {
+    const auto num_cells = static_cast<std::int32_t>(1 + rng.next_u64() % 5000);
+    std::vector<std::int32_t> cells(1 + rng.next_u64() % 300);
+    for (auto& c : cells)
+      c = static_cast<std::int32_t>(rng.next_u64() %
+                                    static_cast<std::uint64_t>(num_cells));
+    ParticleStore store = random_store(rng.next_u64() % 3000, cells,
+                                       1 + rng.next_u64() % 5000, trial);
+    if (trial % 3 == 0) {
+      SortScratch scratch;
+      store.sort_by_cell(num_cells, scratch);
+    }
+    index.rebuild(store, num_cells);
+    expect_matches_reference(index, store, num_cells);
+  }
 }
 
 }  // namespace

@@ -2,6 +2,7 @@
 
 #include <cmath>
 
+#include "cell_index_reference.hpp"
 #include "dsmc/species.hpp"
 #include "linalg/krylov.hpp"
 #include "mesh/nozzle.hpp"
@@ -13,6 +14,7 @@
 #include "pic/fine_grid.hpp"
 #include "pic/node_exchange.hpp"
 #include "pic/poisson.hpp"
+#include "support/error.hpp"
 #include "support/kernel_exec.hpp"
 #include "support/rng.hpp"
 
@@ -246,6 +248,81 @@ TEST(Deposit, BlockedParallelMatchesSerialBitwise) {
     EXPECT_EQ(st.lost, st0.lost);
     EXPECT_EQ(parallel, serial) << "lanes=" << lanes;
   }
+}
+
+// The rank-local traversal (dsmc::CellIndex over the candidates) against
+// the global-mesh counting sort in cell_index_reference.hpp: the same
+// candidate order, hence bit-identical node charges, on stores whose ids
+// disagree with slot order and whose removal flags skip some candidates —
+// below the block cutoff (one pass) and above it (16 blocks), at kernel
+// lanes 1, 2 and 4.
+TEST(Deposit, MatchesReferenceTraversalBitwise) {
+  const Meshes m = make_meshes();
+  const FineGrid fg(m.coarse, m.refined);
+  const dsmc::SpeciesTable table = dsmc::SpeciesTable::hydrogen(1e12, 500.0);
+  std::vector<std::int32_t> all_nodes(m.refined.mesh.num_nodes());
+  for (std::int32_t n = 0; n < m.refined.mesh.num_nodes(); ++n)
+    all_nodes[n] = n;
+  for (const std::size_t n : {900u, 7000u}) {
+    dsmc::ParticleStore store;
+    Rng rng(n);
+    while (store.size() < n) {
+      const double r = 0.7 * m.spec.radius * std::sqrt(rng.uniform());
+      const double th = 2 * M_PI * rng.uniform();
+      const Vec3 p{r * std::cos(th), r * std::sin(th),
+                   m.spec.length * (0.1 + 0.8 * rng.uniform())};
+      const std::int32_t cc = m.coarse.locate(p, 0);
+      if (cc < 0) continue;
+      dsmc::ParticleRecord rec;
+      rec.position = p;
+      rec.cell = cc;
+      rec.id = static_cast<std::int64_t>(rng.next_u64() % 5000);
+      rec.species = (store.size() % 5) ? dsmc::kSpeciesHPlus : dsmc::kSpeciesH;
+      store.add(rec);
+    }
+    std::vector<std::uint8_t> removed(store.size(), 0);
+    for (std::size_t i = 0; i < store.size(); i += 7) removed[i] = 1;
+
+    std::vector<double> want(all_nodes.size(), 0.0);
+    const DepositStats st0 = reference::deposit_charge(store, fg, table,
+                                                       all_nodes, removed, want);
+    const std::vector<std::int32_t> order = reference::deposit_order(
+        store, table, removed, m.coarse.num_tets());
+    for (const int lanes : {1, 2, 4}) {
+      const support::KernelExec exec(lanes);
+      DepositScratch scratch;
+      std::vector<double> got(all_nodes.size(), 0.0);
+      const DepositStats st = deposit_charge(store, fg, table, all_nodes,
+                                             removed, got, &exec, &scratch);
+      const auto items = scratch.order.items();
+      EXPECT_EQ(std::vector<std::int32_t>(items.begin(), items.end()), order)
+          << "n=" << n << " lanes=" << lanes;
+      EXPECT_EQ(st.deposited, st0.deposited);
+      EXPECT_EQ(st.lost, st0.lost);
+      EXPECT_EQ(got, want) << "n=" << n << " lanes=" << lanes;
+    }
+  }
+}
+
+TEST(Deposit, ShortRemovedSpanThrows) {
+  const Meshes m = make_meshes();
+  const FineGrid fg(m.coarse, m.refined);
+  const dsmc::SpeciesTable table = dsmc::SpeciesTable::hydrogen(1e12, 500.0);
+  dsmc::ParticleStore store;
+  for (int i = 0; i < 4; ++i) {
+    dsmc::ParticleRecord rec;
+    rec.position = m.coarse.centroid(0);
+    rec.cell = 0;
+    rec.species = dsmc::kSpeciesHPlus;
+    store.add(rec);
+  }
+  std::vector<std::int32_t> all_nodes(m.refined.mesh.num_nodes());
+  for (std::int32_t n = 0; n < m.refined.mesh.num_nodes(); ++n)
+    all_nodes[n] = n;
+  std::vector<double> node_charge(all_nodes.size(), 0.0);
+  const std::vector<std::uint8_t> removed(store.size() - 1, 0);
+  EXPECT_THROW(
+      deposit_charge(store, fg, table, all_nodes, removed, node_charge), Error);
 }
 
 TEST(Field, LinearPotentialGivesConstantField) {
