@@ -5,7 +5,11 @@
 # table plus index arithmetic over per-slot ranges; the periodic cell sort
 # and the deposit traversal are built on it. An out-of-bounds probe, a
 # stale range after a rebuild or a signed overflow in the slot bookkeeping
-# would fail here rather than corrupt a digest by luck.
+# would fail here rather than corrupt a digest by luck. The runtime and
+# linalg suites cover the message rounds and the halo exchanger's
+# slot-range and halo-slot index arithmetic (DESIGN.md §2i), and the two
+# checkpoint-corruption tests patch saved files that must be refused with a
+# typed error, not indexed out of bounds.
 #
 #   scripts/run_asan.sh [build-dir]
 set -euo pipefail
@@ -16,7 +20,7 @@ BUILD="${1:-build-asan}"
 cmake -B "$BUILD" -S . -G Ninja \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DDSMCPIC_SANITIZE=address
-cmake --build "$BUILD" --target particle_sort_test pic_test dsmc_test determinism_test golden_test -j
+cmake --build "$BUILD" --target particle_sort_test pic_test dsmc_test determinism_test golden_test par_test linalg_test core_features_test -j
 
 # Any report fails the script: ASan aborts by default, and UBSan is built
 # with -fno-sanitize-recover.
@@ -35,5 +39,12 @@ export UBSAN_OPTIONS="print_stacktrace=1 ${UBSAN_OPTIONS:-}"
 # and kernel-lane chunking over it.
 "$BUILD"/tests/determinism_test --gtest_filter='SortDeterminism.*:KernelThreads.*'
 "$BUILD"/tests/golden_test
+# Message rounds, the runtime checkpoint's busy-row check
+# (Runtime.LoadRejectsBusyRowOfWrongLength), and the halo exchanger at 1,
+# 24 and 1,024 ranks.
+"$BUILD"/tests/par_test
+"$BUILD"/tests/linalg_test
+# Out-of-range owners and short load windows in a solver checkpoint.
+"$BUILD"/tests/core_features_test --gtest_filter='Checkpoint.Rejects*'
 
 echo "ASan/UBSan sweep clean."

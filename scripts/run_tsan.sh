@@ -24,13 +24,16 @@ cmake --build "$BUILD" --target par_test support_test linalg_test determinism_te
 export TSAN_OPTIONS="halt_on_error=1 ${TSAN_OPTIONS:-}"
 
 "$BUILD"/tests/support_test --gtest_filter='ThreadPool.*:KernelExec.*'
+# Includes the message-round tests, whose threaded case routes a round
+# after concurrent bodies that may not send.
 "$BUILD"/tests/par_test
 # The distributed CG's halo exchanger (DESIGN.md §2i) moves no payloads:
 # each rank packs into its own slots of one shared buffer in the send
-# superstep, and its peers read those slots in the next superstep. The
-# reference suite runs dist_cg threaded at 1, 24 and 1,024 ranks, so a
-# receiver reading a slot before the superstep join ordered its write would
-# be flagged here; the halo tests cover the receive-side plan checks.
+# superstep, which routes a fixed message round, and its peers read those
+# slots in the next superstep. The reference suite runs dist_cg threaded at
+# 1, 24 and 1,024 ranks, so a receiver reading a slot before the superstep
+# join ordered its write would be flagged here; Dist.Halo* covers the plan
+# checks the exchanger makes at construction.
 "$BUILD"/tests/linalg_test \
   --gtest_filter='RankCounts/DistCgTest.*:Dist.Halo*:Ranks/Dataset2Reference.DistCg*'
 # The blocked parallel deposit (DESIGN.md §2g) above the candidate cutoff:

@@ -124,6 +124,12 @@ void CoupledSolver::restore_checkpoint(const std::string& path) {
   prev_poi_ = io::read_vec<double>(is);
   prev_particle_ = io::read_vec<double>(is);
   prev_predicted_ = io::read_vec<double>(is);
+  // maybe_rebalance indexes the Eq.-6 windows by rank.
+  for (const auto* w : {&prev_total_, &prev_pm_, &prev_poi_, &prev_particle_})
+    DSMCPIC_CHECK_MSG(static_cast<int>(w->size()) == pcfg_.nranks,
+                      "checkpoint load window holds " << w->size()
+                                                      << " ranks, not "
+                                                      << pcfg_.nranks);
   lb_stats_ = io::read_pod<balance::RebalanceStats>(is);
   cost_model_.load(is);
   policy_.load(is);
@@ -132,6 +138,12 @@ void CoupledSolver::restore_checkpoint(const std::string& path) {
                     "checkpoint active rank count " << active
                                                     << " out of range");
   active_ = active;
+  for (std::size_t c = 0; c < owner_.size(); ++c)
+    DSMCPIC_CHECK_MSG(owner_[c] >= 0 && owner_[c] < active_,
+                      "checkpoint owner of cell " << c << " is rank "
+                                                  << owner_[c]
+                                                  << ", outside [0, "
+                                                  << active_ << ")");
   ensemble_.load(is);
 
   rt_->load(is);

@@ -163,60 +163,103 @@ std::vector<double> gather_vector(const DistLayout& layout, const DistVector& v)
 namespace {
 
 // The halo exchange of every distributed kernel here, as two superstep
-// halves. Messages carry only their accounted size (Comm::send_sized), so
-// virtual time is that of the payloads they stand for; the values move
-// through one flat pack buffer. In the send superstep each rank packs its
-// own slots; in the NEXT superstep each rank copies its halo from its
-// peers' slots, after the superstep join that ordered those writes. No
-// rank may pack again before every receiver has read, and send and recv
-// never run in the same superstep.
+// halves. Its messages are one fixed par::MessageRound, built from the send
+// plans once per exchanger, so virtual time is that of the payloads they
+// stand for; the values move through one flat pack buffer. In the send
+// superstep each rank packs its own contiguous slot range; in the NEXT
+// superstep each rank copies its halo from its peers' slots, after the
+// superstep join that ordered those writes. No rank may pack again before
+// every receiver has read, and send and recv never run in the same
+// superstep.
 class HaloExchanger {
  public:
+  // Throws dsmcpic::Error unless the plans fit that scheme: each sender's
+  // slots follow the previous sender's; every receive plan is answered, in
+  // the runtime's (sender, send order) delivery order, by its peer's send
+  // plan with the same slot and count (else a message is lost, stray or
+  // misplaced); and the receive plans fill every halo value exactly once.
   explicit HaloExchanger(const DistLayout& layout)
-      : layout_(layout), pack_(layout.send_idx.size()) {}
-
-  // Send half: packs and ships rank c.rank()'s owned values of `local`
-  // (its owned-then-halo vector).
-  void send(par::Comm& c, std::span<const double> local) {
-    for (const DistLayout::Plan& plan : layout_.send_plan[c.rank()]) {
-      for (std::size_t i = plan.slot; i < plan.slot + plan.count; ++i)
-        pack_[i] = local[layout_.send_idx[i]];
-      const std::size_t nbytes = plan.count * sizeof(double);
-      c.charge(par::WorkKind::kPackByte, static_cast<double>(nbytes));
-      c.send_sized(plan.peer, /*tag=*/0, nbytes, par::CostClass::kGrid);
+      : layout_(layout),
+        round_(/*tag=*/0, par::CostClass::kGrid),
+        pack_(layout.send_idx.size()),
+        send_begin_(static_cast<std::size_t>(layout.nranks) + 1, 0),
+        halo_slot_(static_cast<std::size_t>(layout.nranks)) {
+    const int n = layout.nranks;
+    std::vector<std::size_t> answered(static_cast<std::size_t>(n), 0);
+    std::size_t next = 0;
+    for (int p = 0; p < n; ++p) {
+      send_begin_[p] = next;
+      for (const DistLayout::Plan& plan : layout.send_plan[p]) {
+        DSMCPIC_CHECK_MSG(plan.peer >= 0 && plan.peer < n && plan.slot == next,
+                          "rank " << p << " halo send plan to rank "
+                                  << plan.peer << " at slot " << plan.slot
+                                  << " does not follow slot " << next);
+        const auto& want = layout.recv_plan[plan.peer];
+        std::size_t& k = answered[plan.peer];
+        DSMCPIC_CHECK_MSG(
+            k < want.size() && want[k].peer == p &&
+                want[k].slot == plan.slot && want[k].count == plan.count,
+            "rank " << plan.peer << " halo message " << k << " from rank "
+                    << p << " (" << plan.count << " values at slot "
+                    << plan.slot << ") does not match its receive plan");
+        ++k;
+        next += plan.count;
+        round_.add(p, plan.peer, plan.count * sizeof(double));
+      }
+    }
+    send_begin_[n] = next;
+    DSMCPIC_CHECK(next == layout.send_idx.size() &&
+                  next == layout.recv_idx.size());
+    for (int r = 0; r < n; ++r) {
+      DSMCPIC_CHECK_MSG(answered[r] == layout.recv_plan[r].size(),
+                        "rank " << r << " expected "
+                                << layout.recv_plan[r].size()
+                                << " halo messages, got " << answered[r]);
+      std::vector<std::int32_t>& slots = halo_slot_[r];
+      slots.assign(layout.halo[r].size(), -1);
+      for (const DistLayout::Plan& plan : layout.recv_plan[r])
+        for (std::size_t i = plan.slot; i < plan.slot + plan.count; ++i) {
+          const auto h = static_cast<std::size_t>(layout.recv_idx[i]);
+          DSMCPIC_CHECK_MSG(h < slots.size() && slots[h] < 0,
+                            "rank " << r << " halo value " << h
+                                    << " out of range or filled twice");
+          slots[h] = static_cast<std::int32_t>(i);
+        }
+      DSMCPIC_CHECK_MSG(
+          std::find(slots.begin(), slots.end(), -1) == slots.end(),
+          "rank " << r << " has an unfilled halo value");
     }
   }
 
-  // Receive half: fills the halo suffix of `local`. Throws dsmcpic::Error
-  // when the inbox does not match the receive plans in count, peer or size
-  // (a lost or stray message).
-  void recv(par::Comm& c, std::span<double> local) const {
+  // The round the send superstep routes (Runtime::superstep's round form).
+  const par::MessageRound& round() const { return round_; }
+
+  // Send half: packs rank c.rank()'s owned values of `local` (its
+  // owned-then-halo vector) and charges the packing per message.
+  void send(par::Comm& c, std::span<const double> local) {
     const int r = c.rank();
-    const auto& plans = layout_.recv_plan[r];
-    const auto& inbox = c.inbox();
-    DSMCPIC_CHECK_MSG(inbox.size() == plans.size(),
-                      "rank " << r << " expected " << plans.size()
-                              << " halo messages, got " << inbox.size());
+    for (std::size_t i = send_begin_[r]; i < send_begin_[r + 1]; ++i)
+      pack_[i] = local[layout_.send_idx[i]];
+    for (const DistLayout::Plan& plan : layout_.send_plan[r])
+      c.charge(par::WorkKind::kPackByte,
+               static_cast<double>(plan.count * sizeof(double)));
+  }
+
+  // Receive half: fills the halo suffix of rank r's `local`.
+  void recv(int r, std::span<double> local) const {
     const std::span<double> halo = local.subspan(layout_.owned[r].size());
-    // The inbox is source-major and the plans are sorted by peer, so the
-    // k-th message answers the k-th plan.
-    for (std::size_t k = 0; k < plans.size(); ++k) {
-      const DistLayout::Plan& plan = plans[k];
-      const par::Message& msg = inbox[k];
-      DSMCPIC_CHECK_MSG(
-          msg.src == plan.peer && msg.bytes == plan.count * sizeof(double),
-          "rank " << r << " halo message " << k << " from rank " << msg.src
-                  << " (" << msg.bytes << " bytes) does not match its plan ("
-                  << plan.count * sizeof(double) << " bytes from rank "
-                  << plan.peer << ")");
-      for (std::size_t i = plan.slot; i < plan.slot + plan.count; ++i)
-        halo[static_cast<std::size_t>(layout_.recv_idx[i])] = pack_[i];
-    }
+    const std::vector<std::int32_t>& slots = halo_slot_[r];
+    for (std::size_t h = 0; h < slots.size(); ++h) halo[h] = pack_[slots[h]];
   }
 
  private:
   const DistLayout& layout_;
+  par::MessageRound round_;
   std::vector<double> pack_;
+  // Rank r packs slots [send_begin_[r], send_begin_[r + 1]); halo_slot_[r]
+  // lists the slot of each of its halo values, in halo order.
+  std::vector<std::size_t> send_begin_;
+  std::vector<std::vector<std::int32_t>> halo_slot_;
 };
 
 }  // namespace
@@ -225,8 +268,11 @@ void halo_exchange(par::Runtime& rt, const std::string& phase,
                    const DistLayout& layout,
                    std::vector<std::vector<double>>& local) {
   HaloExchanger halo(layout);
-  rt.superstep(phase, [&](par::Comm& c) { halo.send(c, local[c.rank()]); });
-  rt.superstep(phase, [&](par::Comm& c) { halo.recv(c, local[c.rank()]); });
+  rt.superstep(
+      phase, [&](par::Comm& c) { halo.send(c, local[c.rank()]); },
+      halo.round());
+  rt.superstep(phase,
+               [&](par::Comm& c) { halo.recv(c.rank(), local[c.rank()]); });
 }
 
 void apply_precon(const DistMatrix& a, int rank, Precon kind,
@@ -300,14 +346,17 @@ SolveResult dist_cg(par::Runtime& rt, const std::string& phase,
   HaloExchanger halo(l);
 
   // r = b - A x  (x is the warm start): needs one halo exchange of x.
+  rt.superstep(
+      phase,
+      [&](par::Comm& c) {
+        const int r = c.rank();
+        std::copy(x[r].begin(), x[r].end(), pvec[r].begin());
+        halo.send(c, pvec[r]);
+      },
+      halo.round());
   rt.superstep(phase, [&](par::Comm& c) {
     const int r = c.rank();
-    std::copy(x[r].begin(), x[r].end(), pvec[r].begin());
-    halo.send(c, pvec[r]);
-  });
-  rt.superstep(phase, [&](par::Comm& c) {
-    const int r = c.rank();
-    halo.recv(c, pvec[r]);
+    halo.recv(r, pvec[r]);
     const auto n = l.owned[r].size();
     a.local[r].matvec(pvec[r], rvec[r]);
     c.charge(par::WorkKind::kSpmvFlop, 2.0 * static_cast<double>(a.local[r].nnz()));
@@ -329,11 +378,14 @@ SolveResult dist_cg(par::Runtime& rt, const std::string& phase,
   const double bnorm = std::sqrt(std::max(sums[1], 1e-300));
 
   // p = z, and ship its halo for the first iteration.
-  rt.superstep(phase, [&](par::Comm& c) {
-    const int r = c.rank();
-    std::copy(zvec[r].begin(), zvec[r].end(), pvec[r].begin());
-    halo.send(c, pvec[r]);
-  });
+  rt.superstep(
+      phase,
+      [&](par::Comm& c) {
+        const int r = c.rank();
+        std::copy(zvec[r].begin(), zvec[r].end(), pvec[r].begin());
+        halo.send(c, pvec[r]);
+      },
+      halo.round());
 
   SolveResult res;
   // With Jacobi M, ||r||_M ~ ||r||; track true ||r|| via an extra partial.
@@ -356,7 +408,7 @@ SolveResult dist_cg(par::Runtime& rt, const std::string& phase,
   for (int it = 0; it < opt.max_iterations; ++it) {
     rt.superstep(phase, [&](par::Comm& c) {
       const int r = c.rank();
-      halo.recv(c, pvec[r]);
+      halo.recv(r, pvec[r]);
       a.local[r].matvec(pvec[r], qvec[r]);
       c.charge(par::WorkKind::kSpmvFlop,
                2.0 * static_cast<double>(a.local[r].nnz()));
@@ -400,14 +452,17 @@ SolveResult dist_cg(par::Runtime& rt, const std::string& phase,
     }
     const double beta = rz_new / rz;
     rz = rz_new;
-    rt.superstep(phase, [&](par::Comm& c) {
-      const int r = c.rank();
-      const auto n = l.owned[r].size();
-      for (std::size_t i = 0; i < n; ++i)
-        pvec[r][i] = zvec[r][i] + beta * pvec[r][i];
-      c.charge(par::WorkKind::kVecFlop, 2.0 * static_cast<double>(n));
-      halo.send(c, pvec[r]);
-    });
+    rt.superstep(
+        phase,
+        [&](par::Comm& c) {
+          const int r = c.rank();
+          const auto n = l.owned[r].size();
+          for (std::size_t i = 0; i < n; ++i)
+            pvec[r][i] = zvec[r][i] + beta * pvec[r][i];
+          c.charge(par::WorkKind::kVecFlop, 2.0 * static_cast<double>(n));
+          halo.send(c, pvec[r]);
+        },
+        halo.round());
   }
   return res;
 }
@@ -443,14 +498,17 @@ SolveResult dist_bicgstab(par::Runtime& rt, const std::string& phase,
   HaloExchanger halo(l);
   // y[r] = A * (work's owned prefix as filled by fill_owned): two supersteps.
   auto halo_matvec = [&](auto fill_owned, std::vector<std::vector<double>>& y) {
+    rt.superstep(
+        phase,
+        [&](par::Comm& c) {
+          const int r = c.rank();
+          fill_owned(r);
+          halo.send(c, work[r]);
+        },
+        halo.round());
     rt.superstep(phase, [&](par::Comm& c) {
       const int r = c.rank();
-      fill_owned(r);
-      halo.send(c, work[r]);
-    });
-    rt.superstep(phase, [&](par::Comm& c) {
-      const int r = c.rank();
-      halo.recv(c, work[r]);
+      halo.recv(r, work[r]);
       a.local[r].matvec(work[r], y[r]);
       c.charge(par::WorkKind::kSpmvFlop,
                2.0 * static_cast<double>(a.local[r].nnz()));

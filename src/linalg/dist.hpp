@@ -118,9 +118,9 @@ SolveResult dist_bicgstab(par::Runtime& rt, const std::string& phase,
 /// One halo exchange (two supersteps): ships owned values listed in send
 /// plans, fills halo slots. `local` holds per-rank vectors of local_size
 /// (owned then halo); the owned prefix must be filled on entry, the halo
-/// suffix is filled on return. Messages carry only their accounted size
-/// (Comm::send_sized); throws dsmcpic::Error when a rank's inbox does not
-/// match its receive plans in count, peer or size.
+/// suffix is filled on return. The messages are one payload-free
+/// par::MessageRound built from the send plans; throws dsmcpic::Error when
+/// the send plans do not answer every receive plan in peer, slot and count.
 void halo_exchange(par::Runtime& rt, const std::string& phase,
                    const DistLayout& layout,
                    std::vector<std::vector<double>>& local);

@@ -44,17 +44,9 @@ std::vector<std::byte> Comm::acquire_payload(std::size_t nbytes) {
 
 void Comm::send_owned(int dst, int tag, std::vector<std::byte>&& payload,
                       CostClass cls) {
-  const std::size_t nbytes = payload.size();
-  stage(dst, tag, nbytes, std::move(payload), cls);
-}
-
-void Comm::send_sized(int dst, int tag, std::size_t nbytes, CostClass cls) {
-  stage(dst, tag, nbytes, {}, cls);
-}
-
-void Comm::stage(int dst, int tag, std::size_t nbytes,
-                 std::vector<std::byte>&& payload, CostClass cls) {
   DSMCPIC_CHECK_MSG(rt_->in_superstep_, "send() outside a superstep");
+  DSMCPIC_CHECK_MSG(!rt_->round_,
+                    "send() in a round superstep (the round is its messages)");
   DSMCPIC_CHECK_MSG(dst >= 0 && dst < rt_->active_,
                     "bad destination rank " << dst << " (active set is [0, "
                                             << rt_->active_ << "))");
@@ -63,7 +55,6 @@ void Comm::stage(int dst, int tag, std::size_t nbytes,
   m.dst = dst;
   m.tag = tag;
   m.byte_scale = rt_->scale_of(cls);
-  m.bytes = nbytes;
   m.payload = std::move(payload);
   // Sender-private buffer: safe under concurrent superstep bodies.
   rt_->staged_[rank_].push_back(std::move(m));
@@ -81,6 +72,18 @@ void Comm::charge_comm_seconds(double seconds) {
 
 double Comm::alpha_to(int peer) const {
   return rt_->topo_.alpha(rank_, peer);
+}
+
+// ---- MessageRound -----------------------------------------------------------
+
+void MessageRound::add(int src, int dst, std::size_t nbytes) {
+  DSMCPIC_CHECK_MSG(src >= 0 && dst >= 0,
+                    "bad round message " << src << " -> " << dst);
+  DSMCPIC_CHECK_MSG(sends_.empty() || src >= sends_.back().src,
+                    "round sender " << src << " added after sender "
+                                    << sends_.back().src);
+  sends_.push_back({src, dst, nbytes});
+  ranks_ = std::max({ranks_, src + 1, dst + 1});
 }
 
 // ---- Runtime ----------------------------------------------------------------
@@ -253,62 +256,6 @@ PoolStats Runtime::pool_stats() const {
   return s;
 }
 
-void Runtime::superstep(const std::string& phase,
-                        const std::function<void(Comm&)>& fn) {
-  // The phase id is registered here, on the driver thread, before any body
-  // runs: Comm::charge on worker threads only ever *reads* the id, so the
-  // phase registry map is never mutated concurrently.
-  const int pid = phase_id(phase);
-  // Deliver messages produced in the previous superstep. swap (not move +
-  // clear) so pending_ keeps its vector capacity — steady-state supersteps
-  // reuse the same Message arrays without reallocating. Only the active
-  // prefix can hold messages (send_owned rejects parked destinations).
-  for (int r = 0; r < active_; ++r) std::swap(inbox_[r], pending_[r]);
-
-  if (tracer_) {
-    trace_seq_ = tracer_->next_seq();
-    trace_pre_ = clocks_;
-    for (auto& w : trace_work_) w.fill(0.0);
-  }
-
-  in_superstep_ = true;
-  current_phase_for_comm_ = pid;
-  for (int r = 0; r < active_; ++r) staged_[r].clear();
-  if (pool_) {
-    // Each rank writes only its own slots (clock, busy row entry, staging
-    // buffer, its caller-side state), so the dynamic schedule cannot change
-    // any result. parallel_for's join orders all writes before the merge.
-    // Parked ranks are not dispatched at all: O(active) per superstep.
-    pool_->parallel_for(active_, [&](int r) {
-      Comm c(this, r);
-      fn(c);
-    });
-  } else {
-    for (int r = 0; r < active_; ++r) {
-      Comm c(this, r);
-      fn(c);
-    }
-  }
-  in_superstep_ = false;
-  if (tracer_) {
-    trace_spans_since(trace_pre_, pid, trace::SpanKind::kCompute, trace_seq_,
-                      /*with_work=*/true);
-    trace_mid_ = clocks_;
-  }
-  route_messages(pid);
-  if (tracer_)
-    trace_spans_since(trace_mid_, pid, trace::SpanKind::kComm, trace_seq_,
-                      /*with_work=*/false);
-  // Consumed inboxes: recycle each payload back to its SENDER's pool (the
-  // rank that will size a like payload next step), in deterministic
-  // dst-major, src-major order, on the driver thread.
-  for (int r = 0; r < active_; ++r) {
-    for (Message& m : inbox_[r]) pool_recycle(m.src, std::move(m.payload));
-    inbox_[r].clear();
-  }
-  ++supersteps_;
-}
-
 std::size_t Runtime::staged_count() const {
   std::size_t n = 0;
   // Parked ranks never run a body, so only the active prefix can stage.
@@ -322,65 +269,56 @@ std::size_t Runtime::undelivered_messages() const {
   return n;
 }
 
-void Runtime::route_messages(int phase) {
+template <typename Visit>
+void Runtime::route(int phase, std::size_t count, const Visit& visit) {
   const std::uint64_t hint = congestion_hint_;
   congestion_hint_ = 0;  // one-shot
-  apply_nic_serialization(phase, hint);
-  const std::size_t staged = staged_count();
-  if (staged == 0) return;
+  apply_nic_serialization(phase, hint, visit);
+  if (count == 0) return;
   const MachineProfile& prof = topo_.profile();
   // Congestion: extra latency when a routing round carries many concurrent
   // transactions per node (switch/NIC pressure); this is what separates the
   // distributed N(N-1)-transaction strategy from the centralized 2N one at
   // scale (paper Sec. IV-B3, Fig. 11).
   const double round_transactions =
-      hint ? static_cast<double>(hint) : static_cast<double>(staged);
+      hint ? static_cast<double>(hint) : static_cast<double>(count);
   const double per_node = round_transactions / std::max(1, active_nodes());
   const double congestion_mult = 1.0 + prof.congestion * per_node;
 
-  // Merge the per-sender buffers in (src rank, send order): each inbox
-  // receives its messages sorted by source rank, ties broken by the order
-  // the source sent them. This is a documented guarantee (par_test
-  // InboxOrderingIsSrcMajorSendOrder) and matches what the sequential
-  // 0..N-1 execution produced before per-rank staging existed. Only the
-  // active prefix can have staged sends.
-  for (int src = 0; src < active_; ++src) {
-    auto& buf = staged_[src];
-    for (Message& m : buf) {
-      const double bytes = static_cast<double>(m.bytes) * m.byte_scale;
-      const double cost =
-          topo_.alpha(m.src, m.dst) * congestion_mult + bytes * prof.beta;
-      const double send_begin = clocks_[m.src];
-      const double recv_begin = clocks_[m.dst];
-      // Rendezvous: both endpoints are busy for the transfer.
-      clocks_[m.src] += cost;
-      charge_busy(m.src, phase, cost);
-      clocks_[m.dst] += cost;
-      charge_busy(m.dst, phase, cost);
-      phase_transactions_[phase] += 1;
-      phase_bytes_[phase] += bytes;
-      if (tracer_) {
-        trace::MessageRec rec;
-        rec.src = m.src;
-        rec.dst = m.dst;
-        rec.tag = m.tag;
-        rec.bytes = m.bytes;
-        rec.scaled_bytes = bytes;
-        rec.send_begin = send_begin;
-        rec.send_end = clocks_[m.src];
-        rec.recv_begin = recv_begin;
-        rec.recv_end = clocks_[m.dst];
-        rec.phase = trace_phase(phase);
-        rec.seq = trace_seq_;
-        tracer_->add_message(std::move(rec));
-      }
-      pending_[m.dst].push_back(std::move(m));
+  visit([&](int src, int dst, int tag, std::size_t nbytes, double scale) {
+    const double bytes = static_cast<double>(nbytes) * scale;
+    const double cost =
+        topo_.alpha(src, dst) * congestion_mult + bytes * prof.beta;
+    const double send_begin = clocks_[src];
+    const double recv_begin = clocks_[dst];
+    // Rendezvous: both endpoints are busy for the transfer.
+    clocks_[src] += cost;
+    charge_busy(src, phase, cost);
+    clocks_[dst] += cost;
+    charge_busy(dst, phase, cost);
+    phase_transactions_[phase] += 1;
+    phase_bytes_[phase] += bytes;
+    if (tracer_) {
+      trace::MessageRec rec;
+      rec.src = src;
+      rec.dst = dst;
+      rec.tag = tag;
+      rec.bytes = nbytes;
+      rec.scaled_bytes = bytes;
+      rec.send_begin = send_begin;
+      rec.send_end = clocks_[src];
+      rec.recv_begin = recv_begin;
+      rec.recv_end = clocks_[dst];
+      rec.phase = trace_phase(phase);
+      rec.seq = trace_seq_;
+      tracer_->add_message(std::move(rec));
     }
-    buf.clear();
-  }
+  });
 }
 
-void Runtime::apply_nic_serialization(int phase, std::uint64_t hint) {
+template <typename Visit>
+void Runtime::apply_nic_serialization(int phase, std::uint64_t hint,
+                                      const Visit& visit) {
   const MachineProfile& prof = topo_.profile();
   if (prof.nic_overhead <= 0.0) return;
   const int ppn = prof.cores_per_node;
@@ -403,15 +341,13 @@ void Runtime::apply_nic_serialization(int phase, std::uint64_t hint) {
     const double per_node = static_cast<double>(hint) * inter_share / nodes;
     std::fill(nic_load_.begin(), nic_load_.end(), per_node);
   } else {
-    for (int src = 0; src < active_; ++src) {
+    visit([&](int src, int dst, int, std::size_t, double) {
       const int ns = src / ppn;
-      for (const Message& m : staged_[src]) {
-        const int nd = m.dst / ppn;
-        if (ns == nd) continue;
-        nic_load_[ns] += 1.0;
-        nic_load_[nd] += 1.0;
-      }
-    }
+      const int nd = dst / ppn;
+      if (ns == nd) return;
+      nic_load_[ns] += 1.0;
+      nic_load_[nd] += 1.0;
+    });
   }
 
   for (int node = 0; node < nodes; ++node) {
@@ -425,6 +361,102 @@ void Runtime::apply_nic_serialization(int phase, std::uint64_t hint) {
       charge_busy(r, phase, t);
     }
   }
+}
+
+void Runtime::superstep(const std::string& phase,
+                        const std::function<void(Comm&)>& fn) {
+  run_superstep(phase, fn, nullptr);
+}
+
+void Runtime::superstep(const std::string& phase,
+                        const std::function<void(Comm&)>& fn,
+                        const MessageRound& round) {
+  DSMCPIC_CHECK_MSG(round.ranks_ <= active_,
+                    "round names rank " << round.ranks_ - 1
+                                        << " outside the active set [0, "
+                                        << active_ << ")");
+  run_superstep(phase, fn, &round);
+}
+
+void Runtime::run_superstep(const std::string& phase,
+                            const std::function<void(Comm&)>& fn,
+                            const MessageRound* round) {
+  // The phase id is registered here, on the driver thread, before any body
+  // runs: Comm::charge on worker threads only ever *reads* the id, so the
+  // phase registry map is never mutated concurrently.
+  const int pid = phase_id(phase);
+  // Deliver messages produced in the previous superstep. swap (not move +
+  // clear) so pending_ keeps its vector capacity — steady-state supersteps
+  // reuse the same Message arrays without reallocating. Only the active
+  // prefix can hold messages (send_owned rejects parked destinations).
+  for (int r = 0; r < active_; ++r) std::swap(inbox_[r], pending_[r]);
+
+  if (tracer_) {
+    trace_seq_ = tracer_->next_seq();
+    trace_pre_ = clocks_;
+    for (auto& w : trace_work_) w.fill(0.0);
+  }
+
+  in_superstep_ = true;
+  round_ = round;
+  current_phase_for_comm_ = pid;
+  for (int r = 0; r < active_; ++r) staged_[r].clear();
+  if (pool_) {
+    // Each rank writes only its own slots (clock, busy row entry, staging
+    // buffer, its caller-side state), so the dynamic schedule cannot change
+    // any result. parallel_for's join orders all writes before the merge.
+    // Parked ranks are not dispatched at all: O(active) per superstep.
+    pool_->parallel_for(active_, [&](int r) {
+      Comm c(this, r);
+      fn(c);
+    });
+  } else {
+    for (int r = 0; r < active_; ++r) {
+      Comm c(this, r);
+      fn(c);
+    }
+  }
+  in_superstep_ = false;
+  round_ = nullptr;
+  if (tracer_) {
+    trace_spans_since(trace_pre_, pid, trace::SpanKind::kCompute, trace_seq_,
+                      /*with_work=*/true);
+    trace_mid_ = clocks_;
+  }
+  if (round) {
+    const double scale = scale_of(round->cls_);
+    route(pid, round->sends_.size(), [round, scale](auto&& f) {
+      for (const MessageRound::Send& s : round->sends_)
+        f(s.src, s.dst, round->tag_, s.nbytes, scale);
+    });
+  } else {
+    // Merge the per-sender buffers in (src rank, send order): each inbox
+    // receives its messages sorted by source rank, ties broken by the order
+    // the source sent them. This is a documented guarantee (par_test
+    // InboxOrderingIsSrcMajorSendOrder) and matches what the sequential
+    // 0..N-1 execution produced before per-rank staging existed. Only the
+    // active prefix can have staged sends.
+    route(pid, staged_count(), [this](auto&& f) {
+      for (int src = 0; src < active_; ++src)
+        for (const Message& m : staged_[src])
+          f(m.src, m.dst, m.tag, m.payload.size(), m.byte_scale);
+    });
+    for (int src = 0; src < active_; ++src) {
+      for (Message& m : staged_[src]) pending_[m.dst].push_back(std::move(m));
+      staged_[src].clear();
+    }
+  }
+  if (tracer_)
+    trace_spans_since(trace_mid_, pid, trace::SpanKind::kComm, trace_seq_,
+                      /*with_work=*/false);
+  // Consumed inboxes: recycle each payload back to its SENDER's pool (the
+  // rank that will size a like payload next step), in deterministic
+  // dst-major, src-major order, on the driver thread.
+  for (int r = 0; r < active_; ++r) {
+    for (Message& m : inbox_[r]) pool_recycle(m.src, std::move(m.payload));
+    inbox_[r].clear();
+  }
+  ++supersteps_;
 }
 
 void Runtime::sync_clocks(double extra_cost_per_rank, int phase) {
@@ -674,6 +706,10 @@ void Runtime::load(std::istream& is) {
     phase_ids_.emplace(name, static_cast<int>(i));
     phase_names_.push_back(name);
     busy_.push_back(io::read_vec<double>(is));
+    DSMCPIC_CHECK_MSG(static_cast<int>(busy_.back().size()) == nranks_,
+                      "checkpoint busy row of phase '"
+                          << name << "' holds " << busy_.back().size()
+                          << " ranks, not " << nranks_);
     phase_transactions_.push_back(io::read_pod<std::uint64_t>(is));
     phase_bytes_.push_back(io::read_pod<double>(is));
   }

@@ -68,10 +68,6 @@ struct Message {
   int dst = -1;
   int tag = 0;
   double byte_scale = 1.0;  // cost-model multiplier for the payload bytes
-  // Accounted payload bytes: what routing, phase bytes and trace records
-  // charge for. Equals payload.size() for data messages; a
-  // Comm::send_sized message carries no payload but the same accounting.
-  std::size_t bytes = 0;
   std::vector<std::byte> payload;
 
   /// Reinterprets the payload as an array of trivially copyable T.
@@ -98,6 +94,34 @@ struct Message {
 
 class Runtime;
 
+/// A fixed round of payload-free messages, built once by the caller and
+/// routed by Runtime::superstep(phase, fn, round) after the bodies ran,
+/// exactly as if each sender had sent payloads of the accounted sizes in
+/// this order: same NIC serialization, congestion, clocks, busy rows, phase
+/// bytes and trace records. Nothing is delivered — the data moves through
+/// caller-owned buffers (linalg's halo exchanger) — so a round creates,
+/// queues and recycles no Message.
+class MessageRound {
+ public:
+  MessageRound(int tag, CostClass cls) : tag_(tag), cls_(cls) {}
+
+  /// Appends `src`'s next message: `nbytes` accounted bytes to `dst`.
+  /// Senders must be added in ascending order (the runtime's routing order).
+  void add(int src, int dst, std::size_t nbytes);
+
+ private:
+  friend class Runtime;
+  struct Send {
+    int src;
+    int dst;
+    std::size_t nbytes;
+  };
+  int tag_;
+  CostClass cls_;
+  std::vector<Send> sends_;
+  int ranks_ = 0;  // one past the highest rank named
+};
+
 /// Per-rank handle passed to superstep bodies.
 class Comm {
  public:
@@ -116,13 +140,6 @@ class Comm {
 
   /// Move-sends an owned byte buffer (no copy; hot paths).
   void send_owned(int dst, int tag, std::vector<std::byte>&& payload,
-                  CostClass cls = CostClass::kParticle);
-
-  /// Sends a message that carries no payload but is costed exactly like a
-  /// payload of `nbytes` bytes (routing, NIC model, phase bytes, trace
-  /// records). For protocols whose data moves through rank-indexed shared
-  /// buffers instead, e.g. linalg's halo exchanger.
-  void send_sized(int dst, int tag, std::size_t nbytes,
                   CostClass cls = CostClass::kParticle);
 
   /// Builds a byte buffer from trivially copyable elements and move-sends it.
@@ -169,8 +186,6 @@ class Comm {
  private:
   friend class Runtime;
   Comm(Runtime* rt, int rank) : rt_(rt), rank_(rank) {}
-  void stage(int dst, int tag, std::size_t nbytes,
-             std::vector<std::byte>&& payload, CostClass cls);
   Runtime* rt_;
   int rank_;
 };
@@ -251,6 +266,13 @@ class Runtime {
   /// land in a private per-rank buffer, and routing merges the buffers in
   /// (src rank, send order) — exactly the sequential schedule's order.
   void superstep(const std::string& phase, const std::function<void(Comm&)>& fn);
+
+  /// A superstep whose messages are the fixed `round`: bodies must send
+  /// nothing (a send throws dsmcpic::Error), and the round is routed under
+  /// `phase` through the same routine as sent messages, consuming a pending
+  /// congestion hint likewise. Every rank it names must be active.
+  void superstep(const std::string& phase, const std::function<void(Comm&)>& fn,
+                 const MessageRound& round);
 
   /// Overrides the transaction count used for the congestion term of the
   /// NEXT routing round (one-shot). The distributed exchange performs
@@ -363,7 +385,13 @@ class Runtime {
   int phase_id(const std::string& phase);
   void charge_busy(int rank, int phase, double seconds);
   void sync_clocks(double extra_cost_per_rank, int phase);
-  void route_messages(int phase);
+  void run_superstep(const std::string& phase,
+                     const std::function<void(Comm&)>& fn,
+                     const MessageRound* round);
+  /// Routes one round's messages, given as `visit(f)` calling
+  /// f(src, dst, tag, nbytes, byte_scale) in (src, send order).
+  template <typename Visit>
+  void route(int phase, std::size_t count, const Visit& visit);
   /// Interns runtime phase `pid` into the attached recorder (cached).
   int trace_phase(int pid);
   /// Emits one span per rank for clock movement since `pre` (tracer only).
@@ -372,7 +400,9 @@ class Runtime {
                          bool with_work);
   /// Charges the per-node NIC serialization of this routing round (see
   /// MachineProfile::nic_overhead).
-  void apply_nic_serialization(int phase, std::uint64_t hint);
+  template <typename Visit>
+  void apply_nic_serialization(int phase, std::uint64_t hint,
+                               const Visit& visit);
   double tree_stages() const;
   std::size_t staged_count() const;
   /// Pops the best-fit buffer (smallest capacity >= nbytes) from `rank`'s
@@ -418,6 +448,7 @@ class Runtime {
   std::vector<double> nic_load_;  // per-node scratch (apply_nic_serialization)
   std::uint64_t supersteps_ = 0;
   bool in_superstep_ = false;
+  const MessageRound* round_ = nullptr;  // the round superstep in flight
   int current_phase_for_comm_ = -1;
   std::uint64_t congestion_hint_ = 0;  // one-shot; 0 = use staged count
 

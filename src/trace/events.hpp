@@ -47,7 +47,7 @@ struct Span {
 /// during the routing round (rendezvous: both endpoints pay).
 struct MessageRec {
   int src = -1, dst = -1, tag = 0;
-  std::uint64_t bytes = 0;    // accounted payload bytes (par::Message::bytes)
+  std::uint64_t bytes = 0;    // payload bytes; a round's accounted size
   double scaled_bytes = 0.0;  // cost-model bytes (payload x cost-class scale)
   double send_begin = 0.0, send_end = 0.0;  // on src's clock
   double recv_begin = 0.0, recv_end = 0.0;  // on dst's clock

@@ -5,8 +5,12 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
+#include <string>
+#include <vector>
 
 #include "core/autotune.hpp"
 #include "core/datasets.hpp"
@@ -136,6 +140,61 @@ TEST(Checkpoint, RejectsGarbageFile) {
   }
   CoupledSolver solver(tiny_config(), tiny_parallel(2));
   EXPECT_THROW(solver.restore_checkpoint(path), Error);
+  std::filesystem::remove(path);
+}
+
+// A checkpoint whose owner array names a rank outside the active set, or
+// whose Eq.-6 load window does not hold one entry per rank, must be refused
+// with a typed error, not indexed out of bounds by the restored solver.
+TEST(Checkpoint, RejectsCorruptOwnersAndLoadWindows) {
+  const std::string path = temp_path("dsmcpic_ckpt_corrupt.bin");
+  const ParallelConfig par = tiny_parallel(3);
+  std::vector<double> poisson_busy;
+  {
+    CoupledSolver solver(tiny_config(), par);
+    solver.run(2);
+    solver.save_checkpoint(path);
+    poisson_busy = solver.runtime().phase_busy(phases::kPoissonSolve);
+  }
+  std::string saved;
+  {
+    std::ifstream is(path, std::ios::binary);
+    saved.assign(std::istreambuf_iterator<char>(is), {});
+  }
+  auto restore = [&](const std::string& bytes) {
+    {
+      std::ofstream os(path, std::ios::binary | std::ios::trunc);
+      os.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+    }
+    CoupledSolver solver(tiny_config(), par);
+    solver.restore_checkpoint(path);
+  };
+  EXPECT_NO_THROW(restore(saved));
+
+  // owner[0] sits after the header (magic, version, fingerprint), the two
+  // step counters and the owner array's u64 length.
+  constexpr std::size_t kOwner0 = 8 + 4 + 8 + 4 + 4 + 8;
+  for (const std::int32_t bad : {3, -1}) {
+    std::string patched = saved;
+    std::memcpy(patched.data() + kOwner0, &bad, sizeof(bad));
+    EXPECT_THROW(restore(patched), Error) << "owner " << bad;
+  }
+
+  // The Poisson window is the Poisson busy row as of the step's rebalance
+  // check, and nothing charges that phase afterwards: it is the first copy
+  // of that row in the file. Drop its last entry, keeping the file aligned.
+  ASSERT_EQ(poisson_busy.size(), 3u);
+  std::string row(sizeof(std::uint64_t) + 3 * sizeof(double), '\0');
+  const std::uint64_t n = 3;
+  std::memcpy(row.data(), &n, sizeof(n));
+  std::memcpy(row.data() + sizeof(n), poisson_busy.data(), 3 * sizeof(double));
+  const std::size_t at = saved.find(row);
+  ASSERT_NE(at, std::string::npos);
+  std::string patched = saved;
+  const std::uint64_t shorter = 2;
+  std::memcpy(patched.data() + at, &shorter, sizeof(shorter));
+  patched.erase(at + sizeof(n) + 2 * sizeof(double), sizeof(double));
+  EXPECT_THROW(restore(patched), Error);
   std::filesystem::remove(path);
 }
 

@@ -215,6 +215,12 @@ TEST(Dist, HaloExchangeFillsGhosts) {
     for (std::size_t h = 0; h < l.halo[r].size(); ++h)
       EXPECT_DOUBLE_EQ(local[r][l.owned[r].size() + h],
                        static_cast<double>(l.halo[r][h]));
+  // One routed message per send plan, none queued and no payload pooled.
+  std::size_t plans = 0;
+  for (const auto& sp : l.send_plan) plans += sp.size();
+  EXPECT_EQ(rt.phase_stats("halo").transactions, plans);
+  EXPECT_EQ(rt.undelivered_messages(), 0u);
+  EXPECT_EQ(rt.pool_stats().acquires, 0u);
 }
 
 /// Builds the round-robin layout of an n-row 1-D Laplace matrix on `nranks`
@@ -259,6 +265,25 @@ TEST(Dist, HaloRejectsMismatchedMessage) {
                                     l.send_plan[2].insert(l.send_plan[2].begin(),
                                                           l.send_plan[1][0]);
                                     l.send_plan[1].erase(l.send_plan[1].begin());
+                                  }),
+               Error);
+}
+
+TEST(Dist, HaloRejectsMisplacedSlots) {
+  // Right peer and count, wrong slot: rank 0 would read rank 1's values
+  // one slot off.
+  EXPECT_THROW(halo_exchange_with(3, 12,
+                                  [](DistLayout& l) {
+                                    ASSERT_EQ(l.recv_plan[0][0].peer, 1);
+                                    ++l.recv_plan[0][0].slot;
+                                  }),
+               Error);
+  // Matching plans, but one halo value listed twice and another never.
+  EXPECT_THROW(halo_exchange_with(3, 12,
+                                  [](DistLayout& l) {
+                                    const auto s = l.recv_plan[0][0].slot;
+                                    ASSERT_GT(l.recv_plan[0][0].count, 1u);
+                                    l.recv_idx[s] = l.recv_idx[s + 1];
                                   }),
                Error);
 }

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cstring>
 #include <numeric>
+#include <sstream>
+#include <string>
 #include <tuple>
 #include <vector>
 
@@ -397,42 +399,51 @@ TEST(Runtime, PayloadPoolStopsAllocatingInSteadyState) {
   EXPECT_GT(steady.recycles, warm.recycles);
 }
 
-// A payload-free message of an accounted size (Comm::send_sized) must be
-// indistinguishable from a real payload of that size in every accounted
-// number: clocks, phase stats and trace message records, on the per-message
-// NIC-serialization path and on the hinted congestion path alike.
-TEST(Runtime, AccountedSizeMessagesMatchPayloadMessages) {
+// A MessageRound must be indistinguishable from the same messages sent as
+// pooled payloads in every accounted number — clocks, busy rows, phase
+// stats and trace message records — on the per-message NIC-serialization
+// path and on the hinted congestion path, under both exec modes. It queues
+// nothing for delivery and touches no payload pool.
+TEST(Runtime, RoundMatchesPooledPayloadMessages) {
   struct Outcome {
     std::vector<double> clocks;
     std::vector<PhaseStats> stats;
     std::vector<std::vector<double>> busy;
     std::vector<trace::MessageRec> msgs;
+    PoolStats pool;
   };
-  auto run = [](bool sized, bool hinted, bool nic = true) {
+  // Rank r's k-th message carries 24 r k bytes to rank r + k + 1 (mod 6).
+  auto dst_of = [](int r, int k) { return (r + k + 1) % 6; };
+  auto bytes_of = [](int r, int k) {
+    return 24 * static_cast<std::size_t>(r * k);
+  };
+  auto run = [&](bool as_round, bool hinted, ExecMode mode, bool nic = true) {
     MachineProfile prof = MachineProfile::tianhe2();
     prof.cores_per_node = 2;  // 6 ranks on 3 nodes: inter-node NIC traffic
     if (!nic) prof.nic_overhead = 0.0;
-    Runtime rt(6, Topology(prof, 6), 3.0, 2.0);
+    Runtime rt(6, Topology(prof, 6), 3.0, 2.0, ExecOptions{mode, 3});
     trace::TraceRecorder rec(6);
     rt.set_tracer(&rec);
+    MessageRound round(/*tag=*/7, CostClass::kGrid);
+    for (int r = 0; r < 6; ++r)
+      for (int k = 0; k < 4; ++k) round.add(r, dst_of(r, k), bytes_of(r, k));
     if (hinted) rt.hint_round_transactions(30);
-    rt.superstep("round", [&](Comm& c) {
+    const auto body = [&](Comm& c) {
       for (int k = 0; k < 4; ++k) {
-        const int dst = (c.rank() + k + 1) % c.size();
-        const std::size_t nbytes = 24 * static_cast<std::size_t>(c.rank() * k);
-        const CostClass cls = (k % 2) ? CostClass::kGrid : CostClass::kParticle;
+        const std::size_t nbytes = bytes_of(c.rank(), k);
         c.charge(WorkKind::kPackByte, static_cast<double>(nbytes));
-        if (sized)
-          c.send_sized(dst, k, nbytes, cls);
-        else
-          c.send_owned(dst, k, c.acquire_payload(nbytes), cls);
+        if (!as_round)
+          c.send_owned(dst_of(c.rank(), k), 7, c.acquire_payload(nbytes),
+                       CostClass::kGrid);
       }
-    });
+    };
+    if (as_round)
+      rt.superstep("round", body, round);
+    else
+      rt.superstep("round", body);
+    EXPECT_EQ(rt.undelivered_messages(), as_round ? 0u : 24u);
     rt.superstep("drain", [&](Comm& c) {
-      for (const Message& m : c.inbox()) {
-        EXPECT_EQ(m.bytes, 24 * static_cast<std::size_t>(m.src * m.tag));
-        EXPECT_EQ(m.payload.size(), sized ? 0u : m.bytes);
-      }
+      EXPECT_EQ(c.inbox().size(), as_round ? 0u : 4u);
     });
     rt.barrier("end");
     Outcome o;
@@ -442,36 +453,98 @@ TEST(Runtime, AccountedSizeMessagesMatchPayloadMessages) {
       o.busy.push_back(rt.phase_busy(p));
     }
     o.msgs = rec.messages();
+    o.pool = rt.pool_stats();
     return o;
   };
   for (const bool hinted : {false, true}) {
     SCOPED_TRACE(hinted ? "hinted round" : "NIC-serialized round");
-    const Outcome a = run(/*sized=*/true, hinted);
-    const Outcome b = run(/*sized=*/false, hinted);
-    EXPECT_EQ(a.clocks, b.clocks);
-    EXPECT_EQ(a.busy, b.busy);
-    ASSERT_EQ(a.stats.size(), b.stats.size());
-    for (std::size_t i = 0; i < a.stats.size(); ++i) {
-      EXPECT_EQ(a.stats[i].busy_max, b.stats[i].busy_max);
-      EXPECT_EQ(a.stats[i].busy_min, b.stats[i].busy_min);
-      EXPECT_EQ(a.stats[i].busy_sum, b.stats[i].busy_sum);
-      EXPECT_EQ(a.stats[i].transactions, b.stats[i].transactions);
-      EXPECT_EQ(a.stats[i].bytes, b.stats[i].bytes);
-    }
-    ASSERT_EQ(a.msgs.size(), 24u);
-    ASSERT_EQ(a.msgs.size(), b.msgs.size());
-    for (std::size_t i = 0; i < a.msgs.size(); ++i) {
-      const trace::MessageRec& x = a.msgs[i];
-      const trace::MessageRec& y = b.msgs[i];
-      EXPECT_EQ(std::tie(x.src, x.dst, x.tag, x.bytes, x.phase, x.seq),
-                std::tie(y.src, y.dst, y.tag, y.bytes, y.phase, y.seq));
-      EXPECT_EQ(std::tie(x.scaled_bytes, x.send_begin, x.send_end,
-                         x.recv_begin, x.recv_end),
-                std::tie(y.scaled_bytes, y.send_begin, y.send_end,
-                         y.recv_begin, y.recv_end));
+    const Outcome b = run(/*as_round=*/false, hinted, ExecMode::kSequential);
+    EXPECT_EQ(b.pool.acquires, 24u);
+    for (const ExecMode mode : {ExecMode::kSequential, ExecMode::kThreaded}) {
+      SCOPED_TRACE(exec_mode_name(mode));
+      const Outcome a = run(/*as_round=*/true, hinted, mode);
+      EXPECT_EQ(a.pool.acquires, 0u);
+      EXPECT_EQ(a.pool.recycles, 0u);
+      EXPECT_EQ(a.clocks, b.clocks);
+      EXPECT_EQ(a.busy, b.busy);
+      ASSERT_EQ(a.stats.size(), b.stats.size());
+      for (std::size_t i = 0; i < a.stats.size(); ++i) {
+        EXPECT_EQ(a.stats[i].busy_max, b.stats[i].busy_max);
+        EXPECT_EQ(a.stats[i].busy_min, b.stats[i].busy_min);
+        EXPECT_EQ(a.stats[i].busy_sum, b.stats[i].busy_sum);
+        EXPECT_EQ(a.stats[i].transactions, b.stats[i].transactions);
+        EXPECT_EQ(a.stats[i].bytes, b.stats[i].bytes);
+      }
+      ASSERT_EQ(a.msgs.size(), 24u);
+      ASSERT_EQ(a.msgs.size(), b.msgs.size());
+      for (std::size_t i = 0; i < a.msgs.size(); ++i) {
+        const trace::MessageRec& x = a.msgs[i];
+        const trace::MessageRec& y = b.msgs[i];
+        EXPECT_EQ(std::tie(x.src, x.dst, x.tag, x.bytes, x.phase, x.seq),
+                  std::tie(y.src, y.dst, y.tag, y.bytes, y.phase, y.seq));
+        EXPECT_EQ(std::tie(x.scaled_bytes, x.send_begin, x.send_end,
+                           x.recv_begin, x.recv_end),
+                  std::tie(y.scaled_bytes, y.send_begin, y.send_end,
+                           y.recv_begin, y.recv_end));
+      }
     }
     // The NIC term is live on this path: without it the clocks differ.
-    EXPECT_NE(run(/*sized=*/true, hinted, /*nic=*/false).clocks, a.clocks);
+    EXPECT_NE(run(true, hinted, ExecMode::kSequential, /*nic=*/false).clocks,
+              b.clocks);
+  }
+}
+
+TEST(Runtime, RoundSuperstepRejectsSendsAndBadRanks) {
+  for (const ExecMode mode : {ExecMode::kSequential, ExecMode::kThreaded}) {
+    SCOPED_TRACE(exec_mode_name(mode));
+    Runtime rt(4, Topology(MachineProfile::tianhe2(), 4), 1.0, 1.0,
+               ExecOptions{mode, 3});
+    MessageRound round(0, CostClass::kGrid);
+    round.add(0, 1, 8);
+    round.add(2, 3, 8);
+    // The round is the superstep's messages: a body may not add its own.
+    const auto sends = [](Comm& c) {
+      if (c.rank() == 1) c.send_pod<int>(0, 0, std::vector<int>{1});
+    };
+    EXPECT_THROW(rt.superstep("bad", sends, round), Error);
+  }
+  MessageRound round(0, CostClass::kGrid);
+  round.add(1, 0, 8);
+  EXPECT_THROW(round.add(0, 1, 8), Error) << "senders must ascend";
+  EXPECT_THROW(round.add(1, -1, 8), Error);
+  round.add(3, 0, 8);
+  Runtime rt = make_runtime(4);
+  rt.set_active_ranks(3);
+  EXPECT_THROW(rt.superstep("parked", [](Comm&) {}, round), Error)
+      << "rank 3 is parked";
+}
+
+// A busy row shorter or longer than the rank count would let the next
+// charge write past it; load rejects it instead.
+TEST(Runtime, LoadRejectsBusyRowOfWrongLength) {
+  Runtime a = make_runtime(4);
+  a.superstep("work", [](Comm& c) {
+    c.charge(WorkKind::kMove, 1e6 * (c.rank() + 1));
+  });
+  std::stringstream ss;
+  a.save(ss);
+  const std::string saved = ss.str();
+  {
+    std::istringstream is(saved);
+    Runtime b = make_runtime(4);
+    EXPECT_NO_THROW(b.load(is));
+  }
+  // The row's u64 length follows the phase name.
+  const std::size_t at = saved.find("work") + 4;
+  std::uint64_t len = 0;
+  std::memcpy(&len, saved.data() + at, sizeof(len));
+  ASSERT_EQ(len, 4u);
+  for (const std::uint64_t bad : {std::uint64_t{3}, std::uint64_t{5}}) {
+    std::string patched = saved;
+    std::memcpy(patched.data() + at, &bad, sizeof(bad));
+    std::istringstream is(patched);
+    Runtime b = make_runtime(4);
+    EXPECT_THROW(b.load(is), Error) << "row of " << bad;
   }
 }
 
