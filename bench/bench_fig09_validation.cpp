@@ -99,7 +99,9 @@ int main(int argc, char** argv) {
   {
     core::SolverConfig cfg = ds.config;
     cfg.seed = opt.seed;
-    core::CoupledSolver serial_solver(cfg, {.nranks = 1});
+    core::ParallelConfig spar;
+    spar.nranks = 1;
+    core::CoupledSolver serial_solver(cfg, spar);
     core::ParallelConfig ppar;
     ppar.nranks = opt.ranks.front();
     ppar.balance.period = 10;

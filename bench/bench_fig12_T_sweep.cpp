@@ -20,7 +20,7 @@ int main(int argc, char** argv) {
   const auto* t_list = cli.add_string("T", "5,10,20", "T values to sweep");
   if (!bench::parse_or_usage(cli, argc, argv)) return 0;
   const BenchOptions opt = bench::finish_or_usage([&] { return common.finish(); });
-  const std::vector<int> periods = bench::parse_rank_list(*t_list);
+  const std::vector<int> periods = bench::parse_rank_list(*t_list, "T");
 
   const core::Dataset ds = core::make_dataset(2, opt.particle_scale);
 

@@ -19,7 +19,8 @@ int main(int argc, char** argv) {
   const auto* ds_list = cli.add_string("datasets", "2,4,5,6", "dataset ids");
   if (!bench::parse_or_usage(cli, argc, argv)) return 0;
   const BenchOptions base_opt = bench::finish_or_usage([&] { return common.finish(); });
-  const std::vector<int> dataset_ids = bench::parse_rank_list(*ds_list);
+  const std::vector<int> dataset_ids =
+      bench::parse_rank_list(*ds_list, "datasets");
 
   for (const char* machine : {"tianhe2", "tianhe3"}) {
     for (const int id : dataset_ids) {

@@ -20,7 +20,7 @@ int main(int argc, char** argv) {
       cli.add_string("wcell", "1,10,100,1000,10000", "W_cell values");
   if (!bench::parse_or_usage(cli, argc, argv)) return 0;
   const BenchOptions opt = bench::finish_or_usage([&] { return common.finish(); });
-  const std::vector<int> wcells = bench::parse_rank_list(*w_list);
+  const std::vector<int> wcells = bench::parse_rank_list(*w_list, "wcell");
 
   const core::Dataset ds = core::make_dataset(2, opt.particle_scale);
 

@@ -1,8 +1,10 @@
 #include "common.hpp"
 
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
+#include <limits>
 #include <memory>
 #include <sstream>
 
@@ -104,13 +106,17 @@ BenchOptions CommonFlags::finish() const {
   BenchOptions o;
   o.ranks = parse_rank_list(*ranks_);
   o.steps = static_cast<int>(*steps_);
+  DSMCPIC_CHECK_MSG(*steps_ >= 1, "--steps must be >= 1");
   o.particle_scale = *particles_;
+  DSMCPIC_CHECK_MSG(std::isfinite(o.particle_scale) && o.particle_scale > 0.0,
+                    "--particles must be finite and > 0");
   o.machine = *machine_;
   o.seed = static_cast<std::uint64_t>(*seed_);
   o.exec_mode = par::parse_exec_mode(*exec_mode_);
   o.exec_threads = static_cast<int>(*threads_);
   o.kernel_threads = static_cast<int>(*kernel_threads_);
   o.sort_every = static_cast<int>(*sort_every_);
+  DSMCPIC_CHECK_MSG(*sort_every_ >= 0, "--sort-every must be >= 0");
   o.trace_path = *trace_;
   o.bench_name = bench_name_;
   o.report_path = *report_;
@@ -197,14 +203,18 @@ bool parse_or_usage(Cli& cli, int argc, const char* const* argv) {
   }
 }
 
-std::vector<int> parse_rank_list(const std::string& csv) {
+std::vector<int> parse_rank_list(const std::string& csv,
+                                 const std::string& flag) {
   std::vector<int> out;
   std::stringstream ss(csv);
   std::string item;
   while (std::getline(ss, item, ',')) {
     if (item.empty()) continue;
-    out.push_back(std::stoi(item));
-    DSMCPIC_CHECK_MSG(out.back() >= 1, "rank count must be >= 1");
+    const std::int64_t v = parse_int(flag, item);
+    DSMCPIC_CHECK_MSG(v >= 1 && v <= std::numeric_limits<int>::max(),
+                      "flag --" << flag << ": '" << item
+                                << "' is not in [1, 2^31 - 1]");
+    out.push_back(static_cast<int>(v));
   }
   DSMCPIC_CHECK_MSG(!out.empty(), "empty rank list");
   return out;

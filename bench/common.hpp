@@ -164,8 +164,10 @@ auto finish_or_usage(Fn&& fn) -> decltype(fn()) {
   }
 }
 
-/// Parses "24,48,96" into {24, 48, 96}.
-std::vector<int> parse_rank_list(const std::string& csv);
+/// Parses "24,48,96" into {24, 48, 96}. Each item must be a whole positive
+/// int; errors name --`flag`.
+std::vector<int> parse_rank_list(const std::string& csv,
+                                 const std::string& flag = "ranks");
 
 /// Output path for case `index` of a multi-case bench: index 0 maps to
 /// `base`, case N > 0 gets ".caseN" inserted before the extension.

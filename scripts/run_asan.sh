@@ -7,9 +7,11 @@
 # stale range after a rebuild or a signed overflow in the slot bookkeeping
 # would fail here rather than corrupt a digest by luck. The runtime and
 # linalg suites cover the message rounds and the halo exchanger's
-# slot-range and halo-slot index arithmetic (DESIGN.md §2i), and the two
+# slot-range and halo-slot index arithmetic (DESIGN.md §2i), and the
 # checkpoint-corruption tests patch saved files that must be refused with a
-# typed error, not indexed out of bounds.
+# typed error, not indexed out of bounds or sized from a corrupt length
+# prefix. The build uses -DDSMCPIC_WERROR=ON, so a new compiler warning
+# fails the sweep too.
 #
 #   scripts/run_asan.sh [build-dir]
 set -euo pipefail
@@ -19,8 +21,11 @@ BUILD="${1:-build-asan}"
 
 cmake -B "$BUILD" -S . -G Ninja \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
-  -DDSMCPIC_SANITIZE=address
-cmake --build "$BUILD" --target particle_sort_test pic_test dsmc_test determinism_test golden_test par_test linalg_test core_features_test -j
+  -DDSMCPIC_SANITIZE=address \
+  -DDSMCPIC_WERROR=ON
+cmake --build "$BUILD" --target particle_sort_test pic_test dsmc_test \
+  determinism_test golden_test par_test linalg_test core_features_test \
+  support_test fleet_test -j
 
 # Any report fails the script: ASan aborts by default, and UBSan is built
 # with -fno-sanitize-recover.
@@ -46,5 +51,9 @@ export UBSAN_OPTIONS="print_stacktrace=1 ${UBSAN_OPTIONS:-}"
 "$BUILD"/tests/linalg_test
 # Out-of-range owners and short load windows in a solver checkpoint.
 "$BUILD"/tests/core_features_test --gtest_filter='Checkpoint.Rejects*'
+# Oversized length prefixes (2^62, 2^40, 2^27) in read_vec/read_string and
+# in a parked run's lease.bin, and multi-chunk reads.
+"$BUILD"/tests/support_test --gtest_filter='Serialize.*'
+"$BUILD"/tests/fleet_test --gtest_filter='Fleet.ResumeRejectsOversizedLeasePrefix'
 
 echo "ASan/UBSan sweep clean."

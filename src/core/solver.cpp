@@ -173,14 +173,11 @@ void CoupledSolver::rebuild_parallel_structures(const std::string& phase,
       linalg::DistLayout::build(active, nodex_->node_owner(), psys_->matrix());
   dmat_ = linalg::DistMatrix::build(psys_->matrix(), std::move(layout));
 
-  // Warm-start potential from the driver-side mirror.
+  // Per-rank potentials from the driver-side mirror; the solve zeroes x_.
   x_.assign(active, {});
   phi_local_.assign(active, {});
   for (int r = 0; r < active; ++r) {
-    const auto& owned = dmat_.layout.owned[r];
-    x_[r].resize(owned.size());
-    for (std::size_t i = 0; i < owned.size(); ++i)
-      x_[r][i] = phi_global_[owned[i]];
+    x_[r].resize(dmat_.layout.owned[r].size());
     const auto& nodes = nodex_->rank_nodes(r);
     phi_local_[r].resize(nodes.size());
     for (std::size_t i = 0; i < nodes.size(); ++i)
@@ -504,10 +501,9 @@ void CoupledSolver::do_poisson_solve(StepDiagnostics& diag) {
     c.charge(par::WorkKind::kVecFlop, static_cast<double>(owned.size()));
   });
 
-  // PETSc-style zero initial guess unless warm starts were requested.
-  if (!cfg_.poisson.warm_start) {
-    for (auto& xr : x_) std::fill(xr.begin(), xr.end(), 0.0);
-  }
+  // PETSc's KSP defaults to a zero initial guess, which is why the paper's
+  // Poisson_Solve pays the full iteration count every PIC substep.
+  for (auto& xr : x_) std::fill(xr.begin(), xr.end(), 0.0);
   linalg::SolveResult res;
   {
     const obs::HostProfiler::Scope prof(prof_, "field_solve");

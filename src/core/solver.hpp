@@ -241,7 +241,7 @@ class CoupledSolver {
   std::unique_ptr<pic::PoissonSystem> psys_;
   std::unique_ptr<pic::NodeExchange> nodex_;
   linalg::DistMatrix dmat_;
-  linalg::DistVector x_;                        // per-rank owned phi (warm)
+  linalg::DistVector x_;                        // per-rank owned phi
   std::vector<std::vector<double>> phi_local_;  // per-rank, rank_nodes order
   std::vector<double> phi_global_;              // driver-side mirror
 

@@ -80,10 +80,6 @@ class CollisionKernel {
     return p.pi_d2 * std::pow(ratio, p.omega_mhalf) / p.gamma;
   }
 
-  /// Per-cell adaptive majorants (exposed so rebalancing can migrate them
-  /// conceptually; they are global per-cell state, not per-rank).
-  std::span<const double> sigma_cr_max() const { return sigma_cr_max_; }
-
   /// Binary checkpoint of the adaptive per-cell state.
   void save(std::ostream& os) const;
   void load(std::istream& is);

@@ -71,7 +71,6 @@ class MaxwellianInjector {
   double expected_per_step(const SpeciesTable& table, double dt) const;
 
   const InjectionSpec& spec() const { return spec_; }
-  std::size_t num_faces() const { return faces_.size(); }
 
   /// Binary checkpoint of the stream state (remainders, id sequences).
   void save(std::ostream& os) const;

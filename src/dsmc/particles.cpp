@@ -50,15 +50,6 @@ ParticleRecord ParticleStore::record(std::size_t i) const {
   return {position(i), velocity(i), id_[i], species_[i], cell_[i]};
 }
 
-void ParticleStore::set_record(std::size_t i, const ParticleRecord& p) {
-  DSMCPIC_CHECK(i < size());
-  set_position(i, p.position);
-  set_velocity(i, p.velocity);
-  id_[i] = p.id;
-  species_[i] = p.species;
-  cell_[i] = p.cell;
-}
-
 void ParticleStore::remove_swap(std::size_t i) {
   DSMCPIC_CHECK(i < size());
   const std::size_t last = size() - 1;

@@ -192,11 +192,6 @@ class ParticleStore {
   // use the component spans directly in vectorized loops).
   Vec3 position(std::size_t i) const { return {px_[i], py_[i], pz_[i]}; }
   Vec3 velocity(std::size_t i) const { return {vx_[i], vy_[i], vz_[i]}; }
-  void set_position(std::size_t i, const Vec3& p) {
-    px_[i] = p.x;
-    py_[i] = p.y;
-    pz_[i] = p.z;
-  }
   void set_velocity(std::size_t i, const Vec3& v) {
     vx_[i] = v.x;
     vy_[i] = v.y;
@@ -204,7 +199,6 @@ class ParticleStore {
   }
 
   ParticleRecord record(std::size_t i) const;
-  void set_record(std::size_t i, const ParticleRecord& p);
 
   /// Removes particle i by swapping with the last element (O(1)); the caller
   /// must iterate accordingly (i is reused for the swapped-in particle).

@@ -50,12 +50,6 @@ class SpeciesTable {
   }
   const std::vector<Species>& all() const { return list_; }
 
-  /// Reduced mass of a colliding pair.
-  double reduced_mass(std::int32_t a, std::int32_t b) const {
-    const double ma = (*this)[a].mass, mb = (*this)[b].mass;
-    return ma * mb / (ma + mb);
-  }
-
  private:
   std::vector<Species> list_;
 };

@@ -1,7 +1,6 @@
 #include "linalg/csr.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 #include "support/error.hpp"
 
@@ -50,18 +49,6 @@ void CsrMatrix::matvec(std::span<const double> x, std::span<double> y) const {
   }
 }
 
-void CsrMatrix::matvec_add(std::span<const double> x, std::span<double> y) const {
-  DSMCPIC_CHECK(static_cast<std::int32_t>(x.size()) >= cols_);
-  DSMCPIC_CHECK(static_cast<std::int32_t>(y.size()) >= rows_);
-  for (std::int32_t r = 0; r < rows_; ++r) {
-    double acc = 0.0;
-    for (std::int64_t e = row_ptr_[r]; e < row_ptr_[r + 1]; ++e)
-      acc += values_[static_cast<std::size_t>(e)] *
-             x[col_idx_[static_cast<std::size_t>(e)]];
-    y[r] += acc;
-  }
-}
-
 std::vector<double> CsrMatrix::diagonal() const {
   std::vector<double> d(rows_, 0.0);
   for (std::int32_t r = 0; r < rows_ && r < cols_; ++r) d[r] = at(r, r);
@@ -75,21 +62,6 @@ double CsrMatrix::at(std::int32_t row, std::int32_t col) const {
   const auto it = std::lower_bound(begin, end, col);
   if (it == end || *it != col) return 0.0;
   return values_[static_cast<std::size_t>(it - col_idx_.begin())];
-}
-
-bool CsrMatrix::diagonally_dominant(double tol) const {
-  for (std::int32_t r = 0; r < rows_; ++r) {
-    double diag = 0.0, off = 0.0;
-    for (std::int64_t e = row_ptr_[r]; e < row_ptr_[r + 1]; ++e) {
-      const double v = values_[static_cast<std::size_t>(e)];
-      if (col_idx_[static_cast<std::size_t>(e)] == r)
-        diag += std::abs(v);
-      else
-        off += std::abs(v);
-    }
-    if (diag + tol < off) return false;
-  }
-  return true;
 }
 
 }  // namespace dsmcpic::linalg

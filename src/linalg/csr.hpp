@@ -31,23 +31,15 @@ class CsrMatrix {
   const std::vector<std::int64_t>& row_ptr() const { return row_ptr_; }
   const std::vector<std::int32_t>& col_idx() const { return col_idx_; }
   const std::vector<double>& values() const { return values_; }
-  std::vector<double>& mutable_values() { return values_; }
 
   /// y = A x.
   void matvec(std::span<const double> x, std::span<double> y) const;
-
-  /// y += A x.
-  void matvec_add(std::span<const double> x, std::span<double> y) const;
 
   /// Main diagonal (square matrices); zeros where no stored entry exists.
   std::vector<double> diagonal() const;
 
   /// Entry lookup (binary search within the row); 0 if not stored.
   double at(std::int32_t row, std::int32_t col) const;
-
-  /// True when the matrix is (weakly) row-diagonally dominant — the paper's
-  /// K is constructed to be diagonally dominant; tests assert this.
-  bool diagonally_dominant(double tol = 1e-12) const;
 
  private:
   std::int32_t rows_ = 0;

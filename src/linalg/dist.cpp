@@ -345,7 +345,7 @@ SolveResult dist_cg(par::Runtime& rt, const std::string& phase,
   // dispatch is the simulator's hot path at 1536 virtual ranks).
   HaloExchanger halo(l);
 
-  // r = b - A x  (x is the warm start): needs one halo exchange of x.
+  // r = b - A x  (x is the initial guess): needs one halo exchange of x.
   rt.superstep(
       phase,
       [&](par::Comm& c) {
@@ -463,166 +463,6 @@ SolveResult dist_cg(par::Runtime& rt, const std::string& phase,
           halo.send(c, pvec[r]);
         },
         halo.round());
-  }
-  return res;
-}
-
-SolveResult dist_bicgstab(par::Runtime& rt, const std::string& phase,
-                          const DistMatrix& a, const DistVector& b,
-                          DistVector& x, const SolveOptions& opt) {
-  const DistLayout& l = a.layout;
-  const int nranks = l.nranks;
-  DSMCPIC_CHECK(rt.active_ranks() == nranks);
-
-  // Per-rank state: owned-sized r, r0, s, t, v, p; local-sized work vector
-  // for the two halo'd matvecs (its owned prefix carries M^-1 p / M^-1 s).
-  std::vector<std::vector<double>> rvec(nranks), r0vec(nranks), svec(nranks),
-      tvec(nranks), vvec(nranks), pvec(nranks), work(nranks);
-  for (int r = 0; r < nranks; ++r) {
-    const auto n = l.owned[r].size();
-    DSMCPIC_CHECK(b[r].size() == n);
-    if (x[r].size() != n) x[r].assign(n, 0.0);
-    rvec[r].resize(n);
-    r0vec[r].resize(n);
-    svec[r].resize(n);
-    tvec[r].resize(n);
-    vvec[r].resize(n);
-    pvec[r].assign(n, 0.0);
-    work[r].assign(static_cast<std::size_t>(l.local_size(r)), 0.0);
-  }
-  // M^-1 entry i of rank r (Jacobi, or identity when disabled).
-  auto minv = [&](int r, std::size_t i) {
-    return opt.jacobi_precondition ? a.factor[r][i].inv_diag : 1.0;
-  };
-
-  HaloExchanger halo(l);
-  // y[r] = A * (work's owned prefix as filled by fill_owned): two supersteps.
-  auto halo_matvec = [&](auto fill_owned, std::vector<std::vector<double>>& y) {
-    rt.superstep(
-        phase,
-        [&](par::Comm& c) {
-          const int r = c.rank();
-          fill_owned(r);
-          halo.send(c, work[r]);
-        },
-        halo.round());
-    rt.superstep(phase, [&](par::Comm& c) {
-      const int r = c.rank();
-      halo.recv(r, work[r]);
-      a.local[r].matvec(work[r], y[r]);
-      c.charge(par::WorkKind::kSpmvFlop,
-               2.0 * static_cast<double>(a.local[r].nnz()));
-    });
-  };
-
-  std::vector<std::vector<double>> partials(nranks, std::vector<double>(2, 0.0));
-  auto reduce2 = [&](auto fn) {
-    rt.superstep(phase, [&](par::Comm& c) {
-      const int r = c.rank();
-      fn(r, partials[r]);
-      c.charge(par::WorkKind::kVecFlop,
-               4.0 * static_cast<double>(l.owned[r].size()));
-    });
-    return rt.allreduce_sum_vec(phase, partials);
-  };
-
-  // r = b - A x; r0 = r.
-  halo_matvec(
-      [&](int r) { std::copy(x[r].begin(), x[r].end(), work[r].begin()); },
-      rvec);
-  auto sums = reduce2([&](int r, std::vector<double>& p) {
-    double rr = 0.0, bb = 0.0;
-    for (std::size_t i = 0; i < l.owned[r].size(); ++i) {
-      rvec[r][i] = b[r][i] - rvec[r][i];
-      r0vec[r][i] = rvec[r][i];
-      rr += rvec[r][i] * rvec[r][i];
-      bb += b[r][i] * b[r][i];
-    }
-    p[0] = rr;
-    p[1] = bb;
-  });
-  const double bnorm = std::sqrt(std::max(sums[1], 1e-300));
-  SolveResult res;
-  res.residual = std::sqrt(sums[0]) / bnorm;
-  if (res.residual <= opt.rel_tol) {
-    res.converged = true;
-    return res;
-  }
-
-  double rho = 1.0, alpha = 1.0, omega = 1.0;
-  for (int it = 0; it < opt.max_iterations; ++it) {
-    sums = reduce2([&](int r, std::vector<double>& p) {
-      double rho_new = 0.0;
-      for (std::size_t i = 0; i < l.owned[r].size(); ++i)
-        rho_new += r0vec[r][i] * rvec[r][i];
-      p[0] = rho_new;
-      p[1] = 0.0;
-    });
-    const double rho_new = sums[0];
-    if (rho_new == 0.0) break;
-    const double beta = (it == 0) ? 0.0 : (rho_new / rho) * (alpha / omega);
-    rho = rho_new;
-
-    // v = A M^-1 p, with p updated in the fill step.
-    halo_matvec(
-        [&](int r) {
-          for (std::size_t i = 0; i < l.owned[r].size(); ++i) {
-            pvec[r][i] =
-                (it == 0) ? rvec[r][i]
-                          : rvec[r][i] + beta * (pvec[r][i] - omega * vvec[r][i]);
-            work[r][i] = minv(r, i) * pvec[r][i];
-          }
-        },
-        vvec);
-    sums = reduce2([&](int r, std::vector<double>& p) {
-      double r0v = 0.0;
-      for (std::size_t i = 0; i < l.owned[r].size(); ++i)
-        r0v += r0vec[r][i] * vvec[r][i];
-      p[0] = r0v;
-      p[1] = 0.0;
-    });
-    if (sums[0] == 0.0) break;
-    alpha = rho / sums[0];
-
-    // s = r - alpha v; t = A M^-1 s.
-    halo_matvec(
-        [&](int r) {
-          for (std::size_t i = 0; i < l.owned[r].size(); ++i) {
-            svec[r][i] = rvec[r][i] - alpha * vvec[r][i];
-            work[r][i] = minv(r, i) * svec[r][i];
-          }
-        },
-        tvec);
-    sums = reduce2([&](int r, std::vector<double>& p) {
-      double ts = 0.0, tt = 0.0;
-      for (std::size_t i = 0; i < l.owned[r].size(); ++i) {
-        ts += tvec[r][i] * svec[r][i];
-        tt += tvec[r][i] * tvec[r][i];
-      }
-      p[0] = ts;
-      p[1] = tt;
-    });
-    if (sums[1] == 0.0) break;
-    omega = sums[0] / sums[1];
-
-    sums = reduce2([&](int r, std::vector<double>& p) {
-      double rr = 0.0;
-      for (std::size_t i = 0; i < l.owned[r].size(); ++i) {
-        x[r][i] += alpha * minv(r, i) * pvec[r][i] +
-                   omega * minv(r, i) * svec[r][i];
-        rvec[r][i] = svec[r][i] - omega * tvec[r][i];
-        rr += rvec[r][i] * rvec[r][i];
-      }
-      p[0] = rr;
-      p[1] = 0.0;
-    });
-    res.iterations = it + 1;
-    res.residual = std::sqrt(sums[0]) / bnorm;
-    if (res.residual <= opt.rel_tol) {
-      res.converged = true;
-      return res;
-    }
-    if (omega == 0.0) break;
   }
   return res;
 }

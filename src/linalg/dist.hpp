@@ -101,19 +101,12 @@ void apply_precon(const DistMatrix& a, int rank, Precon kind,
                   std::span<const double> r, std::span<double> z,
                   std::span<double> scratch);
 
-/// Preconditioned CG across virtual ranks. `x` is the warm-start guess on
+/// Preconditioned CG across virtual ranks. `x` is the initial guess on
 /// input and the solution on output. All communication costs are charged
 /// under `phase` on `rt`.
 SolveResult dist_cg(par::Runtime& rt, const std::string& phase,
                     const DistMatrix& a, const DistVector& b, DistVector& x,
                     const SolveOptions& opt = {});
-
-/// Distributed BiCGStab for general (nonsymmetric) systems — two halo'd
-/// matvecs and two allreduce rounds per iteration. Same layout/cost model
-/// as dist_cg.
-SolveResult dist_bicgstab(par::Runtime& rt, const std::string& phase,
-                          const DistMatrix& a, const DistVector& b,
-                          DistVector& x, const SolveOptions& opt = {});
 
 /// One halo exchange (two supersteps): ships owned values listed in send
 /// plans, fills halo slots. `local` holds per-rank vectors of local_size

@@ -34,8 +34,7 @@ SolveResult cg(const CsrMatrix& a, std::span<const double> b,
   DSMCPIC_CHECK(static_cast<std::int32_t>(b.size()) == n);
   DSMCPIC_CHECK(static_cast<std::int32_t>(x.size()) == n);
 
-  const std::vector<double> minv =
-      opt.jacobi_precondition ? inv_diag(a) : std::vector<double>(n, 1.0);
+  const std::vector<double> minv = inv_diag(a);
 
   std::vector<double> r(n), z(n), p(n), q(n);
   a.matvec(x, r);
@@ -73,161 +72,6 @@ SolveResult cg(const CsrMatrix& a, std::span<const double> b,
     const double beta = rz_new / rz;
     rz = rz_new;
     for (std::int32_t i = 0; i < n; ++i) p[i] = z[i] + beta * p[i];
-  }
-  return res;
-}
-
-SolveResult bicgstab(const CsrMatrix& a, std::span<const double> b,
-                     std::span<double> x, const SolveOptions& opt) {
-  const std::int32_t n = a.rows();
-  DSMCPIC_CHECK(a.cols() == n);
-  DSMCPIC_CHECK(static_cast<std::int32_t>(b.size()) == n);
-  DSMCPIC_CHECK(static_cast<std::int32_t>(x.size()) == n);
-
-  const std::vector<double> minv =
-      opt.jacobi_precondition ? inv_diag(a) : std::vector<double>(n, 1.0);
-
-  std::vector<double> r(n), r0(n), p(n, 0.0), v(n, 0.0), s(n), t(n), ph(n), sh(n);
-  a.matvec(x, r);
-  for (std::int32_t i = 0; i < n; ++i) r[i] = b[i] - r[i];
-  r0 = r;
-  const double bnorm = std::max(norm(b), 1e-300);
-
-  double rho = 1.0, alpha = 1.0, omega = 1.0;
-  SolveResult res;
-  res.residual = norm(r) / bnorm;
-  if (res.residual <= opt.rel_tol) {
-    res.converged = true;
-    return res;
-  }
-
-  for (int it = 0; it < opt.max_iterations; ++it) {
-    const double rho_new = dot(r0, r);
-    if (rho_new == 0.0) break;
-    if (it == 0) {
-      p = r;
-    } else {
-      const double beta = (rho_new / rho) * (alpha / omega);
-      for (std::int32_t i = 0; i < n; ++i)
-        p[i] = r[i] + beta * (p[i] - omega * v[i]);
-    }
-    rho = rho_new;
-    for (std::int32_t i = 0; i < n; ++i) ph[i] = minv[i] * p[i];
-    a.matvec(ph, v);
-    const double r0v = dot(r0, v);
-    if (r0v == 0.0) break;
-    alpha = rho / r0v;
-    for (std::int32_t i = 0; i < n; ++i) s[i] = r[i] - alpha * v[i];
-    res.iterations = it + 1;
-    if (norm(s) / bnorm <= opt.rel_tol) {
-      for (std::int32_t i = 0; i < n; ++i) x[i] += alpha * ph[i];
-      res.residual = norm(s) / bnorm;
-      res.converged = true;
-      return res;
-    }
-    for (std::int32_t i = 0; i < n; ++i) sh[i] = minv[i] * s[i];
-    a.matvec(sh, t);
-    const double tt = dot(t, t);
-    if (tt == 0.0) break;
-    omega = dot(t, s) / tt;
-    for (std::int32_t i = 0; i < n; ++i) {
-      x[i] += alpha * ph[i] + omega * sh[i];
-      r[i] = s[i] - omega * t[i];
-    }
-    res.residual = norm(r) / bnorm;
-    if (res.residual <= opt.rel_tol) {
-      res.converged = true;
-      return res;
-    }
-    if (omega == 0.0) break;
-  }
-  return res;
-}
-
-SolveResult gmres(const CsrMatrix& a, std::span<const double> b,
-                  std::span<double> x, const SolveOptions& opt) {
-  const std::int32_t n = a.rows();
-  DSMCPIC_CHECK(a.cols() == n);
-  DSMCPIC_CHECK(static_cast<std::int32_t>(b.size()) == n);
-  DSMCPIC_CHECK(static_cast<std::int32_t>(x.size()) == n);
-  const int m = std::max(1, opt.gmres_restart);
-
-  const std::vector<double> minv =
-      opt.jacobi_precondition ? inv_diag(a) : std::vector<double>(n, 1.0);
-  const double bnorm = std::max(norm(b), 1e-300);
-
-  SolveResult res;
-  std::vector<double> r(n), w(n);
-  std::vector<std::vector<double>> v;  // Krylov basis
-  std::vector<std::vector<double>> h(m + 1, std::vector<double>(m, 0.0));
-  std::vector<double> cs(m), sn(m), g(m + 1);
-
-  int total_it = 0;
-  while (total_it < opt.max_iterations) {
-    a.matvec(x, r);
-    for (std::int32_t i = 0; i < n; ++i) r[i] = minv[i] * (b[i] - r[i]);
-    double beta = norm(r);
-    res.residual = beta / bnorm;
-    if (res.residual <= opt.rel_tol) {
-      res.converged = true;
-      return res;
-    }
-    v.assign(1, std::vector<double>(n));
-    for (std::int32_t i = 0; i < n; ++i) v[0][i] = r[i] / beta;
-    std::fill(g.begin(), g.end(), 0.0);
-    g[0] = beta;
-
-    int k = 0;
-    for (; k < m && total_it < opt.max_iterations; ++k, ++total_it) {
-      a.matvec(v[k], w);
-      for (std::int32_t i = 0; i < n; ++i) w[i] *= minv[i];
-      // Modified Gram-Schmidt.
-      for (int j = 0; j <= k; ++j) {
-        h[j][k] = dot(w, v[j]);
-        for (std::int32_t i = 0; i < n; ++i) w[i] -= h[j][k] * v[j][i];
-      }
-      h[k + 1][k] = norm(w);
-      if (h[k + 1][k] != 0.0) {
-        v.emplace_back(n);
-        for (std::int32_t i = 0; i < n; ++i) v[k + 1][i] = w[i] / h[k + 1][k];
-      }
-      // Apply previous Givens rotations to the new column.
-      for (int j = 0; j < k; ++j) {
-        const double tmp = cs[j] * h[j][k] + sn[j] * h[j + 1][k];
-        h[j + 1][k] = -sn[j] * h[j][k] + cs[j] * h[j + 1][k];
-        h[j][k] = tmp;
-      }
-      const double denom = std::hypot(h[k][k], h[k + 1][k]);
-      if (denom == 0.0) break;
-      cs[k] = h[k][k] / denom;
-      sn[k] = h[k + 1][k] / denom;
-      h[k][k] = denom;
-      h[k + 1][k] = 0.0;
-      g[k + 1] = -sn[k] * g[k];
-      g[k] = cs[k] * g[k];
-      res.iterations = total_it + 1;
-      res.residual = std::abs(g[k + 1]) / bnorm;
-      if (res.residual <= opt.rel_tol) {
-        ++k;
-        break;
-      }
-      if (h[k + 1][k] == 0.0 && v.size() <= static_cast<std::size_t>(k + 1))
-        break;  // lucky breakdown without a new basis vector
-    }
-    // Back substitution for y, then update x.
-    std::vector<double> y(k, 0.0);
-    for (int j = k - 1; j >= 0; --j) {
-      double s = g[j];
-      for (int l = j + 1; l < k; ++l) s -= h[j][l] * y[l];
-      y[j] = (h[j][j] != 0.0) ? s / h[j][j] : 0.0;
-    }
-    for (int j = 0; j < k; ++j)
-      for (std::int32_t i = 0; i < n; ++i) x[i] += y[j] * v[j][i];
-    if (res.residual <= opt.rel_tol) {
-      res.converged = true;
-      return res;
-    }
-    if (k == 0) break;  // no progress possible
   }
   return res;
 }

@@ -1,8 +1,7 @@
 #pragma once
-// Serial Krylov subspace solvers (the "KSP" substitute, Sec. IV-C). The
-// serial variants are the reference implementations used by the serial
-// solver driver and by tests; the distributed CG in dist.hpp runs the same
-// recurrence across virtual ranks.
+// Krylov solver options and the serial CG (the "KSP" substitute, Sec.
+// IV-C). The serial CG is the test oracle for the distributed CG in
+// dist.hpp, which runs the same recurrence across virtual ranks.
 
 #include <span>
 
@@ -25,28 +24,13 @@ enum class Precon { kNone, kJacobi, kBlockSsor };
 struct SolveOptions {
   double rel_tol = 1e-8;
   int max_iterations = 1000;
-  bool jacobi_precondition = true;  // serial solvers
   Precon dist_precon = Precon::kBlockSsor;  // distributed CG
-  int gmres_restart = 30;
-  /// Keep the previous solution as the initial guess across solves. PETSc's
-  /// KSP defaults to a zero initial guess — which is why the paper's
-  /// Poisson_Solve pays the full iteration count every PIC step — so this
-  /// defaults to false; the solver zeroes x before each solve unless set.
-  bool warm_start = false;
 };
 
-/// Preconditioned conjugate gradient; A must be symmetric positive
-/// (semi-)definite. x is the initial guess on input (warm start) and the
-/// solution on output.
+/// Jacobi-preconditioned conjugate gradient; A must be symmetric positive
+/// (semi-)definite. x is the initial guess on input and the solution on
+/// output.
 SolveResult cg(const CsrMatrix& a, std::span<const double> b,
                std::span<double> x, const SolveOptions& opt = {});
-
-/// BiCGStab for general nonsymmetric systems.
-SolveResult bicgstab(const CsrMatrix& a, std::span<const double> b,
-                     std::span<double> x, const SolveOptions& opt = {});
-
-/// Restarted GMRES(m).
-SolveResult gmres(const CsrMatrix& a, std::span<const double> b,
-                  std::span<double> x, const SolveOptions& opt = {});
 
 }  // namespace dsmcpic::linalg

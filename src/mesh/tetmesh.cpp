@@ -11,16 +11,6 @@
 
 namespace dsmcpic::mesh {
 
-const char* boundary_kind_name(BoundaryKind k) {
-  switch (k) {
-    case BoundaryKind::kNone: return "none";
-    case BoundaryKind::kInlet: return "inlet";
-    case BoundaryKind::kOutlet: return "outlet";
-    case BoundaryKind::kWall: return "wall";
-  }
-  return "?";
-}
-
 double signed_volume(const Vec3& a, const Vec3& b, const Vec3& c, const Vec3& d) {
   return triple(b - a, c - a, d - a) / 6.0;
 }
@@ -299,25 +289,6 @@ void TetMesh::classify_boundary(const BoundaryClassifier& classify) {
                         "classifier returned kNone for a boundary face");
       face_kinds_[t][f] = k;
       boundary_lists_[static_cast<int>(k)].push_back({t, f, k});
-    }
-  }
-}
-
-void TetMesh::assign_boundary_kinds(std::span<const std::uint8_t> kinds_flat) {
-  DSMCPIC_CHECK(kinds_flat.size() == static_cast<std::size_t>(num_tets()) * 4);
-  for (auto& lst : boundary_lists_) lst.clear();
-  for (std::int32_t t = 0; t < num_tets(); ++t) {
-    for (int f = 0; f < 4; ++f) {
-      const auto k = static_cast<BoundaryKind>(kinds_flat[t * 4 + f]);
-      DSMCPIC_CHECK_MSG(k <= BoundaryKind::kWall, "invalid boundary kind");
-      if (neighbors_[t][f] != -1) {
-        DSMCPIC_CHECK_MSG(k == BoundaryKind::kNone,
-                          "boundary kind on an interior face");
-        continue;
-      }
-      face_kinds_[t][f] = k;
-      if (k != BoundaryKind::kNone)
-        boundary_lists_[static_cast<int>(k)].push_back({t, f, k});
     }
   }
 }

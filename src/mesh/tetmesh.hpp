@@ -28,8 +28,6 @@ enum class BoundaryKind : std::uint8_t {
   kWall,      // particles reflect; homogeneous Neumann for phi
 };
 
-const char* boundary_kind_name(BoundaryKind k);
-
 /// A boundary face handle: owning tet, local face index, kind.
 struct BoundaryFace {
   std::int32_t tet = -1;
@@ -138,11 +136,6 @@ class TetMesh {
   /// Classifies every boundary face with the given classifier and records
   /// the list of boundary faces per kind.
   void classify_boundary(const BoundaryClassifier& classify);
-
-  /// Directly assigns boundary kinds from a flat array (4 entries per tet,
-  /// kNone on interior faces) and rebuilds the per-kind face lists. Used by
-  /// mesh deserialization.
-  void assign_boundary_kinds(std::span<const std::uint8_t> kinds_flat);
 
   /// All boundary faces of one kind (after classify_boundary).
   const std::vector<BoundaryFace>& boundary_faces(BoundaryKind k) const;

@@ -29,18 +29,6 @@ const char* invariant_name(Invariant inv) {
   return "unknown";
 }
 
-const char* audit_severity_name(AuditSeverity s) {
-  switch (s) {
-    case AuditSeverity::kWarnOnly:
-      return "warn";
-    case AuditSeverity::kAbort:
-      return "abort";
-    case AuditSeverity::kCountOnly:
-      return "count";
-  }
-  return "unknown";
-}
-
 AuditSeverity parse_audit_severity(const std::string& name) {
   if (name == "warn") return AuditSeverity::kWarnOnly;
   if (name == "abort") return AuditSeverity::kAbort;

@@ -58,7 +58,6 @@ const char* invariant_name(Invariant inv);
 
 enum class AuditSeverity { kWarnOnly, kAbort, kCountOnly };
 
-const char* audit_severity_name(AuditSeverity s);
 /// Parses "warn" / "abort" / "count" (throws on anything else).
 AuditSeverity parse_audit_severity(const std::string& name);
 

@@ -165,8 +165,4 @@ double Topology::alpha(int src, int dst) const {
   return profile_.alpha_inter_rack;
 }
 
-double Topology::p2p_cost(int src, int dst, double bytes) const {
-  return alpha(src, dst) + bytes * profile_.beta;
-}
-
 }  // namespace dsmcpic::par

@@ -99,9 +99,6 @@ class Topology {
   /// Point-to-point latency between two ranks (no congestion applied).
   double alpha(int src, int dst) const;
 
-  /// Cost (seconds) of a point-to-point message, without congestion.
-  double p2p_cost(int src, int dst, double bytes) const;
-
  private:
   int node_of_uncached(int rank) const;
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 
 #include "support/serialize.hpp"
 #include "trace/recorder.hpp"
@@ -489,39 +488,6 @@ void Runtime::sync_clocks(double extra_cost_per_rank, int phase) {
 void Runtime::barrier(const std::string& phase) {
   const int pid = phase_id(phase);
   sync_clocks(tree_stages() * topo_.profile().alpha_tree, pid);
-}
-
-double Runtime::allreduce_sum(const std::string& phase,
-                              std::span<const double> vals) {
-  DSMCPIC_CHECK(static_cast<int>(vals.size()) == active_);
-  const int pid = phase_id(phase);
-  const double cost =
-      2.0 * tree_stages() * topo_.profile().alpha_tree +
-      8.0 * topo_.profile().beta * tree_stages();
-  sync_clocks(cost, pid);
-  double s = 0.0;
-  for (double v : vals) s += v;
-  return s;
-}
-
-double Runtime::allreduce_max(const std::string& phase,
-                              std::span<const double> vals) {
-  DSMCPIC_CHECK(static_cast<int>(vals.size()) == active_);
-  const int pid = phase_id(phase);
-  sync_clocks(2.0 * tree_stages() * topo_.profile().alpha_tree, pid);
-  double m = -std::numeric_limits<double>::infinity();
-  for (double v : vals) m = std::max(m, v);
-  return m;
-}
-
-double Runtime::allreduce_min(const std::string& phase,
-                              std::span<const double> vals) {
-  DSMCPIC_CHECK(static_cast<int>(vals.size()) == active_);
-  const int pid = phase_id(phase);
-  sync_clocks(2.0 * tree_stages() * topo_.profile().alpha_tree, pid);
-  double m = std::numeric_limits<double>::infinity();
-  for (double v : vals) m = std::min(m, v);
-  return m;
 }
 
 std::vector<double> Runtime::allreduce_sum_vec(

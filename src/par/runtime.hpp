@@ -308,11 +308,6 @@ class Runtime {
   /// Aligns all clocks to the maximum plus a tree-barrier cost.
   void barrier(const std::string& phase);
 
-  /// Sum-allreduce of one double per rank; synchronizing.
-  double allreduce_sum(const std::string& phase, std::span<const double> vals);
-  double allreduce_max(const std::string& phase, std::span<const double> vals);
-  double allreduce_min(const std::string& phase, std::span<const double> vals);
-
   /// Element-wise sum-allreduce of per-rank vectors (all of equal length);
   /// cost modelled as a ring allreduce of `len * 8` bytes. Returns the sum.
   std::vector<double> allreduce_sum_vec(

@@ -24,13 +24,4 @@ Vec3 efield_in_cell(const FineGrid& grid, std::int32_t fine_cell,
   return e;
 }
 
-Vec3 efield_in_cell_global(const FineGrid& grid, std::int32_t fine_cell,
-                           std::span<const double> phi_global) {
-  const auto g = grid.basis_gradients(fine_cell);
-  const auto& nd = grid.fine().tet(fine_cell);
-  Vec3 e;
-  for (int k = 0; k < 4; ++k) e -= g[k] * phi_global[nd[k]];
-  return e;
-}
-
 }  // namespace dsmcpic::pic

@@ -16,8 +16,4 @@ Vec3 efield_in_cell(const FineGrid& grid, std::int32_t fine_cell,
                     std::span<const std::int32_t> sorted_nodes,
                     std::span<const double> phi_local);
 
-/// E from a full global potential vector (serial driver / tests).
-Vec3 efield_in_cell_global(const FineGrid& grid, std::int32_t fine_cell,
-                           std::span<const double> phi_global);
-
 }  // namespace dsmcpic::pic

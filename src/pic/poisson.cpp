@@ -8,7 +8,6 @@ namespace dsmcpic::pic {
 
 PoissonSystem::PoissonSystem(const mesh::TetMesh& fine, PoissonBCs bcs) {
   num_nodes_ = fine.num_nodes();
-  elements_ = fine.num_tets();
   lumped_volume_.assign(static_cast<std::size_t>(num_nodes_), 0.0);
   dirichlet_.assign(static_cast<std::size_t>(num_nodes_), 0);
   dirichlet_value_.assign(static_cast<std::size_t>(num_nodes_), 0.0);

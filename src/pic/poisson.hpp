@@ -49,12 +49,8 @@ class PoissonSystem {
   /// segments from owned nodes only).
   double rhs_at(std::int32_t node, double node_charge) const;
 
-  /// Number of FEM elements assembled (for work accounting).
-  std::int64_t elements_assembled() const { return elements_; }
-
  private:
   std::int32_t num_nodes_ = 0;
-  std::int64_t elements_ = 0;
   linalg::CsrMatrix k_;
   std::vector<double> lumped_volume_;
   std::vector<std::uint8_t> dirichlet_;

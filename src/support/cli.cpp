@@ -10,8 +10,6 @@
 
 namespace dsmcpic {
 
-namespace {
-
 std::int64_t parse_int(const std::string& name, const std::string& value) {
   std::int64_t out = 0;
   auto [ptr, ec] = std::from_chars(value.data(), value.data() + value.size(), out);
@@ -19,6 +17,8 @@ std::int64_t parse_int(const std::string& name, const std::string& value) {
                     "flag --" << name << ": not an integer: '" << value << "'");
   return out;
 }
+
+namespace {
 
 double parse_double(const std::string& name, const std::string& value) {
   try {

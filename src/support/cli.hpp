@@ -15,6 +15,11 @@
 
 namespace dsmcpic {
 
+/// Parses all of `value` as a base-10 int64 (the --name int-flag parse);
+/// throws dsmcpic::Error naming --name on trailing characters, an empty or
+/// non-numeric value, or overflow.
+std::int64_t parse_int(const std::string& name, const std::string& value);
+
 class Cli {
  public:
   explicit Cli(std::string description) : description_(std::move(description)) {}

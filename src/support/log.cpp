@@ -41,7 +41,9 @@ std::string iso8601_now() {
       duration_cast<milliseconds>(now.time_since_epoch()).count() % 1000;
   std::tm tm{};
   gmtime_r(&secs, &tm);
-  char buf[32];
+  // Sized for the widest int fields, not the 24 characters a real date
+  // takes, so -Wformat-truncation has nothing to flag.
+  char buf[80];
   std::snprintf(buf, sizeof buf, "%04d-%02d-%02dT%02d:%02d:%02d.%03dZ",
                 tm.tm_year + 1900, tm.tm_mon + 1, tm.tm_mday, tm.tm_hour,
                 tm.tm_min, tm.tm_sec, static_cast<int>(ms));

@@ -89,9 +89,6 @@ class Rng {
 
   double normal(double mean, double sigma) { return mean + sigma * normal(); }
 
-  /// Exponential with unit rate.
-  double exponential() { return -std::log(uniform_pos()); }
-
  private:
   static std::uint64_t rotl(std::uint64_t x, int k) {
     return (x << k) | (x >> (64 - k));

@@ -2,6 +2,7 @@
 // Minimal binary (de)serialization helpers for checkpointing: PODs and
 // vectors of PODs on iostreams, with length prefixes and failure checks.
 
+#include <algorithm>
 #include <cstdint>
 #include <istream>
 #include <ostream>
@@ -40,16 +41,34 @@ void write_vec(std::ostream& os, const std::vector<T>& v) {
   }
 }
 
-template <typename T>
-std::vector<T> read_vec(std::istream& is) {
+namespace detail {
+
+/// Reads the `n` elements a length prefix announced into `c`, at most
+/// ~1 MiB per read and growing `c` only as the bytes arrive, so a corrupt
+/// prefix fails on the first short read instead of sizing `c` from it.
+template <typename Container>
+void read_elements(std::istream& is, Container& c, std::uint64_t n) {
+  using T = typename Container::value_type;
   static_assert(std::is_trivially_copyable_v<T>);
-  const auto n = read_pod<std::uint64_t>(is);
-  std::vector<T> v(n);
-  if (n) {
-    is.read(reinterpret_cast<char*>(v.data()),
-            static_cast<std::streamsize>(n * sizeof(T)));
+  constexpr std::uint64_t kChunk =
+      std::max<std::size_t>(1, (std::size_t{1} << 20) / sizeof(T));
+  while (c.size() < n) {
+    const std::size_t have = c.size();
+    const auto take =
+        static_cast<std::size_t>(std::min<std::uint64_t>(n - have, kChunk));
+    c.resize(have + take);
+    is.read(reinterpret_cast<char*>(c.data() + have),
+            static_cast<std::streamsize>(take * sizeof(T)));
     DSMCPIC_CHECK_MSG(is.good(), "checkpoint read failed (truncated?)");
   }
+}
+
+}  // namespace detail
+
+template <typename T>
+std::vector<T> read_vec(std::istream& is) {
+  std::vector<T> v;
+  detail::read_elements(is, v, read_pod<std::uint64_t>(is));
   return v;
 }
 
@@ -60,12 +79,8 @@ inline void write_string(std::ostream& os, const std::string& s) {
 }
 
 inline std::string read_string(std::istream& is) {
-  const auto n = read_pod<std::uint64_t>(is);
-  std::string s(n, '\0');
-  if (n) {
-    is.read(s.data(), static_cast<std::streamsize>(n));
-    DSMCPIC_CHECK_MSG(is.good(), "checkpoint read failed (truncated?)");
-  }
+  std::string s;
+  detail::read_elements(is, s, read_pod<std::uint64_t>(is));
   return s;
 }
 

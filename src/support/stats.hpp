@@ -62,11 +62,4 @@ inline double max_of(std::span<const double> v) {
   return m;
 }
 
-inline double min_of(std::span<const double> v) {
-  DSMCPIC_CHECK(!v.empty());
-  double m = v[0];
-  for (double x : v) m = std::min(m, x);
-  return m;
-}
-
 }  // namespace dsmcpic

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "common.hpp"
 #include "support/cli.hpp"
 #include "support/error.hpp"
@@ -237,6 +239,54 @@ TEST(BenchCli, FinishOrUsageExitsTwoOnValidationError) {
   ASSERT_TRUE(bench::parse_or_usage(cli, 3, argv));
   EXPECT_EXIT(bench::finish_or_usage([&] { return flags.finish(); }),
               testing::ExitedWithCode(2), "--metrics-interval must be >= 1");
+}
+
+/// Parses `args` (after the program name) with the common flags, then runs
+/// finish() under finish_or_usage: a malformed value must exit 2 with a
+/// message matching `message`, never abort or run.
+void expect_finish_usage_exit(std::vector<const char*> args,
+                              const char* message) {
+  Cli cli("bench under test");
+  bench::CommonFlags flags(cli, "bench_under_test", "4", 3);
+  args.insert(args.begin(), "prog");
+  ASSERT_TRUE(bench::parse_or_usage(cli, static_cast<int>(args.size()),
+                                    args.data()));
+  EXPECT_EXIT(bench::finish_or_usage([&] { return flags.finish(); }),
+              testing::ExitedWithCode(2), message);
+}
+
+TEST(BenchCli, NonNumericRanksExitsWithUsage) {
+  // Not a std::invalid_argument escaping finish_or_usage.
+  expect_finish_usage_exit({"--ranks", "abc"}, "--ranks: not an integer");
+}
+
+TEST(BenchCli, OverflowingRanksExitsWithUsage) {
+  // Not a std::out_of_range escaping finish_or_usage.
+  expect_finish_usage_exit({"--ranks", "99999999999"},
+                           "--ranks: '99999999999'");
+}
+
+TEST(BenchCli, TrailingCharactersInRanksExitWithUsage) {
+  // The whole item must parse: "4x" is not 4 ranks.
+  expect_finish_usage_exit({"--ranks", "4x"},
+                           "--ranks: not an integer: '4x'");
+}
+
+TEST(BenchCli, ZeroParticlesExitsWithUsage) {
+  expect_finish_usage_exit({"--particles", "0"}, "--particles must be");
+}
+
+TEST(BenchCli, NegativeParticlesExitsWithUsage) {
+  expect_finish_usage_exit({"--particles", "-5"}, "--particles must be");
+}
+
+TEST(BenchCli, NegativeStepsExitsWithUsage) {
+  expect_finish_usage_exit({"--steps", "-1"}, "--steps must be >= 1");
+}
+
+TEST(BenchCli, NegativeSortEveryExitsWithUsage) {
+  expect_finish_usage_exit({"--sort-every", "-1"},
+                           "--sort-every must be >= 0");
 }
 
 TEST(BenchCli, FleetParkFlagReachesOptionsAndValidates) {

@@ -298,6 +298,40 @@ TEST(Fleet, PreemptResumeBitIdenticalThroughCheckpointV4) {
   EXPECT_FALSE(fs::exists(parked_dir + "/lease.bin"));
 }
 
+// A corrupt length prefix in lease.bin is a typed error: the reader must not
+// size a string from it, so a 2^62 prefix is no std::length_error.
+TEST(Fleet, ResumeRejectsOversizedLeasePrefix) {
+  const std::string base = temp_dir("fleet_test_lease_prefix");
+  std::string parked_dir;
+  {
+    FleetOptions fo;
+    fo.slots = 1;
+    fo.results_dir = base + "/parked";
+    FleetRunner runner(fo);
+    FleetJob j;
+    j.scenario = "reentry";
+    j.seed = 7;
+    j.park_at = 1;
+    parked_dir = fo.results_dir + "/" + runner.add(j);
+    ASSERT_EQ(runner.run_all()[0].state, RunState::kParked);
+  }
+  {
+    // The file opens with the schema string's 64-bit length prefix.
+    std::fstream f(parked_dir + "/lease.bin",
+                   std::ios::binary | std::ios::in | std::ios::out);
+    ASSERT_TRUE(f.good());
+    const std::uint64_t huge = std::uint64_t{1} << 62;
+    f.write(reinterpret_cast<const char*>(&huge), sizeof huge);
+    ASSERT_TRUE(f.good());
+  }
+  FleetOptions fo;
+  fo.slots = 1;
+  fo.results_dir = base + "/other";
+  FleetRunner runner(fo);
+  EXPECT_THROW(runner.add_resume(parked_dir), Error);
+  fs::remove_all(base);
+}
+
 // ---------------------------------------------------------------------------
 // GoldenCorpus: one pinned canonical digest per scenario (canonical_parallel,
 // default steps/ranks, seed 42). On an intentional physics change, update

@@ -56,19 +56,24 @@ TEST(Csr, MatvecMatchesDense) {
   EXPECT_DOUBLE_EQ(y[0], 2 * 1 - 2);
   EXPECT_DOUBLE_EQ(y[2], -2 + 6 - 4);
   EXPECT_DOUBLE_EQ(y[4], -4 + 10);
-  std::vector<double> y2(5, 1.0);
-  m.matvec_add(x, y2);
-  EXPECT_DOUBLE_EQ(y2[0], y[0] + 1.0);
 }
 
 TEST(Csr, DiagonalAndDominance) {
   const CsrMatrix m = laplace_1d(4);
   const auto d = m.diagonal();
-  for (double v : d) EXPECT_DOUBLE_EQ(v, 2.0);
-  EXPECT_TRUE(m.diagonally_dominant());
-  const std::vector<Triplet> t{{0, 0, 1.0}, {0, 1, 5.0}, {1, 0, 5.0},
-                               {1, 1, 1.0}};
-  EXPECT_FALSE(CsrMatrix::from_triplets(2, 2, t).diagonally_dominant());
+  ASSERT_EQ(d.size(), 4u);
+  for (std::int32_t r = 0; r < 4; ++r) {
+    EXPECT_DOUBLE_EQ(d[r], 2.0);
+    // Weak row dominance: |a_rr| >= sum of |a_rc| over the off-diagonals.
+    double off = 0.0;
+    for (std::int32_t c = 0; c < 4; ++c)
+      if (c != r) off += std::abs(m.at(r, c));
+    EXPECT_GE(d[r], off);
+  }
+  // A missing diagonal entry reads as zero.
+  const std::vector<Triplet> t{{0, 1, 5.0}, {1, 0, 5.0}, {1, 1, 1.0}};
+  const auto d2 = CsrMatrix::from_triplets(2, 2, t).diagonal();
+  EXPECT_EQ(d2, (std::vector<double>{0.0, 1.0}));
 }
 
 TEST(Krylov, CgSolvesLaplace) {
@@ -93,62 +98,6 @@ TEST(Krylov, CgWarmStartConvergesInstantly) {
   const SolveResult second = cg(a, b, x2, opt);
   EXPECT_TRUE(second.converged);
   EXPECT_EQ(second.iterations, 0);
-}
-
-TEST(Krylov, BicgstabSolvesNonsymmetric) {
-  // Upwind-ish convection-diffusion: nonsymmetric but well conditioned.
-  const std::int32_t n = 50;
-  std::vector<Triplet> t;
-  for (std::int32_t i = 0; i < n; ++i) {
-    t.push_back({i, i, 3.0});
-    if (i > 0) t.push_back({i, i - 1, -2.0});
-    if (i + 1 < n) t.push_back({i, i + 1, -0.5});
-  }
-  const CsrMatrix a = CsrMatrix::from_triplets(n, n, t);
-  std::vector<double> x_true(n), b(n), x(n, 0.0);
-  Rng rng(9);
-  for (auto& v : x_true) v = rng.uniform(-1, 1);
-  a.matvec(x_true, b);
-  const SolveResult r =
-      bicgstab(a, b, x, {.rel_tol = 1e-10, .max_iterations = 500});
-  EXPECT_TRUE(r.converged);
-  for (std::int32_t i = 0; i < n; ++i) EXPECT_NEAR(x[i], x_true[i], 1e-6);
-}
-
-TEST(Krylov, GmresSolvesNonsymmetric) {
-  const std::int32_t n = 40;
-  std::vector<Triplet> t;
-  for (std::int32_t i = 0; i < n; ++i) {
-    t.push_back({i, i, 4.0});
-    if (i > 0) t.push_back({i, i - 1, -2.5});
-    if (i + 1 < n) t.push_back({i, i + 1, -0.7});
-  }
-  const CsrMatrix a = CsrMatrix::from_triplets(n, n, t);
-  std::vector<double> x_true(n), b(n), x(n, 0.0);
-  Rng rng(21);
-  for (auto& v : x_true) v = rng.uniform(-1, 1);
-  a.matvec(x_true, b);
-  const SolveResult r =
-      gmres(a, b, x, {.rel_tol = 1e-10, .max_iterations = 400});
-  EXPECT_TRUE(r.converged);
-  for (std::int32_t i = 0; i < n; ++i) EXPECT_NEAR(x[i], x_true[i], 1e-6);
-}
-
-TEST(Krylov, SolversAgree) {
-  const std::int32_t n = 48;
-  const CsrMatrix a = laplace_1d(n);
-  std::vector<double> b(n);
-  Rng rng(4);
-  for (auto& v : b) v = rng.uniform(-1, 1);
-  std::vector<double> x1(n, 0.0), x2(n, 0.0), x3(n, 0.0);
-  const SolveOptions opt{.rel_tol = 1e-11, .max_iterations = 1000};
-  ASSERT_TRUE(cg(a, b, x1, opt).converged);
-  ASSERT_TRUE(bicgstab(a, b, x2, opt).converged);
-  ASSERT_TRUE(gmres(a, b, x3, opt).converged);
-  for (std::int32_t i = 0; i < n; ++i) {
-    EXPECT_NEAR(x1[i], x2[i], 1e-7);
-    EXPECT_NEAR(x1[i], x3[i], 1e-7);
-  }
 }
 
 // ---- distributed ------------------------------------------------------------
@@ -315,44 +264,13 @@ TEST_P(DistCgTest, MatchesSerialCg) {
   for (std::int32_t i = 0; i < n; ++i) EXPECT_NEAR(x[i], x_serial[i], 1e-7);
   // The solve must have charged communication/compute time.
   EXPECT_GT(rt.phase_stats("solve").busy_max, 0.0);
-  if (nranks > 1) EXPECT_GT(rt.phase_stats("solve").transactions, 0u);
+  if (nranks > 1) {
+    EXPECT_GT(rt.phase_stats("solve").transactions, 0u);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(RankCounts, DistCgTest,
                          ::testing::Values(1, 2, 3, 4, 7, 8));
-
-class DistBicgstabTest : public ::testing::TestWithParam<int> {};
-
-TEST_P(DistBicgstabTest, SolvesNonsymmetricSystem) {
-  const int nranks = GetParam();
-  const std::int32_t n = 50;
-  std::vector<Triplet> t;
-  for (std::int32_t i = 0; i < n; ++i) {
-    t.push_back({i, i, 3.0});
-    if (i > 0) t.push_back({i, i - 1, -2.0});
-    if (i + 1 < n) t.push_back({i, i + 1, -0.5});
-  }
-  const CsrMatrix a = CsrMatrix::from_triplets(n, n, t);
-  std::vector<double> x_true(n), b(n);
-  Rng rng(31);
-  for (auto& v : x_true) v = rng.uniform(-1, 1);
-  a.matvec(x_true, b);
-
-  const auto owner = round_robin_owner(n, nranks);
-  DistMatrix dm = DistMatrix::build(a, DistLayout::build(nranks, owner, a));
-  par::Runtime rt(nranks,
-                  par::Topology(par::MachineProfile::tianhe2(), nranks));
-  DistVector db = scatter_vector(dm.layout, b);
-  DistVector dx(nranks);
-  const SolveResult r = dist_bicgstab(
-      rt, "solve", dm, db, dx, {.rel_tol = 1e-10, .max_iterations = 500});
-  EXPECT_TRUE(r.converged);
-  const auto x = gather_vector(dm.layout, dx);
-  for (std::int32_t i = 0; i < n; ++i) EXPECT_NEAR(x[i], x_true[i], 1e-6);
-}
-
-INSTANTIATE_TEST_SUITE_P(RankCounts, DistBicgstabTest,
-                         ::testing::Values(1, 2, 4, 7));
 
 TEST(Dist, PreconditionersAgreeOnSolution) {
   const std::int32_t n = 40;

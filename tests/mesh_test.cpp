@@ -61,7 +61,9 @@ TEST(TetMesh, TwoTetAdjacency) {
   int shared = 0;
   for (int f = 0; f < 4; ++f) {
     if (m.neighbor(0, f) == 1) ++shared;
-    if (m.neighbor(1, f) >= 0) EXPECT_EQ(m.neighbor(1, f), 0);
+    if (m.neighbor(1, f) >= 0) {
+      EXPECT_EQ(m.neighbor(1, f), 0);
+    }
   }
   EXPECT_EQ(shared, 1);
 }

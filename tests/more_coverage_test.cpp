@@ -12,7 +12,6 @@
 #include "dsmc/mover.hpp"
 #include "dsmc/sampling.hpp"
 #include "linalg/dist.hpp"
-#include "linalg/krylov.hpp"
 #include "mesh/nozzle.hpp"
 #include "partition/partitioner.hpp"
 #include "support/rng.hpp"
@@ -24,7 +23,6 @@ TEST(PartitionEdgeWeights, HeavyEdgesAreNotCut) {
   // Path of 6 with one very heavy edge in the middle-left: the 2-way cut
   // must avoid it even though cutting there would balance node counts.
   partition::Graph g;
-  const int nv = 6;
   g.xadj = {0, 1, 3, 5, 7, 9, 10};
   g.adjncy = {1, 0, 2, 1, 3, 2, 4, 3, 5, 4};
   g.ewgt = {100, 100, 1, 1, 1, 1, 1, 1, 1, 1};  // edge 0-1 heavy
@@ -46,28 +44,6 @@ TEST(Hungarian, MinAndMaxAreConsistent) {
   const auto mn = balance::hungarian_min(neg, n);
   EXPECT_DOUBLE_EQ(mx.total, -mn.total);
   EXPECT_EQ(mx.row_to_col, mn.row_to_col);
-}
-
-TEST(Krylov, GmresRestartsOnLongRecurrences) {
-  // Force several restart cycles with a small restart length.
-  const std::int32_t n = 60;
-  std::vector<linalg::Triplet> t;
-  for (std::int32_t i = 0; i < n; ++i) {
-    t.push_back({i, i, 4.0});
-    if (i > 0) t.push_back({i, i - 1, -1.5});
-    if (i + 1 < n) t.push_back({i, i + 1, -1.0});
-  }
-  const auto a = linalg::CsrMatrix::from_triplets(n, n, t);
-  std::vector<double> x_true(n), b(n), x(n, 0.0);
-  Rng rng(8);
-  for (auto& v : x_true) v = rng.uniform(-1, 1);
-  a.matvec(x_true, b);
-  linalg::SolveOptions opt{.rel_tol = 1e-10, .max_iterations = 2000};
-  opt.gmres_restart = 5;
-  const auto r = linalg::gmres(a, b, x, opt);
-  ASSERT_TRUE(r.converged);
-  EXPECT_GT(r.iterations, 5);  // needed more than one cycle
-  for (std::int32_t i = 0; i < n; ++i) EXPECT_NEAR(x[i], x_true[i], 1e-6);
 }
 
 TEST(DistLayout, ContiguousOwnershipHasThinHalo) {

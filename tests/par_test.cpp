@@ -99,7 +99,9 @@ TEST(Runtime, InboxClearedAfterSuperstep) {
     if (c.rank() == 0) c.send(1, 0, {});
   });
   rt.superstep("b", [](Comm& c) {
-    if (c.rank() == 1) EXPECT_EQ(c.inbox().size(), 1u);
+    if (c.rank() == 1) {
+      EXPECT_EQ(c.inbox().size(), 1u);
+    }
   });
   rt.superstep("c", [](Comm& c) { EXPECT_TRUE(c.inbox().empty()); });
 }
@@ -138,14 +140,6 @@ TEST(Runtime, BarrierAlignsClocks) {
   rt.barrier("sync");
   EXPECT_DOUBLE_EQ(rt.clock(0), rt.clock(2));
   EXPECT_GE(rt.clock(0), 3e-3);  // at least the largest pre-barrier clock
-}
-
-TEST(Runtime, AllreduceSumAndExtremes) {
-  Runtime rt = make_runtime(4);
-  const std::vector<double> vals{1.0, 2.0, 3.0, 4.0};
-  EXPECT_DOUBLE_EQ(rt.allreduce_sum("x", vals), 10.0);
-  EXPECT_DOUBLE_EQ(rt.allreduce_max("x", vals), 4.0);
-  EXPECT_DOUBLE_EQ(rt.allreduce_min("x", vals), 1.0);
 }
 
 TEST(Runtime, AllreduceSumVecElementwise) {
@@ -559,7 +553,9 @@ TEST(Runtime, AcquiredPayloadsAreZeroFilled) {
     c.send_owned(1, 0, std::move(p), CostClass::kParticle);
   });
   rt.superstep("deliver", [](Comm& c) {
-    if (c.rank() == 1) ASSERT_EQ(c.inbox().size(), 1u);
+    if (c.rank() == 1) {
+      ASSERT_EQ(c.inbox().size(), 1u);
+    }
   });
   // The dirty buffer recycled to rank 0's pool; a smaller acquire must
   // best-fit it and still hand back zeroes.

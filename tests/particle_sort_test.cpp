@@ -225,9 +225,10 @@ TEST(ParticleSort, CellIndexSortsEachCellById) {
     const auto parts = index.particles_in(c);
     for (std::size_t k = 0; k < parts.size(); ++k) {
       EXPECT_EQ(store.cells()[parts[k]], c);
-      if (k > 0)
+      if (k > 0) {
         EXPECT_LT(store.ids()[parts[k - 1]], store.ids()[parts[k]])
             << "cell " << c << " item " << k;
+      }
     }
     seen += parts.size();
   }

@@ -114,8 +114,9 @@ TEST(Poisson, LaplaceSolutionObeysMaxPrinciple) {
   for (std::int32_t n = 0; n < sys.num_nodes(); ++n) {
     EXPECT_GE(phi[n], -1e-6);
     EXPECT_LE(phi[n], 100.0 + 1e-6);
-    if (sys.is_dirichlet()[n])
+    if (sys.is_dirichlet()[n]) {
       EXPECT_NEAR(phi[n], sys.dirichlet_value()[n], 1e-6);
+    }
   }
   // The potential decays along the axis away from the inlet.
   const FineGrid fg(m.coarse, m.refined);
@@ -328,12 +329,16 @@ TEST(Deposit, ShortRemovedSpanThrows) {
 TEST(Field, LinearPotentialGivesConstantField) {
   const Meshes m = make_meshes();
   const FineGrid fg(m.coarse, m.refined);
-  // phi = 7z  ->  E = (0, 0, -7).
+  // phi = 7z  ->  E = (0, 0, -7). With the identity node list, phi is
+  // indexed by global node id.
+  std::vector<std::int32_t> all_nodes(m.refined.mesh.num_nodes());
   std::vector<double> phi(m.refined.mesh.num_nodes());
-  for (std::int32_t n = 0; n < m.refined.mesh.num_nodes(); ++n)
+  for (std::int32_t n = 0; n < m.refined.mesh.num_nodes(); ++n) {
+    all_nodes[n] = n;
     phi[n] = 7.0 * m.refined.mesh.node(n).z;
+  }
   for (std::int32_t fc = 0; fc < 50; ++fc) {
-    const Vec3 e = efield_in_cell_global(fg, fc, phi);
+    const Vec3 e = efield_in_cell(fg, fc, all_nodes, phi);
     EXPECT_NEAR(e.x, 0.0, 1e-8);
     EXPECT_NEAR(e.y, 0.0, 1e-8);
     EXPECT_NEAR(e.z, -7.0, 1e-6);

@@ -2,12 +2,17 @@
 
 #include <atomic>
 #include <cmath>
+#include <cstdint>
+#include <numeric>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include "support/cli.hpp"
 #include "support/error.hpp"
 #include "support/kernel_exec.hpp"
 #include "support/rng.hpp"
+#include "support/serialize.hpp"
 #include "support/stats.hpp"
 #include "support/table.hpp"
 #include "support/thread_pool.hpp"
@@ -166,6 +171,45 @@ TEST(Stats, MeanRelativeErrorSkipsNearZeroReference) {
   const std::vector<double> a{1.1, 2.2, 5.0};
   const std::vector<double> b{1.0, 2.0, 0.0};
   EXPECT_NEAR(mean_relative_error(a, b), 0.1, 1e-12);  // third pair skipped
+}
+
+/// A stream holding a 64-bit length prefix of `n` and 16 payload bytes.
+std::stringstream prefixed(std::uint64_t n) {
+  std::stringstream ss;
+  io::write_pod(ss, n);
+  ss << std::string(16, 'x');
+  return ss;
+}
+
+TEST(Serialize, OversizedLengthPrefixIsATypedError) {
+  // Each must end in dsmcpic::Error after at most one 1 MiB chunk: not in
+  // std::length_error (2^62), std::bad_alloc (2^40) or a 1 GiB zero-fill
+  // of doubles before the short read is noticed (2^27).
+  for (const int bits : {62, 40, 27}) {
+    SCOPED_TRACE(bits);
+    std::stringstream a = prefixed(std::uint64_t{1} << bits);
+    EXPECT_THROW(io::read_vec<double>(a), Error);
+    std::stringstream b = prefixed(std::uint64_t{1} << bits);
+    EXPECT_THROW(io::read_string(b), Error);
+  }
+}
+
+TEST(Serialize, MultiChunkReadsRoundTrip) {
+  // 300k doubles (2.4 MB) and a 1.5 MiB string each span several reads.
+  std::vector<double> v(300000);
+  std::iota(v.begin(), v.end(), 0.5);
+  std::string s(3u << 19, '\0');
+  for (std::size_t i = 0; i < s.size(); ++i) s[i] = static_cast<char>(i * 7);
+  std::stringstream ss;
+  io::write_vec(ss, v);
+  io::write_string(ss, s);
+  const std::string bytes = ss.str();
+  EXPECT_EQ(io::read_vec<double>(ss), v);
+  EXPECT_EQ(io::read_string(ss), s);
+  // Cut inside the vector's third chunk (bytes 2 MiB to 2.4 MB): still a
+  // typed error.
+  std::stringstream cut(bytes.substr(0, 8 + 2'200'000));
+  EXPECT_THROW(io::read_vec<double>(cut), Error);
 }
 
 TEST(ThreadPool, RunsEveryIndexExactlyOnce) {

@@ -308,8 +308,9 @@ TEST(CriticalPath, ImbalancedRunBlamesTheOverloadedRank) {
   for (int rank = 0; rank < 4; ++rank) {
     if (rank == overloaded) continue;
     const auto other = r.compute_by_rank_phase.find({rank, move});
-    if (other != r.compute_by_rank_phase.end())
+    if (other != r.compute_by_rank_phase.end()) {
       EXPECT_LT(other->second, it->second) << "rank " << rank;
+    }
   }
 
   // Virtual time is bounded by the chain: compute + comm + untracked on
@@ -378,8 +379,11 @@ TEST(CriticalPath, RebalanceShiftsWaitBlameOffTheOverloadedRank) {
   // is the one NOT waiting — every other rank out-waits it.
   trace::CriticalPathAnalyzer cp(rec);
   const std::vector<double> before = cp.wait_in_window(0.0, t_reb);
-  for (int r = 0; r < 4; ++r)
-    if (r != overloaded) EXPECT_GT(before[r], before[overloaded]) << r;
+  for (int r = 0; r < 4; ++r) {
+    if (r != overloaded) {
+      EXPECT_GT(before[r], before[overloaded]) << r;
+    }
+  }
 
   // And the recorded lii counter drops at the step after the rebalance.
   ASSERT_NE(first_reb + 1, hist0.end());
