@@ -2,10 +2,14 @@
 # Builds the particle-ordering and solver tests under AddressSanitizer +
 # UndefinedBehaviorSanitizer (plus libstdc++ bounds assertions) and runs
 # them. The rank-local cell index (DESIGN.md §2g) is an open-addressing
-# table plus index arithmetic over per-slot ranges; the periodic cell sort
-# and the deposit traversal are built on it. An out-of-bounds probe, a
-# stale range after a rebuild or a signed overflow in the slot bookkeeping
-# would fail here rather than corrupt a digest by luck. The runtime and
+# table plus index arithmetic over per-slot ranges, with a merge sort
+# through a reused buffer for its id order; the periodic cell sort and the
+# deposit traversal are built on it. An out-of-bounds probe, a stale range
+# or buffer tail after a rebuild or a signed overflow in the slot
+# bookkeeping would fail here rather than corrupt a digest by luck. The
+# per-layout node-slot table the gather and deposit index phi and charge
+# through is checked against the binary search on a 24-rank Dataset-2
+# layout, including the search fallback for other ranks' tets. The runtime and
 # linalg suites cover the message rounds and the halo exchanger's
 # slot-range and halo-slot index arithmetic (DESIGN.md §2i), and the
 # checkpoint-corruption tests patch saved files that must be refused with a
@@ -33,11 +37,15 @@ export ASAN_OPTIONS="detect_leaks=1 ${ASAN_OPTIONS:-}"
 export UBSAN_OPTIONS="print_stacktrace=1 ${UBSAN_OPTIONS:-}"
 
 # The index against its global-mesh reference (empty stores, 3 of 10^5
-# cells, one cell, duplicate ids, out-of-range cells) and the store
-# primitives the sort is built on.
+# cells, one cell, duplicate ids, out-of-range cells, every cell length
+# from 0 to 300, lengths around the run and merge boundaries, one index
+# rebuilt over growing and shrinking cells) and the store primitives the
+# sort is built on.
 "$BUILD"/tests/particle_sort_test
-# The deposit traversal against its reference at kernel lanes 1, 2, 4, and
-# the removal-span checks.
+# The deposit traversal against its reference at kernel lanes 1, 2, 4, the
+# removal-span checks, and the node-slot table
+# (NodeExchange.TetSlotsEqualSearchInOwnersList, Field.TableGather*,
+# Field.ForeignTetTakesTheSearchPath, Deposit.TableMatchesSpanOnlyBitwise).
 "$BUILD"/tests/pic_test
 "$BUILD"/tests/dsmc_test
 # Whole solves: the periodic sort composed with the reused Reindex index,
@@ -49,7 +57,9 @@ export UBSAN_OPTIONS="print_stacktrace=1 ${UBSAN_OPTIONS:-}"
 # 24 and 1,024 ranks.
 "$BUILD"/tests/par_test
 "$BUILD"/tests/linalg_test
-# Out-of-range owners and short load windows in a solver checkpoint.
+# Out-of-range owners, short load windows, and particles in a cell past
+# the mesh or in another rank's cell in a solver checkpoint
+# (Checkpoint.RejectsParticlesOutsideTheirRanksCells).
 "$BUILD"/tests/core_features_test --gtest_filter='Checkpoint.Rejects*'
 # Oversized length prefixes (2^62, 2^40, 2^27) in read_vec/read_string and
 # in a parked run's lease.bin, and multi-chunk reads.

@@ -40,7 +40,11 @@ export TSAN_OPTIONS="halt_on_error=1 ${TSAN_OPTIONS:-}"
 # per-block scatter buffers + ascending-block reduction on real kernel
 # lanes. The solver-level suites stay below the cutoff, so this unit test
 # is the only TSan coverage of the deposit's phase-A/phase-B threading.
-"$BUILD"/tests/pic_test --gtest_filter='Deposit.*'
+# Deposit.TableMatchesSpanOnlyBitwise and Field.TableGatherMatchesSearch-
+# Bitwise read the per-layout node-slot table from kernel lanes 2 and 4, as
+# the deposit and PIC_Move's gather do; Field.* and NodeExchange.* add the
+# search fallback and the table build.
+"$BUILD"/tests/pic_test --gtest_filter='Deposit.*:Field.*:NodeExchange.*'
 # Intra-rank kernel chunking first (real threads inside move/collide/
 # react/deposit), then the sorted-traversal suite (periodic cell sort
 # composed with threaded exec + kernel lanes, DESIGN.md §2g), then the

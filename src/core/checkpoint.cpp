@@ -144,6 +144,18 @@ void CoupledSolver::restore_checkpoint(const std::string& path) {
                                                   << owner_[c]
                                                   << ", outside [0, "
                                                   << active_ << ")");
+  // Every exchange leaves each particle on the rank owning its cell; the
+  // movers index cell geometry by it and the PIC kernels read node slots by
+  // the cell's owner.
+  for (std::size_t r = 0; r < stores_.size(); ++r)
+    for (const std::int32_t c : stores_[r].cells()) {
+      const bool owned = c >= 0 && c < coarse_.num_tets() &&
+                         owner_[static_cast<std::size_t>(c)] ==
+                             static_cast<std::int32_t>(r);
+      DSMCPIC_CHECK_MSG(owned, "checkpoint particle of rank "
+                                   << r << " is in cell " << c
+                                   << ", which the rank does not own");
+    }
   ensemble_.load(is);
 
   rt_->load(is);

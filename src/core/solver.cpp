@@ -168,6 +168,7 @@ void CoupledSolver::rebuild_parallel_structures(const std::string& phase,
     }
   }
 
+  nodex_.reset();  // the old layout's tables go before the new ones exist
   nodex_ = std::make_unique<pic::NodeExchange>(*fine_, owner_, active);
   linalg::DistLayout layout =
       linalg::DistLayout::build(active, nodex_->node_owner(), psys_->matrix());
@@ -176,8 +177,17 @@ void CoupledSolver::rebuild_parallel_structures(const std::string& phase,
   // Per-rank potentials from the driver-side mirror; the solve zeroes x_.
   x_.assign(active, {});
   phi_local_.assign(active, {});
+  owned_slot_.assign(active, {});
   for (int r = 0; r < active; ++r) {
-    x_[r].resize(dmat_.layout.owned[r].size());
+    const auto& owned = dmat_.layout.owned[r];
+    x_[r].resize(owned.size());
+    owned_slot_[r].resize(owned.size());
+    for (std::size_t i = 0; i < owned.size(); ++i) {
+      const std::int32_t li = nodex_->local_index(r, owned[i]);
+      DSMCPIC_CHECK_MSG(li >= 0, "rank " << r << " owns row " << owned[i]
+                                         << " outside its node list");
+      owned_slot_[r][i] = li;
+    }
     const auto& nodes = nodex_->rank_nodes(r);
     phi_local_[r].resize(nodes.size());
     for (std::size_t i = 0; i < nodes.size(); ++i)
@@ -395,8 +405,8 @@ void CoupledSolver::do_pic_substep(int substep, StepDiagnostics& diag) {
           ++chunk_lost[ch];
           continue;
         }
-        const Vec3 e = pic::efield_in_cell(*fine_, fc, nodex_->rank_nodes(r),
-                                           phi_local_[r]);
+        const Vec3 e = pic::efield_in_cell(
+            *fine_, fc, nodex_->tet_slots(r, fc), phi_local_[r]);
         Vec3 vel = pic::boris_push({vx[i], vy[i], vz[i]}, e,
                                    cfg_.magnetic_field, sp.charge / sp.mass,
                                    dt);
@@ -457,8 +467,8 @@ void CoupledSolver::do_poisson_solve(StepDiagnostics& diag) {
     const int r = c.rank();
     const obs::HostProfiler::Scope prof(prof_, "deposit");
     const pic::DepositStats st = pic::deposit_charge(
-        stores_[r], *fine_, species_, nodex_->rank_nodes(r), removed_[r],
-        node_charge[r], kexec_.get(), &deposit_scratch_[r]);
+        stores_[r], *fine_, species_, *nodex_, r, removed_[r], node_charge[r],
+        kexec_.get(), &deposit_scratch_[r]);
     c.charge(par::WorkKind::kDeposit, static_cast<double>(st.deposited));
   });
   if (cfg_.fault == FaultInjection::kSkewDeposit && !node_charge[0].empty()) {
@@ -492,12 +502,10 @@ void CoupledSolver::do_poisson_solve(StepDiagnostics& diag) {
   rt_->superstep(phase, [&](par::Comm& c) {
     const int r = c.rank();
     const auto& owned = dmat_.layout.owned[r];
+    const auto& slot = owned_slot_[r];
     b[r].resize(owned.size());
-    for (std::size_t i = 0; i < owned.size(); ++i) {
-      const std::int32_t li = nodex_->local_index(r, owned[i]);
-      DSMCPIC_CHECK(li >= 0);
-      b[r][i] = psys_->rhs_at(owned[i], node_charge[r][li]);
-    }
+    for (std::size_t i = 0; i < owned.size(); ++i)
+      b[r][i] = psys_->rhs_at(owned[i], node_charge[r][slot[i]]);
     c.charge(par::WorkKind::kVecFlop, static_cast<double>(owned.size()));
   });
 
@@ -522,11 +530,9 @@ void CoupledSolver::do_poisson_solve(StepDiagnostics& diag) {
   }
   rt_->superstep(phase, [&](par::Comm& c) {
     const int r = c.rank();
-    const auto& owned = dmat_.layout.owned[r];
-    for (std::size_t i = 0; i < owned.size(); ++i) {
-      const std::int32_t li = nodex_->local_index(r, owned[i]);
-      phi_local_[r][li] = x_[r][i];
-    }
+    const auto& slot = owned_slot_[r];
+    for (std::size_t i = 0; i < slot.size(); ++i)
+      phi_local_[r][slot[i]] = x_[r][i];
   });
   nodex_->broadcast_from_owners(*rt_, phase, phi_local_);
 }

@@ -243,6 +243,8 @@ class CoupledSolver {
   linalg::DistMatrix dmat_;
   linalg::DistVector x_;                        // per-rank owned phi
   std::vector<std::vector<double>> phi_local_;  // per-rank, rank_nodes order
+  // Per rank: owned row i's slot in rank_nodes (indexes phi_local_).
+  std::vector<std::vector<std::int32_t>> owned_slot_;
   std::vector<double> phi_global_;              // driver-side mirror
 
   dsmc::CellSampler sampler_;

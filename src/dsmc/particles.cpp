@@ -207,11 +207,37 @@ void CellIndex::rebuild(const ParticleStore& store, std::int32_t num_cells) {
 }
 
 void CellIndex::order_by_id(std::span<const std::int64_t> ids) {
-  for (const std::int32_t s : by_cell_)  // ranges in memory order
-    std::stable_sort(items_.begin() + begin_[s], items_.begin() + end_[s],
-                     [&ids](std::int32_t a, std::int32_t b) {
-                       return ids[a] < ids[b];
-                     });
+  // std::stable_sort's result (a stable sort's output is unique) without
+  // the temporary buffer it allocates on every call: runs of kRun are
+  // insertion-sorted in place, then adjacent runs merge at doubling widths
+  // through merge_buf_. Pairs already in order are skipped, so a cell
+  // listed in id order (the common case after Reindex) costs one compare
+  // per item.
+  constexpr std::int64_t kRun = 16;
+  const auto before = [&ids](std::int32_t a, std::int32_t b) {
+    return ids[a] < ids[b];
+  };
+  for (const std::int32_t s : by_cell_) {  // ranges in memory order
+    std::int32_t* const list = items_.data() + begin_[s];
+    const std::int64_t n = end_[s] - begin_[s];
+    for (std::int64_t lo = 0; lo < n; lo += kRun)
+      for (std::int64_t i = lo + 1; i < std::min(lo + kRun, n); ++i) {
+        const std::int32_t v = list[i];
+        std::int64_t j = i;
+        for (; j > lo && before(v, list[j - 1]); --j) list[j] = list[j - 1];
+        list[j] = v;
+      }
+    for (std::int64_t width = kRun; width < n; width *= 2)
+      for (std::int64_t lo = 0; lo + width < n; lo += 2 * width) {
+        const std::int64_t mid = lo + width;
+        const std::int64_t hi = std::min(mid + width, n);
+        if (!before(list[mid], list[mid - 1])) continue;
+        merge_buf_.resize(static_cast<std::size_t>(hi - lo));
+        std::merge(list + lo, list + mid, list + mid, list + hi,
+                   merge_buf_.begin(), before);  // stable: left run first
+        std::copy(merge_buf_.begin(), merge_buf_.end(), list + lo);
+      }
+  }
 }
 
 void CellIndex::reset(std::int32_t num_cells, std::size_t n) {

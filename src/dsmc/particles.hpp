@@ -62,7 +62,9 @@ class CellIndex {
   template <class Keep>
   void group(std::span<const std::int32_t> cells, std::int32_t num_cells,
              Keep keep);
-  /// Stable-sorts each cell's list by ascending ids[item].
+  /// Stable-sorts each cell's list by ascending ids[item]: insertion sort
+  /// on short runs, then merges through a buffer the index keeps, so
+  /// steady-state calls allocate nothing.
   void order_by_id(std::span<const std::int64_t> ids);
 
   /// The listed particles of `cell`; empty if it holds none.
@@ -112,6 +114,7 @@ class CellIndex {
   std::vector<std::int32_t> tag_;      // per listed index: slot, or -1
   std::vector<std::int32_t> by_cell_;  // slots by ascending cell
   std::vector<std::int32_t> items_;
+  std::vector<std::int32_t> merge_buf_;  // order_by_id's merge output
 };
 
 inline std::int32_t CellIndex::occupy(std::int32_t cell) {

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 
+#include "pic/node_exchange.hpp"
 #include "support/error.hpp"
 
 namespace dsmcpic::pic {
@@ -16,25 +17,14 @@ namespace {
 constexpr int kDepositBlocks = 16;
 constexpr std::int64_t kDepositBlockCutoff = 4096;
 
-std::int32_t local_of(std::span<const std::int32_t> sorted_nodes,
-                      std::int32_t g) {
-  const auto it = std::lower_bound(sorted_nodes.begin(), sorted_nodes.end(), g);
-  DSMCPIC_CHECK_MSG(it != sorted_nodes.end() && *it == g,
-                    "deposited node " << g << " missing from the rank node set");
-  return static_cast<std::int32_t>(it - sorted_nodes.begin());
-}
-
-}  // namespace
-
-DepositStats deposit_charge(const dsmc::ParticleStore& store,
-                            const FineGrid& grid,
-                            const dsmc::SpeciesTable& table,
-                            std::span<const std::int32_t> sorted_nodes,
-                            std::span<const std::uint8_t> removed,
-                            std::span<double> node_charge,
-                            const support::KernelExec* exec,
-                            DepositScratch* scratch) {
-  DSMCPIC_CHECK(node_charge.size() == sorted_nodes.size());
+// The deposit of both public forms; `slots_of(fc)` gives fine tet fc's four
+// nodes as indices into node_charge.
+template <class SlotsOf>
+DepositStats deposit(const dsmc::ParticleStore& store, const FineGrid& grid,
+                     const dsmc::SpeciesTable& table, SlotsOf slots_of,
+                     std::span<const std::uint8_t> removed,
+                     std::span<double> node_charge,
+                     const support::KernelExec* exec, DepositScratch* scratch) {
   DSMCPIC_CHECK(removed.empty() || removed.size() == store.size());
   DepositStats stats;
   const auto px = store.px();
@@ -75,9 +65,9 @@ DepositStats deposit_charge(const dsmc::ParticleStore& store,
     const auto w = fine.barycentric(fc, pos);
     const dsmc::Species& sp = table[species[i]];
     const double q = sp.charge * sp.fnum;
-    const auto& nd = fine.tet(fc);
+    const TetSlots slots = slots_of(fc);
     for (int k = 0; k < 4; ++k)
-      acc[static_cast<std::size_t>(local_of(sorted_nodes, nd[k]))] += q * w[k];
+      acc[static_cast<std::size_t>(slots[k])] += q * w[k];
     ++out.deposited;
   };
 
@@ -136,6 +126,38 @@ DepositStats deposit_charge(const dsmc::ParticleStore& store,
     stats.lost += bstats[b].lost;
   }
   return stats;
+}
+
+}  // namespace
+
+DepositStats deposit_charge(const dsmc::ParticleStore& store,
+                            const FineGrid& grid,
+                            const dsmc::SpeciesTable& table,
+                            std::span<const std::int32_t> sorted_nodes,
+                            std::span<const std::uint8_t> removed,
+                            std::span<double> node_charge,
+                            const support::KernelExec* exec,
+                            DepositScratch* scratch) {
+  DSMCPIC_CHECK(node_charge.size() == sorted_nodes.size());
+  return deposit(
+      store, grid, table,
+      [&](std::int32_t fc) { return grid.find_slots(fc, sorted_nodes); },
+      removed, node_charge, exec, scratch);
+}
+
+DepositStats deposit_charge(const dsmc::ParticleStore& store,
+                            const FineGrid& grid,
+                            const dsmc::SpeciesTable& table,
+                            const NodeExchange& nodes, int rank,
+                            std::span<const std::uint8_t> removed,
+                            std::span<double> node_charge,
+                            const support::KernelExec* exec,
+                            DepositScratch* scratch) {
+  DSMCPIC_CHECK(node_charge.size() == nodes.rank_nodes(rank).size());
+  return deposit(
+      store, grid, table,
+      [&](std::int32_t fc) { return nodes.tet_slots(rank, fc); }, removed,
+      node_charge, exec, scratch);
 }
 
 }  // namespace dsmcpic::pic

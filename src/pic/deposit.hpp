@@ -39,6 +39,8 @@ struct DepositScratch {
   std::vector<double> block_charge;   // kDepositBlocks x nnodes accumulators
 };
 
+class NodeExchange;
+
 /// Scatters charge (q * fnum, in coulomb) of all charged particles into
 /// `node_charge`, a compact per-rank vector indexed like `sorted_nodes`
 /// (ascending global fine-node ids — see NodeExchange::rank_nodes).
@@ -50,10 +52,25 @@ struct DepositScratch {
 /// bit-identical across serial / kernel-thread configurations; `exec` only
 /// decides whether blocks run concurrently. `scratch` (optional) carries
 /// the traversal and block buffers across steps.
+///
+/// Each particle's four nodes are found by binary search in `sorted_nodes`.
 DepositStats deposit_charge(const dsmc::ParticleStore& store,
                             const FineGrid& grid,
                             const dsmc::SpeciesTable& table,
                             std::span<const std::int32_t> sorted_nodes,
+                            std::span<const std::uint8_t> removed,
+                            std::span<double> node_charge,
+                            const support::KernelExec* exec = nullptr,
+                            DepositScratch* scratch = nullptr);
+
+/// The same deposit for rank `rank` of a layout: `node_charge` is indexed
+/// like `nodes.rank_nodes(rank)`, and each particle's four nodes come from
+/// `nodes.tet_slots` (the per-layout table, or the search as a fallback).
+/// Bit-identical to the call above with `sorted_nodes = rank_nodes(rank)`.
+DepositStats deposit_charge(const dsmc::ParticleStore& store,
+                            const FineGrid& grid,
+                            const dsmc::SpeciesTable& table,
+                            const NodeExchange& nodes, int rank,
                             std::span<const std::uint8_t> removed,
                             std::span<double> node_charge,
                             const support::KernelExec* exec = nullptr,

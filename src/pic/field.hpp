@@ -9,11 +9,11 @@
 
 namespace dsmcpic::pic {
 
-/// E inside `fine_cell`, from nodal potentials stored compactly:
-/// `phi_local` is indexed like `sorted_nodes` (ascending global fine-node
-/// ids). All four cell nodes must be present in the set.
+/// E inside `fine_cell`, from nodal potentials stored compactly: `phi_local`
+/// is indexed like one rank's ascending node list, and `slots` are the
+/// cell's four nodes in that list (NodeExchange::tet_slots, or
+/// FineGrid::find_slots for an arbitrary list).
 Vec3 efield_in_cell(const FineGrid& grid, std::int32_t fine_cell,
-                    std::span<const std::int32_t> sorted_nodes,
-                    std::span<const double> phi_local);
+                    const TetSlots& slots, std::span<const double> phi_local);
 
 }  // namespace dsmcpic::pic

@@ -1,5 +1,7 @@
 #include "pic/fine_grid.hpp"
 
+#include <algorithm>
+
 #include "support/error.hpp"
 
 namespace dsmcpic::pic {
@@ -31,6 +33,20 @@ std::array<Vec3, 4> FineGrid::basis_gradients(std::int32_t fine_cell) const {
     g[i] = raw / s;
   }
   return g;
+}
+
+TetSlots FineGrid::find_slots(std::int32_t fine_cell,
+                              std::span<const std::int32_t> sorted_nodes) const {
+  const auto& nd = fine_->tet(fine_cell);
+  TetSlots slots;
+  for (int k = 0; k < 4; ++k) {
+    const auto it =
+        std::lower_bound(sorted_nodes.begin(), sorted_nodes.end(), nd[k]);
+    DSMCPIC_CHECK_MSG(it != sorted_nodes.end() && *it == nd[k],
+                      "fine node " << nd[k] << " missing from the rank node set");
+    slots[k] = static_cast<std::int32_t>(it - sorted_nodes.begin());
+  }
+  return slots;
 }
 
 }  // namespace dsmcpic::pic

@@ -5,11 +5,17 @@
 
 #include <array>
 #include <cstdint>
+#include <span>
 
 #include "mesh/refine.hpp"
 #include "mesh/tetmesh.hpp"
 
 namespace dsmcpic::pic {
+
+/// A fine tet's four nodes (in TetMesh::tet order) as "slots": positions in
+/// one rank's ascending node list, which index that rank's compact nodal
+/// vectors (potential, deposited charge).
+using TetSlots = std::array<std::int32_t, 4>;
 
 class FineGrid {
  public:
@@ -32,6 +38,12 @@ class FineGrid {
   /// Gradients of the four linear basis functions on a fine tet (constant
   /// per tet): grad(lambda_i) such that lambda_i(node_j) = delta_ij.
   std::array<Vec3, 4> basis_gradients(std::int32_t fine_cell) const;
+
+  /// The slots of fine_cell's four nodes in `sorted_nodes` (ascending global
+  /// fine-node ids), by binary search. Throws dsmcpic::Error if one of the
+  /// nodes is missing from the list.
+  TetSlots find_slots(std::int32_t fine_cell,
+                      std::span<const std::int32_t> sorted_nodes) const;
 
  private:
   const mesh::TetMesh* coarse_;

@@ -10,28 +10,50 @@ namespace dsmcpic::pic {
 NodeExchange::NodeExchange(const FineGrid& grid,
                            std::span<const std::int32_t> coarse_owner,
                            int nranks)
-    : nranks_(nranks) {
+    : nranks_(nranks),
+      grid_(grid),
+      cell_owner_(coarse_owner.begin(), coarse_owner.end()) {
   const mesh::TetMesh& fine = grid.fine();
-  DSMCPIC_CHECK(static_cast<std::int32_t>(coarse_owner.size()) ==
-                grid.coarse().num_tets());
+  const std::int32_t ncoarse = grid.coarse().num_tets();
+  DSMCPIC_CHECK(static_cast<std::int32_t>(coarse_owner.size()) == ncoarse);
+  DSMCPIC_CHECK(fine.num_tets() == grid.first_child(ncoarse));
 
-  node_owner_.assign(static_cast<std::size_t>(fine.num_nodes()), -1);
-  std::vector<std::vector<std::int32_t>> sets(nranks);
-  for (std::int32_t fc = 0; fc < fine.num_tets(); ++fc) {
-    const int r = coarse_owner[grid.parent_of(fc)];
+  std::vector<std::vector<std::int32_t>> cells_of(nranks);
+  for (std::int32_t c = 0; c < ncoarse; ++c) {
+    const int r = coarse_owner[c];
     DSMCPIC_CHECK_MSG(r >= 0 && r < nranks, "bad owner for coarse cell");
-    for (const std::int32_t n : fine.tet(fc)) {
-      sets[r].push_back(n);
-      // Owner = smallest touching rank.
-      if (node_owner_[n] == -1 || r < node_owner_[n]) node_owner_[n] = r;
-    }
+    cells_of[r].push_back(c);
   }
+
+  // Per rank, ascending: its sorted node list, then every one of its fine
+  // tets' slots through a node -> slot scratch map, which holds one rank's
+  // slots at a time (a rank's tets touch only nodes it has just listed).
+  // A node's owner is the first, i.e. smallest, rank that lists it.
+  node_owner_.assign(static_cast<std::size_t>(fine.num_nodes()), -1);
   rank_nodes_.resize(nranks);
+  tet_slots_.resize(static_cast<std::size_t>(fine.num_tets()));
+  std::vector<std::int32_t> slot_of(static_cast<std::size_t>(fine.num_nodes()));
+  std::vector<std::int32_t> nodes;
   for (int r = 0; r < nranks; ++r) {
-    auto& s = sets[r];
-    std::sort(s.begin(), s.end());
-    s.erase(std::unique(s.begin(), s.end()), s.end());
-    rank_nodes_[r] = std::move(s);
+    nodes.clear();
+    for (const std::int32_t c : cells_of[r])
+      for (std::int32_t fc = grid.first_child(c); fc < grid.first_child(c + 1);
+           ++fc)
+        for (const std::int32_t n : fine.tet(fc)) nodes.push_back(n);
+    std::sort(nodes.begin(), nodes.end());
+    nodes.erase(std::unique(nodes.begin(), nodes.end()), nodes.end());
+    rank_nodes_[r].assign(nodes.begin(), nodes.end());  // exact capacity
+    for (std::size_t i = 0; i < nodes.size(); ++i) {
+      slot_of[nodes[i]] = static_cast<std::int32_t>(i);
+      if (node_owner_[nodes[i]] == -1) node_owner_[nodes[i]] = r;
+    }
+    for (const std::int32_t c : cells_of[r])
+      for (std::int32_t fc = grid.first_child(c); fc < grid.first_child(c + 1);
+           ++fc) {
+        const auto& nd = fine.tet(fc);
+        for (int k = 0; k < 4; ++k)
+          tet_slots_[static_cast<std::size_t>(fc)][k] = slot_of[nd[k]];
+      }
   }
 
   // Build matching ghost/owner plans (iterate ghosts in ascending global id

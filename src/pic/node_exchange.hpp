@@ -8,6 +8,11 @@
 // local fine cells touch. Nodes shared across ranks have a unique owner
 // (the smallest touching rank); reduce_to_owners ships ghost contributions
 // to owners, broadcast_from_owners ships owner values back to ghosts.
+//
+// The particle kernels (E-field gather, charge deposit) read those vectors
+// at a fine tet's four nodes. Their slots are resolved once per layout, in
+// a table built with the exchange (DESIGN.md §2g), so no kernel searches
+// the node list per ion.
 
 #include <cstdint>
 #include <span>
@@ -39,6 +44,17 @@ class NodeExchange {
   /// Local index of global node g on rank r (-1 when absent). O(log n).
   std::int32_t local_index(int r, std::int32_t g) const;
 
+  /// The slots of fine tet fc's four nodes in rank_nodes(r). Read from the
+  /// per-layout table when r owns fc's parent cell; otherwise (a fallback
+  /// walk in FineGrid::locate can land in a neighbouring cell) found by
+  /// FineGrid::find_slots, which throws dsmcpic::Error if r's list lacks a
+  /// node.
+  TetSlots tet_slots(int r, std::int32_t fc) const {
+    if (cell_owner_[static_cast<std::size_t>(grid_.parent_of(fc))] == r)
+      return tet_slots_[static_cast<std::size_t>(fc)];
+    return grid_.find_slots(fc, rank_nodes_[r]);
+  }
+
   /// values[r] is indexed like rank_nodes(r). Sums every ghost entry into
   /// its owner's entry. Ghost entries are left untouched (stale) — call
   /// broadcast_from_owners to refresh them.
@@ -65,8 +81,12 @@ class NodeExchange {
   };
 
   int nranks_;
+  FineGrid grid_;
+  std::vector<std::int32_t> cell_owner_;  // coarse cell -> rank
   std::vector<std::int32_t> node_owner_;
   std::vector<std::vector<std::int32_t>> rank_nodes_;
+  // Per fine tet: its nodes' slots in its parent cell owner's rank_nodes.
+  std::vector<TetSlots> tet_slots_;
   // ghost_plan_[r]: per owner-peer, r's local indices of ghosts owned by peer.
   std::vector<std::vector<Plan>> ghost_plan_;
   // owner_plan_[o]: per ghost-peer, o's local indices in matching order.

@@ -198,6 +198,74 @@ TEST(Checkpoint, RejectsCorruptOwnersAndLoadWindows) {
   std::filesystem::remove(path);
 }
 
+// Every exchange leaves each particle on the rank that owns its cell, and
+// the movers and PIC kernels index by that cell and its owner: a particle
+// in a cell past the mesh, or in another rank's cell, must be refused.
+TEST(Checkpoint, RejectsParticlesOutsideTheirRanksCells) {
+  const std::string path = temp_path("dsmcpic_ckpt_particle_cell.bin");
+  const ParallelConfig par = tiny_parallel(3);
+  {
+    CoupledSolver solver(tiny_config(), par);
+    solver.run(2);
+    solver.save_checkpoint(path);
+  }
+  std::string saved;
+  {
+    std::ifstream is(path, std::ios::binary);
+    saved.assign(std::istreambuf_iterator<char>(is), {});
+  }
+  auto restore = [&](const std::string& bytes) {
+    {
+      std::ofstream os(path, std::ios::binary | std::ios::trunc);
+      os.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+    }
+    CoupledSolver solver(tiny_config(), par);
+    solver.restore_checkpoint(path);
+  };
+  const auto u64_at = [&saved](std::size_t at) {
+    std::uint64_t v;
+    std::memcpy(&v, saved.data() + at, sizeof(v));
+    return v;
+  };
+
+  // The owner array follows the header (magic, version, fingerprint) and
+  // the two step counters; the stores follow it, each as nine
+  // length-prefixed vectors: six of doubles, ids, species, then cells.
+  std::size_t at = 8 + 4 + 8 + 4 + 4;
+  const std::uint64_t ncells = u64_at(at);
+  std::vector<std::int32_t> owner(ncells);
+  std::memcpy(owner.data(), saved.data() + at + 8, 4 * ncells);
+  at += 8 + 4 * ncells;
+  ASSERT_EQ(u64_at(at), 3u);
+  at += 8;
+  std::int32_t rank = -1;
+  std::size_t cell0 = 0;  // offset of the first particle's cell
+  for (std::int32_t r = 0; r < 3 && rank < 0; ++r) {
+    const std::uint64_t n = u64_at(at);
+    at += 7 * (8 + 8 * n) + (8 + 4 * n);
+    ASSERT_EQ(u64_at(at), n);
+    if (n > 0) {
+      rank = r;
+      cell0 = at + 8;
+    }
+    at += 8 + 4 * n;
+  }
+  ASSERT_GE(rank, 0) << "no particles after two steps";
+  std::int32_t cell;
+  std::memcpy(&cell, saved.data() + cell0, sizeof(cell));
+  ASSERT_EQ(owner[cell], rank);
+  EXPECT_NO_THROW(restore(saved));
+
+  std::int32_t foreign = 0;
+  while (owner[foreign] == rank) ++foreign;
+  for (const std::int32_t bad : {static_cast<std::int32_t>(ncells), foreign}) {
+    std::string patched = saved;
+    std::memcpy(patched.data() + cell0, &bad, sizeof(bad));
+    EXPECT_THROW(restore(patched), Error) << "cell " << bad;
+  }
+  std::filesystem::remove(path);
+}
+
 TEST(Autotune, PicksAValidCombination) {
   AutotuneOptions opt;
   opt.periods = {4, 8};

@@ -11,6 +11,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <numeric>
 #include <span>
 #include <sstream>
 #include <vector>
@@ -391,6 +392,85 @@ TEST(CellIndexReference, RandomStoresMatchAcrossRebuilds) {
     }
     index.rebuild(store, num_cells);
     expect_matches_reference(index, store, num_cells);
+  }
+}
+
+/// A store whose cell c holds lengths[c] particles, the cells interleaved
+/// at random across slots. Within a cell, slot order follows k, the
+/// particle's rank in its cell, and `ids` picks the id pattern along k:
+/// 0 ascending, 1 descending, 2 random in [0, id_range).
+ParticleStore store_with_lengths(std::span<const std::int64_t> lengths,
+                                 int ids, std::uint64_t id_range,
+                                 std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<std::int32_t> slot_cell;
+  for (std::size_t c = 0; c < lengths.size(); ++c)
+    slot_cell.insert(slot_cell.end(), static_cast<std::size_t>(lengths[c]),
+                     static_cast<std::int32_t>(c));
+  for (std::size_t i = slot_cell.size(); i > 1; --i)
+    std::swap(slot_cell[i - 1], slot_cell[rng.next_u64() % i]);
+  std::vector<std::int64_t> next(lengths.size(), 0);
+  ParticleStore store;
+  for (const std::int32_t c : slot_cell) {
+    ParticleRecord p;
+    p.cell = c;
+    const std::int64_t k = next[c]++;
+    p.id = ids == 0   ? k
+           : ids == 1 ? lengths[c] - k
+                      : static_cast<std::int64_t>(rng.next_u64() % id_range);
+    store.add(p);
+  }
+  return store;
+}
+
+// order_by_id insertion-sorts runs of 16 and merges pairs of runs at
+// doubling widths; it must equal std::stable_sort (the reference) at every
+// cell length from 0 to 300, for ascending, descending and random ids.
+TEST(CellIndexReference, CellLengthsZeroToThreeHundred) {
+  std::vector<std::int64_t> lengths(301);
+  std::iota(lengths.begin(), lengths.end(), 0);
+  const auto num_cells = static_cast<std::int32_t>(lengths.size());
+  for (const int ids : {0, 1, 2}) {
+    const ParticleStore store = store_with_lengths(lengths, ids, 1u << 30, 7);
+    const CellIndex index(store, num_cells);
+    expect_matches_reference(index, store, num_cells);
+    EXPECT_TRUE(index.particles_in(0).empty());
+    EXPECT_EQ(index.particles_in(300).size(), 300u);
+  }
+}
+
+// Lengths on both sides of the run (16) and merge-width (32, 64, ... 512)
+// boundaries, with ids drawn from a handful of values, so nearly every
+// comparison is a tie that must keep slot order.
+TEST(CellIndexReference, ManyDuplicateIdsAcrossRunAndMergeBoundaries) {
+  std::vector<std::int64_t> lengths;
+  for (std::int64_t b = 16; b <= 1024; b *= 2)
+    for (const std::int64_t d : {-1, 0, 1}) lengths.push_back(b + d);
+  lengths.push_back(1);
+  lengths.push_back(2);
+  lengths.push_back(3 * 16 + 5);
+  const auto num_cells = static_cast<std::int32_t>(lengths.size());
+  for (const std::uint64_t id_range : {1u, 2u, 3u, 7u}) {
+    const ParticleStore store =
+        store_with_lengths(lengths, 2, id_range, id_range);
+    const CellIndex index(store, num_cells);
+    expect_matches_reference(index, store, num_cells);
+  }
+}
+
+// One index rebuilt while a cell grows past and shrinks below the lengths
+// its merge buffer has held, so a stale buffer tail would show.
+TEST(CellIndexReference, ReusedMergeBufferAcrossGrowingAndShrinkingCells) {
+  CellIndex index;
+  std::uint64_t seed = 1;
+  for (const std::int64_t n : {1, 300, 2, 1000, 17, 513, 0, 33, 2048, 64}) {
+    const std::vector<std::int64_t> lengths{n / 3, n, 5};
+    for (const int ids : {1, 2}) {
+      const ParticleStore store =
+          store_with_lengths(lengths, ids, 1 + n / 4, seed++);
+      index.rebuild(store, 3);
+      expect_matches_reference(index, store, 3);
+    }
   }
 }
 
