@@ -66,7 +66,7 @@ CommonFlags::CommonFlags(Cli& cli, std::string bench_name,
       "(never perturbs results)");
   cost_model_ = cli.add_string(
       "cost-model", "static",
-      "balancer weight model: static (pure Eq. 7) | timer | hybrid");
+      "balancer weight model: static (pure Eq. 7) | timer");
   policy_ = cli.add_string(
       "policy", "threshold",
       "when-to-rebalance policy: threshold | lookahead");

@@ -52,7 +52,7 @@ struct BenchOptions {
   // Health audits: "off" or an obs::AuditSeverity name (warn|abort|count).
   // Auditing never perturbs virtual clocks, physics or traces.
   std::string audit = "off";
-  // Balancer weight model: static | timer | hybrid (DESIGN.md §2h).
+  // Balancer weight model: static | timer (DESIGN.md §2h).
   // "static" is the paper's pure Eq.-7 path, bit-identical to before the
   // cost model existed.
   std::string cost_model = "static";

@@ -11,11 +11,14 @@
 # through is checked against the binary search on a 24-rank Dataset-2
 # layout, including the search fallback for other ranks' tets. The runtime and
 # linalg suites cover the message rounds and the halo exchanger's
-# slot-range and halo-slot index arithmetic (DESIGN.md §2i), and the
-# checkpoint-corruption tests patch saved files that must be refused with a
-# typed error, not indexed out of bounds or sized from a corrupt length
-# prefix. The build uses -DDSMCPIC_WERROR=ON, so a new compiler warning
-# fails the sweep too.
+# slot-range and halo-slot index arithmetic (DESIGN.md §2i). The exchange,
+# balance, policy and ensemble suites cover the balancer's one migration
+# call, its shared delivery step and the redistribution tail of a
+# rebalance and an ensemble resize. The checkpoint- and lease-corruption
+# tests patch saved files that must be refused with a typed error, not
+# indexed out of bounds, sized from a corrupt length prefix or narrowed
+# into a wrong count. The build uses -DDSMCPIC_WERROR=ON, so a new
+# compiler warning fails the sweep too.
 #
 #   scripts/run_asan.sh [build-dir]
 set -euo pipefail
@@ -29,7 +32,8 @@ cmake -B "$BUILD" -S . -G Ninja \
   -DDSMCPIC_WERROR=ON
 cmake --build "$BUILD" --target particle_sort_test pic_test dsmc_test \
   determinism_test golden_test par_test linalg_test core_features_test \
-  support_test fleet_test -j
+  support_test fleet_test exchange_test balance_test balance_policy_test \
+  ensemble_test -j
 
 # Any report fails the script: ASan aborts by default, and UBSan is built
 # with -fno-sanitize-recover.
@@ -51,19 +55,31 @@ export UBSAN_OPTIONS="print_stacktrace=1 ${UBSAN_OPTIONS:-}"
 # Whole solves: the periodic sort composed with the reused Reindex index,
 # and kernel-lane chunking over it.
 "$BUILD"/tests/determinism_test --gtest_filter='SortDeterminism.*:KernelThreads.*'
+# Includes the pinned elastic grow, elastic shrink and NC rebalance
+# (GoldenRedistribution.*), which run the redistribution tail.
 "$BUILD"/tests/golden_test
+# Every exchange strategy ending in the shared delivery step, redecompose
+# on caller-supplied Eq.-7 weights, the policy and cost-model battery, and
+# ensemble resizes through the solver.
+"$BUILD"/tests/exchange_test
+"$BUILD"/tests/balance_test
+"$BUILD"/tests/balance_policy_test
+"$BUILD"/tests/ensemble_test
 # Message rounds, the runtime checkpoint's busy-row check
 # (Runtime.LoadRejectsBusyRowOfWrongLength), and the halo exchanger at 1,
 # 24 and 1,024 ranks.
 "$BUILD"/tests/par_test
 "$BUILD"/tests/linalg_test
-# Out-of-range owners, short load windows, and particles in a cell past
-# the mesh or in another rank's cell in a solver checkpoint
+# Out-of-range owners, short load windows, a one-entry cost-model
+# prediction (Checkpoint.RejectsCorruptOwnersAndLoadWindows), and particles
+# in a cell past the mesh or in another rank's cell in a solver checkpoint
 # (Checkpoint.RejectsParticlesOutsideTheirRanksCells).
 "$BUILD"/tests/core_features_test --gtest_filter='Checkpoint.Rejects*'
 # Oversized length prefixes (2^62, 2^40, 2^27) in read_vec/read_string and
-# in a parked run's lease.bin, and multi-chunk reads.
+# in a parked run's lease.bin, multi-chunk reads, and lease counts that do
+# not fit an int or name no unfinished run
+# (Fleet.ResumeRejectsOutOfRangeLeaseFields).
 "$BUILD"/tests/support_test --gtest_filter='Serialize.*'
-"$BUILD"/tests/fleet_test --gtest_filter='Fleet.ResumeRejectsOversizedLeasePrefix'
+"$BUILD"/tests/fleet_test --gtest_filter='Fleet.ResumeRejects*'
 
 echo "ASan/UBSan sweep clean."

@@ -7,11 +7,23 @@
 
 namespace dsmcpic::balance {
 
+namespace {
+
+/// EWMA weight of the newest per-rank correction sample. Tuned on the
+/// fig05/fig13 lanes: smaller values lag the (fast-moving) population,
+/// larger ones chase one-window noise.
+constexpr double kEwmaAlpha = 0.4;
+/// Correction factors are clamped to [kMinScale, kMaxScale] before
+/// smoothing, so one noisy window cannot blow up the partition weights.
+constexpr double kMinScale = 0.25;
+constexpr double kMaxScale = 4.0;
+
+}  // namespace
+
 const char* cost_model_name(CostModelKind k) {
   switch (k) {
     case CostModelKind::kStatic: return "static";
     case CostModelKind::kTimer: return "timer";
-    case CostModelKind::kHybrid: return "hybrid";
   }
   return "?";
 }
@@ -19,20 +31,11 @@ const char* cost_model_name(CostModelKind k) {
 CostModelKind parse_cost_model(const std::string& name) {
   if (name == "static") return CostModelKind::kStatic;
   if (name == "timer") return CostModelKind::kTimer;
-  if (name == "hybrid") return CostModelKind::kHybrid;
-  throw Error("unknown cost model '" + name +
-              "' (expected static|timer|hybrid)");
+  throw Error("unknown cost model '" + name + "' (expected static|timer)");
 }
 
 CostModel::CostModel(CostModelConfig cfg, int nranks) : cfg_(cfg) {
   DSMCPIC_CHECK_MSG(nranks >= 1, "cost model needs at least one rank");
-  DSMCPIC_CHECK_MSG(cfg_.ewma_alpha > 0.0 && cfg_.ewma_alpha <= 1.0,
-                    "ewma_alpha must be in (0, 1]");
-  DSMCPIC_CHECK_MSG(cfg_.hybrid_blend >= 0.0 && cfg_.hybrid_blend <= 1.0,
-                    "hybrid_blend must be in [0, 1]");
-  DSMCPIC_CHECK_MSG(cfg_.min_scale > 0.0 && cfg_.min_scale <= 1.0 &&
-                        cfg_.max_scale >= 1.0,
-                    "scale clamp must bracket 1");
   scale_.assign(static_cast<std::size_t>(nranks), 1.0);
 }
 
@@ -55,9 +58,9 @@ void CostModel::observe_step(std::span<const double> measured,
     // particle-count weights.
     const double measured_share = measured[r] / (sum_m / n);
     const double predicted_share = predicted[r] / (sum_p / n);
-    const double ratio = std::clamp(measured_share / predicted_share,
-                                    cfg_.min_scale, cfg_.max_scale);
-    scale_[r] = (1.0 - cfg_.ewma_alpha) * scale_[r] + cfg_.ewma_alpha * ratio;
+    const double ratio =
+        std::clamp(measured_share / predicted_share, kMinScale, kMaxScale);
+    scale_[r] = (1.0 - kEwmaAlpha) * scale_[r] + kEwmaAlpha * ratio;
   }
   ++observations_;
 }
@@ -71,22 +74,9 @@ std::vector<double> CostModel::cell_weights(
   DSMCPIC_CHECK(owner.size() == charged_counts.size());
   std::vector<double> w(owner.size());
   for (std::size_t c = 0; c < owner.size(); ++c) {
-    // Eq. (7), exactly as the static rebalancer computes it.
-    double wc = static_cast<double>(neutral_counts[c]) +
-                weight_ratio * static_cast<double>(charged_counts[c]) +
-                cell_weight;
-    switch (cfg_.kind) {
-      case CostModelKind::kStatic:
-        break;
-      case CostModelKind::kTimer:
-        wc *= rank_scale(owner[c]);
-        break;
-      case CostModelKind::kHybrid:
-        wc *= (1.0 - cfg_.hybrid_blend) +
-              cfg_.hybrid_blend * rank_scale(owner[c]);
-        break;
-    }
-    w[c] = wc;
+    w[c] = wlm_per_cell(neutral_counts[c], charged_counts[c], weight_ratio,
+                        cell_weight);
+    if (cfg_.kind == CostModelKind::kTimer) w[c] *= rank_scale(owner[c]);
   }
   return w;
 }

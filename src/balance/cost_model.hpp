@@ -29,28 +29,32 @@
 
 namespace dsmcpic::balance {
 
+/// The paper's weighted load model, Eq. (7), over `cells` coarse cells:
+/// N + R*C + W_cell * cells, with R = `weight_ratio`, W_cell = `cell_weight`.
+inline double wlm(std::int64_t neutrals, std::int64_t charged,
+                  std::int64_t cells, double weight_ratio, double cell_weight) {
+  return static_cast<double>(neutrals) +
+         weight_ratio * static_cast<double>(charged) +
+         cell_weight * static_cast<double>(cells);
+}
+
+/// Eq. (7) for one coarse cell (W_cell * 1 == W_cell exactly).
+inline double wlm_per_cell(std::int64_t neutrals, std::int64_t charged,
+                           double weight_ratio, double cell_weight) {
+  return wlm(neutrals, charged, 1, weight_ratio, cell_weight);
+}
+
 /// Which weight model feeds the repartitioner.
 ///  * kStatic — the paper's Eq. 7, untouched (default-compatible path).
 ///  * kTimer  — Eq. 7 scaled by the measured per-rank correction.
-///  * kHybrid — Eq. 7 scaled by a blend of 1 and the measured correction.
-enum class CostModelKind { kStatic, kTimer, kHybrid };
+enum class CostModelKind { kStatic, kTimer };
 
 const char* cost_model_name(CostModelKind k);
-/// Parses "static" / "timer" / "hybrid" (throws on anything else).
+/// Parses "static" / "timer" (throws on anything else).
 CostModelKind parse_cost_model(const std::string& name);
 
 struct CostModelConfig {
   CostModelKind kind = CostModelKind::kStatic;
-  /// EWMA weight of the newest per-rank correction sample. Tuned on the
-  /// fig05/fig13 lanes: smaller values lag the (fast-moving) population,
-  /// larger ones chase one-window noise.
-  double ewma_alpha = 0.4;
-  /// Timer share in kHybrid: 0 reproduces kStatic, 1 reproduces kTimer.
-  double hybrid_blend = 0.5;
-  /// Correction factors are clamped to [min_scale, max_scale] before
-  /// smoothing, so one noisy window cannot blow up the partition weights.
-  double min_scale = 0.25;
-  double max_scale = 4.0;
 };
 
 /// Per-rank correction factors learned from measured phase timings.
@@ -77,9 +81,8 @@ class CostModel {
   double rank_scale(int r) const { return scale_.at(static_cast<std::size_t>(r)); }
 
   /// Per-cell partition weights: the static Eq.-7 weight per cell, scaled
-  /// per `kind` by the owner rank's correction. The kStatic path returns
-  /// exactly the Eq.-7 values (bit-identical to the pre-cost-model
-  /// rebalancer).
+  /// under kTimer by the owner rank's correction. The kStatic path returns
+  /// exactly the Eq.-7 values.
   std::vector<double> cell_weights(std::span<const std::int32_t> owner,
                                    std::span<const std::int64_t> neutral_counts,
                                    std::span<const std::int64_t> charged_counts,

@@ -8,6 +8,15 @@
 
 namespace dsmcpic::balance {
 
+namespace {
+
+/// EWMA weight of the newest compute/overhead sample.
+constexpr double kEwmaAlpha = 0.3;
+/// Resize deadband: move only when |n* - n| > kHysteresis * n.
+constexpr double kHysteresis = 0.25;
+
+}  // namespace
+
 const char* ensemble_name(EnsembleKind k) {
   switch (k) {
     case EnsembleKind::kFixed: return "fixed";
@@ -25,9 +34,6 @@ EnsembleKind parse_ensemble(const std::string& name) {
 EnsemblePolicy::EnsemblePolicy(EnsembleConfig cfg, int nominal_ranks)
     : cfg_(cfg), nominal_(nominal_ranks) {
   DSMCPIC_CHECK_MSG(nominal_ >= 1, "ensemble needs at least one nominal rank");
-  DSMCPIC_CHECK_MSG(cfg_.ewma_alpha > 0.0 && cfg_.ewma_alpha <= 1.0,
-                    "ensemble ewma_alpha must be in (0, 1]");
-  DSMCPIC_CHECK_MSG(cfg_.hysteresis >= 0.0, "hysteresis must be >= 0");
   cfg_.ranks_min = std::max(1, cfg_.ranks_min);
   cfg_.ranks_max = cfg_.ranks_max <= 0 ? nominal_
                                        : std::min(cfg_.ranks_max, nominal_);
@@ -57,10 +63,8 @@ void EnsemblePolicy::observe_step(std::span<const double> rank_compute,
     overhead_ewma_ = ovh;
     has_observation_ = true;
   } else {
-    compute_ewma_ =
-        (1.0 - cfg_.ewma_alpha) * compute_ewma_ + cfg_.ewma_alpha * comp;
-    overhead_ewma_ =
-        (1.0 - cfg_.ewma_alpha) * overhead_ewma_ + cfg_.ewma_alpha * ovh;
+    compute_ewma_ = (1.0 - kEwmaAlpha) * compute_ewma_ + kEwmaAlpha * comp;
+    overhead_ewma_ = (1.0 - kEwmaAlpha) * overhead_ewma_ + kEwmaAlpha * ovh;
   }
 }
 
@@ -85,7 +89,7 @@ int EnsemblePolicy::decide(int step, int current_active) {
     target = std::clamp(target, cfg_.ranks_min, cfg_.ranks_max);
     // Deadband: ignore moves the noise floor can explain.
     if (std::abs(target - current_active) >
-        cfg_.hysteresis * static_cast<double>(current_active))
+        kHysteresis * static_cast<double>(current_active))
       d.target = target;
   }
 

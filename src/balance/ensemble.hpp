@@ -49,10 +49,6 @@ struct EnsembleConfig {
   /// for kFixed too (a fixed reduced ensemble on a larger nominal machine —
   /// how the bench measures O(active) dispatch).
   int initial = 0;
-  /// EWMA weight of the newest compute/overhead sample.
-  double ewma_alpha = 0.3;
-  /// Resize deadband: move only when |n* - n| > hysteresis * n.
-  double hysteresis = 0.25;
 };
 
 /// One resize decision, recorded for run_report.json and the tests.

@@ -8,6 +8,16 @@
 
 namespace dsmcpic::balance {
 
+namespace {
+
+/// EWMA weight of the newest imbalance-cost / rebalance-cost sample.
+constexpr double kEwmaAlpha = 0.3;
+/// Per-octave weight of the rank-count residual margin above 64 ranks
+/// (see the RebalancePolicy constructor).
+constexpr double kResidualMargin = 0.25;
+
+}  // namespace
+
 const char* policy_name(PolicyKind k) {
   switch (k) {
     case PolicyKind::kThreshold: return "threshold";
@@ -23,16 +33,11 @@ PolicyKind parse_policy(const std::string& name) {
               "' (expected threshold|lookahead)");
 }
 
-RebalancePolicy::RebalancePolicy(PolicyConfig cfg) : cfg_(cfg) {
+RebalancePolicy::RebalancePolicy(PolicyConfig cfg, double threshold,
+                                 int nranks)
+    : cfg_(cfg), threshold_(threshold), nranks_(nranks) {
   DSMCPIC_CHECK_MSG(cfg_.horizon >= 0, "policy horizon must be >= 0");
-  DSMCPIC_CHECK_MSG(cfg_.ewma_alpha > 0.0 && cfg_.ewma_alpha <= 1.0,
-                    "ewma_alpha must be in (0, 1]");
-  DSMCPIC_CHECK_MSG(cfg_.initial_rebalance_cost >= 0.0,
-                    "initial rebalance cost must be >= 0");
-  DSMCPIC_CHECK_MSG(cfg_.cost_margin > 0.0, "cost margin must be > 0");
-  DSMCPIC_CHECK_MSG(cfg_.nranks >= 0, "policy nranks must be >= 0");
-  DSMCPIC_CHECK_MSG(cfg_.residual_margin >= 0.0,
-                    "residual margin must be >= 0");
+  DSMCPIC_CHECK_MSG(nranks_ >= 0, "policy nranks must be >= 0");
 }
 
 void RebalancePolicy::observe_step(std::span<const double> rank_step_cost) {
@@ -51,8 +56,7 @@ void RebalancePolicy::observe_step(std::span<const double> rank_step_cost) {
     // buys, i.e. what branch A can never recover below.
     residual_ = residual_samples_ == 0
                     ? imb
-                    : (1.0 - cfg_.ewma_alpha) * residual_ +
-                          cfg_.ewma_alpha * imb;
+                    : (1.0 - kEwmaAlpha) * residual_ + kEwmaAlpha * imb;
     ++residual_samples_;
     awaiting_residual_ = false;
   }
@@ -61,10 +65,9 @@ void RebalancePolicy::observe_step(std::span<const double> rank_step_cost) {
     imb_trend_ = 0.0;
     has_observation_ = true;
   } else {
-    imb_trend_ = (1.0 - cfg_.ewma_alpha) * imb_trend_ +
-                 cfg_.ewma_alpha * (imb - prev_imb_);
-    imb_level_ =
-        (1.0 - cfg_.ewma_alpha) * imb_level_ + cfg_.ewma_alpha * imb;
+    imb_trend_ =
+        (1.0 - kEwmaAlpha) * imb_trend_ + kEwmaAlpha * (imb - prev_imb_);
+    imb_level_ = (1.0 - kEwmaAlpha) * imb_level_ + kEwmaAlpha * imb;
   }
   prev_imb_ = imb;
 }
@@ -73,8 +76,8 @@ void RebalancePolicy::observe_rebalance(double measured_cost) {
   DSMCPIC_CHECK_MSG(measured_cost >= 0.0, "rebalance cost must be >= 0");
   cost_estimate_ = rebalances_observed_ == 0
                        ? measured_cost
-                       : (1.0 - cfg_.ewma_alpha) * cost_estimate_ +
-                             cfg_.ewma_alpha * measured_cost;
+                       : (1.0 - kEwmaAlpha) * cost_estimate_ +
+                             kEwmaAlpha * measured_cost;
   ++rebalances_observed_;
   // The decomposition just changed: yesterday's imbalance level and trend
   // describe a partition that no longer exists. Re-learn from scratch.
@@ -83,11 +86,6 @@ void RebalancePolicy::observe_rebalance(double measured_cost) {
   prev_imb_ = 0.0;
   has_observation_ = false;
   awaiting_residual_ = true;
-}
-
-double RebalancePolicy::rebalance_cost_estimate() const {
-  return rebalances_observed_ == 0 ? cfg_.initial_rebalance_cost
-                                   : cost_estimate_;
 }
 
 PolicyDecision RebalancePolicy::decide(int step, double lii) {
@@ -100,14 +98,12 @@ PolicyDecision RebalancePolicy::decide(int step, double lii) {
   // Branch A: the *recoverable* cost of staying imbalanced for the next
   // `horizon` steps — the EWMA level extrapolated along its trend, less
   // the learned post-rebalance residual (a rebalance cannot do better
-  // than a fresh partition does), clamped at zero per step. The residual
-  // gets a rank-count margin: with many ranks each owns few cells, the
-  // single-step residual sample is optimistic, and an unwidened branch A
-  // over-buys rebalances (PolicyConfig::nranks). 1.0x at <= 64 ranks.
+  // than a fresh partition does), clamped at zero per step. Above 64 ranks
+  // the residual is widened (see the constructor).
   const double rank_margin =
-      cfg_.nranks > 64
-          ? 1.0 + cfg_.residual_margin *
-                      std::log2(static_cast<double>(cfg_.nranks) / 64.0)
+      nranks_ > 64
+          ? 1.0 + kResidualMargin *
+                      std::log2(static_cast<double>(nranks_) / 64.0)
           : 1.0;
   const double residual = residual_ * rank_margin;
   double projected = 0.0;
@@ -119,10 +115,10 @@ PolicyDecision RebalancePolicy::decide(int step, double lii) {
   if (cfg_.kind == PolicyKind::kThreshold || cfg_.horizon == 0) {
     // The paper's fixed trigger; also the H = 0 degenerate case of the
     // look-ahead (nothing to project over).
-    d.rebalance = lii > cfg_.threshold;
+    d.rebalance = lii > threshold_;
   } else {
     d.rebalance = has_observation_ && projected > 0.0 &&
-                  projected > cfg_.cost_margin * d.rebalance_cost_estimate;
+                  projected > d.rebalance_cost_estimate;
   }
   decisions_.push_back(d);
   return d;

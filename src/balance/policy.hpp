@@ -44,27 +44,8 @@ PolicyKind parse_policy(const std::string& name);
 
 struct PolicyConfig {
   PolicyKind kind = PolicyKind::kThreshold;
-  /// lii trigger for kThreshold (and the H = 0 fallback).
-  double threshold = 2.0;
   /// Look-ahead horizon in DSMC steps for kLookahead.
   int horizon = 20;
-  /// EWMA weight of the newest imbalance-cost / rebalance-cost sample.
-  double ewma_alpha = 0.3;
-  /// Rebalance-cost estimate used before the first measured rebalance.
-  double initial_rebalance_cost = 0.0;
-  /// Safety margin: rebalance iff projected > margin * cost estimate.
-  double cost_margin = 1.0;
-  /// Rank count the policy serves (0 = unknown). At high rank counts the
-  /// per-rank cell share is small, so the sampled post-rebalance residual
-  /// is noisy and optimistic — branch A over-estimates what a rebalance
-  /// recovers and the lookahead lane starts losing (observed at >= 96
-  /// ranks in the fig13 sweep). decide() widens the residual by
-  /// `residual_margin * log2(nranks / 64)` (clamped at zero) to compensate;
-  /// the multiplier is exactly 1.0 for nranks <= 64, so small-rank decision
-  /// sequences — including the golden configs — are untouched.
-  int nranks = 0;
-  /// Per-octave weight of the rank-count residual margin above 64 ranks.
-  double residual_margin = 0.25;
 };
 
 /// One periodic decision, recorded for run_report.json and the benches.
@@ -82,8 +63,14 @@ struct PolicyDecision {
 
 class RebalancePolicy {
  public:
-  RebalancePolicy() : RebalancePolicy(PolicyConfig{}) {}
-  explicit RebalancePolicy(PolicyConfig cfg);
+  RebalancePolicy() = default;
+  /// `threshold` is the lii trigger of kThreshold and of the H = 0 fallback
+  /// (RebalanceConfig::threshold). `nranks` (0 = unknown) widens the learned
+  /// residual above 64 ranks: there each rank owns few cells, so the sampled
+  /// post-rebalance residual is optimistic and branch A over-buys
+  /// rebalances (seen at >= 96 ranks in the fig13 sweep). The widening is
+  /// exactly 1.0x at <= 64 ranks, so the golden configs are untouched.
+  RebalancePolicy(PolicyConfig cfg, double threshold, int nranks = 0);
 
   const PolicyConfig& config() const { return cfg_; }
 
@@ -103,8 +90,9 @@ class RebalancePolicy {
   PolicyDecision decide(int step, double lii);
 
   const std::vector<PolicyDecision>& decisions() const { return decisions_; }
-  /// Rebalance-cost estimate branch B currently uses.
-  double rebalance_cost_estimate() const;
+  /// Rebalance-cost estimate branch B currently uses: the EWMA of the
+  /// measured costs, 0 before the first measurement.
+  double rebalance_cost_estimate() const { return cost_estimate_; }
   /// EWMA of the per-step imbalance cost (0 until observed).
   double imbalance_per_step() const { return imb_level_; }
   /// Learned residual imbalance of a fresh partition (0 until a rebalance
@@ -119,6 +107,8 @@ class RebalancePolicy {
 
  private:
   PolicyConfig cfg_;
+  double threshold_ = 0.0;
+  int nranks_ = 0;
   double imb_level_ = 0.0;  // EWMA of per-step (max - mean) cost
   double imb_trend_ = 0.0;  // EWMA of its per-step delta
   double prev_imb_ = 0.0;

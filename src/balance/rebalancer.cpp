@@ -68,17 +68,12 @@ const char* repartitioner_name(Repartitioner r) {
 
 std::vector<std::int32_t> redecompose(
     par::Runtime& rt, const std::string& phase, const partition::Graph& dual,
-    std::span<const Vec3> cell_centroids,
-    std::span<const std::int64_t> neutral_counts,
-    std::span<const std::int64_t> charged_counts,
+    std::span<const Vec3> cell_centroids, std::span<const double> cell_weights,
     std::span<const std::int32_t> current_owner, const RebalanceConfig& cfg,
-    RebalanceStats& stats, std::span<const double> cell_weights, int nparts) {
+    RebalanceStats& stats, int nparts) {
   const auto ncells = static_cast<std::int32_t>(current_owner.size());
   DSMCPIC_CHECK(dual.num_vertices() == ncells);
-  DSMCPIC_CHECK(static_cast<std::int32_t>(neutral_counts.size()) == ncells);
-  DSMCPIC_CHECK(static_cast<std::int32_t>(charged_counts.size()) == ncells);
-  DSMCPIC_CHECK_MSG(cell_weights.empty() ||
-                        static_cast<std::int32_t>(cell_weights.size()) == ncells,
+  DSMCPIC_CHECK_MSG(static_cast<std::int32_t>(cell_weights.size()) == ncells,
                     "cell_weights must cover every coarse cell");
   const int nranks = nparts > 0 ? nparts : rt.active_ranks();
   const int root = 0;
@@ -87,21 +82,12 @@ std::vector<std::int32_t> redecompose(
   rt.charge_gather(phase, root,
                    16.0 * static_cast<double>(ncells) / std::max(1, nranks));
 
-  // Weighted load model, Eq. (7): wlm_i = N_i + R*C_i + W_cell — or the
-  // timer-augmented weights when the caller supplies them. The partitioner
-  // takes integer weights; scale to preserve fractional R.
+  // The partitioner takes integer weights; scale to preserve fractional R.
   partition::Graph weighted = dual;
   weighted.vwgt.resize(static_cast<std::size_t>(ncells));
-  for (std::int32_t c = 0; c < ncells; ++c) {
-    const double w =
-        cell_weights.empty()
-            ? static_cast<double>(neutral_counts[c]) +
-                  cfg.weight_ratio * static_cast<double>(charged_counts[c]) +
-                  cfg.cell_weight
-            : cell_weights[c];
+  for (std::int32_t c = 0; c < ncells; ++c)
     weighted.vwgt[c] = std::max<std::int64_t>(
-        1, static_cast<std::int64_t>(std::llround(w * 16.0)));
-  }
+        1, static_cast<std::int64_t>(std::llround(cell_weights[c] * 16.0)));
   rt.charge_rank(phase, root, par::WorkKind::kGeneric,
                  static_cast<double>(ncells));
 

@@ -5,9 +5,9 @@
 //    pure compute time to the idlest rank's, with particle-migration and
 //    Poisson-solve times subtracted (those are the synchronization-dominated
 //    phases and are largely constant).
-//  * Weighted load model (Eq. 7): wlm_i = N_i + R*C_i + W_cell per coarse
-//    cell — N_i neutrals, C_i charged, R the PIC:DSMC timestep ratio,
-//    W_cell the per-cell (grid computation) weight.
+//  * Weighted load model (Eq. 7, balance::wlm): N_i + R*C_i + W_cell per
+//    coarse cell — N_i neutrals, C_i charged, R the PIC:DSMC timestep
+//    ratio, W_cell the per-cell (grid computation) weight.
 //  * Re-decomposition via the multilevel partitioner, then Kuhn–Munkres
 //    remapping of new parts onto old owners, maximizing kept particles and
 //    thus minimizing migration (Sec. V-C).
@@ -45,12 +45,10 @@ struct RebalanceConfig {
   double cell_weight = 1.0;   // W_cell (paper Table VI sweeps 1..10000)
   bool use_km = true;         // KM remap ablation (paper Table V)
   partition::PartitionOptions partition_options;
-  /// Timer-augmented weight model (DESIGN.md §2h). kStatic reproduces the
-  /// pure Eq.-7 path bit-for-bit.
+  /// Timer-augmented weight model (DESIGN.md §2h). kStatic is the pure
+  /// Eq.-7 model.
   CostModelConfig cost_model;
-  /// When-to-rebalance policy. `policy.threshold` is kept in sync with
-  /// `threshold` above by the solver, so the paper's knob stays the single
-  /// source of truth for the baseline trigger.
+  /// When-to-rebalance policy. Its baseline trigger is `threshold` above.
   PolicyConfig policy;
   /// Elastic rank ensemble (DESIGN.md §2i): how many of the nominal ranks
   /// are active. kFixed with initial == 0 reproduces the dense runtime
@@ -82,13 +80,11 @@ std::vector<std::int32_t> km_remap(std::span<const std::int32_t> old_owner,
                                    std::span<const double> keep_weight,
                                    int nranks, std::int64_t* ops_out = nullptr);
 
-/// Runs the re-decomposition half of Algorithm 1 (lines 6-12): computes the
-/// weighted load model, partitions the dual graph on the root, optionally
-/// KM-remaps, and charges/broadcasts everything on `rt` under `phase`.
-/// Returns the new owner array. When `cell_weights` is non-empty it
-/// replaces the internally computed Eq.-7 weights (the timer/hybrid cost
-/// model's output, see CostModel::cell_weights); empty keeps the static
-/// path bit-identical to the pre-cost-model rebalancer.
+/// Runs the re-decomposition half of Algorithm 1 (lines 6-12): partitions
+/// the dual graph on the root by `cell_weights` (one per coarse cell: Eq.-7
+/// weights, or the timer cost model's, see CostModel::cell_weights),
+/// optionally KM-remaps, and charges/broadcasts everything on `rt` under
+/// `phase`. Returns the new owner array.
 ///
 /// `nparts` is the part count of the NEW decomposition: 0 (the default)
 /// partitions for the runtime's current active rank set; the elastic
@@ -97,11 +93,8 @@ std::vector<std::int32_t> km_remap(std::span<const std::int32_t> old_owner,
 /// matching is non-square — old owners cannot all keep a part).
 std::vector<std::int32_t> redecompose(
     par::Runtime& rt, const std::string& phase, const partition::Graph& dual,
-    std::span<const Vec3> cell_centroids,
-    std::span<const std::int64_t> neutral_counts,
-    std::span<const std::int64_t> charged_counts,
+    std::span<const Vec3> cell_centroids, std::span<const double> cell_weights,
     std::span<const std::int32_t> current_owner, const RebalanceConfig& cfg,
-    RebalanceStats& stats, std::span<const double> cell_weights = {},
-    int nparts = 0);
+    RebalanceStats& stats, int nparts = 0);
 
 }  // namespace dsmcpic::balance

@@ -73,10 +73,10 @@ void CoupledSolver::save_checkpoint(const std::string& path) const {
   collide_->save(os);
   sampler_.save(os);
 
-  io::write_vec(os, prev_total_);
-  io::write_vec(os, prev_pm_);
-  io::write_vec(os, prev_poi_);
-  io::write_vec(os, prev_particle_);
+  io::write_vec(os, prev_busy_.total);
+  io::write_vec(os, prev_busy_.pm);
+  io::write_vec(os, prev_busy_.poi);
+  io::write_vec(os, prev_busy_.particle);
   io::write_vec(os, prev_predicted_);
   io::write_pod(os, lb_stats_);
   cost_model_.save(os);
@@ -119,14 +119,17 @@ void CoupledSolver::restore_checkpoint(const std::string& path) {
   collide_->load(is);
   sampler_.load(is);
 
-  prev_total_ = io::read_vec<double>(is);
-  prev_pm_ = io::read_vec<double>(is);
-  prev_poi_ = io::read_vec<double>(is);
-  prev_particle_ = io::read_vec<double>(is);
+  prev_busy_.total = io::read_vec<double>(is);
+  prev_busy_.pm = io::read_vec<double>(is);
+  prev_busy_.poi = io::read_vec<double>(is);
+  prev_busy_.particle = io::read_vec<double>(is);
   prev_predicted_ = io::read_vec<double>(is);
-  // maybe_rebalance indexes the Eq.-6 windows by rank.
-  for (const auto* w : {&prev_total_, &prev_pm_, &prev_poi_, &prev_particle_})
-    DSMCPIC_CHECK_MSG(static_cast<int>(w->size()) == pcfg_.nranks,
+  // maybe_rebalance indexes the windows by rank; the cost model's
+  // prediction is empty until its first window.
+  for (const auto* w : {&prev_busy_.total, &prev_busy_.pm, &prev_busy_.poi,
+                        &prev_busy_.particle, &prev_predicted_})
+    DSMCPIC_CHECK_MSG(static_cast<int>(w->size()) == pcfg_.nranks ||
+                          (w == &prev_predicted_ && w->empty()),
                       "checkpoint load window holds " << w->size()
                                                       << " ranks, not "
                                                       << pcfg_.nranks);

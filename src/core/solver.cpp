@@ -121,27 +121,24 @@ void CoupledSolver::init() {
   StepDiagnostics dummy;
   do_poisson_solve(dummy);
 
-  // Baseline for the lii window.
-  prev_total_ = rt_->busy_all();
-  prev_pm_ = rt_->busy_totals(std::array<std::string, 2>{
-      phases::kDsmcExchange, phases::kPicExchange});
-  prev_poi_ =
-      rt_->busy_totals(std::array<std::string, 1>{phases::kPoissonSolve});
-  // Particle-proportional phases only: Inject is deliberately excluded —
-  // its work is sharded evenly across ranks (round-robin), so including it
-  // would flatten the measured shares and make heavily loaded cells look
-  // cheaper than they are.
-  prev_particle_ = rt_->busy_totals(
-      std::array<std::string, 3>{phases::kDsmcMove, phases::kColliReact,
-                                 phases::kPicMove});
+  prev_busy_ = capture_busy();  // baseline for the first window
 
   cost_model_ = balance::CostModel(pcfg_.balance.cost_model, pcfg_.nranks);
-  // The paper's Threshold knob stays the single source of truth for the
-  // baseline trigger (and the look-ahead's H = 0 fallback).
-  balance::PolicyConfig pc = pcfg_.balance.policy;
-  pc.threshold = pcfg_.balance.threshold;
-  pc.nranks = pcfg_.nranks;
-  policy_ = balance::RebalancePolicy(pc);
+  policy_ = balance::RebalancePolicy(pcfg_.balance.policy,
+                                     pcfg_.balance.threshold, pcfg_.nranks);
+}
+
+CoupledSolver::BusyWindow CoupledSolver::capture_busy() const {
+  return {rt_->busy_all(),
+          rt_->busy_totals(std::array<std::string, 2>{phases::kDsmcExchange,
+                                                      phases::kPicExchange}),
+          rt_->busy_totals(std::array<std::string, 1>{phases::kPoissonSolve}),
+          // Particle-proportional phases only: Inject is deliberately
+          // excluded — its work is sharded evenly across ranks
+          // (round-robin), so including it would flatten the measured
+          // shares and make heavily loaded cells look cheaper than they are.
+          rt_->busy_totals(std::array<std::string, 3>{
+              phases::kDsmcMove, phases::kColliReact, phases::kPicMove})};
 }
 
 void CoupledSolver::rebuild_parallel_structures(const std::string& phase,
@@ -257,19 +254,8 @@ void CoupledSolver::do_dsmc_move(StepDiagnostics& diag) {
   });
   for (const std::int64_t n : exited) diag.exited_dsmc += n;
 
-  if (auditor_) auditor_->on_flagged(flagged_count());
-  const std::int64_t before = auditor_ ? total_particles() : 0;
-  exchange::ExchangeStats ex;
-  {
-    const obs::HostProfiler::Scope prof(prof_, "exchange");
-    ex = exchange::exchange_particles(*rt_, phases::kDsmcExchange,
-                                      pcfg_.strategy, stores_, removed_,
-                                      owner_, /*root=*/0, &neighbors_);
-  }
-  diag.migrated_dsmc = ex.migrated;
-  if (auditor_)
-    auditor_->check_exchange(phases::kDsmcExchange, before, ex.dropped,
-                             total_particles());
+  diag.migrated_dsmc =
+      migrate(phases::kDsmcExchange, owner_, &neighbors_).migrated;
 
   if (cfg_.fault == FaultInjection::kDropParticle) {
     fault_fired_ = true;
@@ -443,20 +429,25 @@ void CoupledSolver::do_pic_substep(int substep, StepDiagnostics& diag) {
     diag.pic_lost += lost[r];
   }
 
+  diag.migrated_pic +=
+      migrate(phases::kPicExchange, owner_, &neighbors_).migrated;
+  do_poisson_solve(diag);
+}
+
+exchange::ExchangeStats CoupledSolver::migrate(
+    const char* phase, std::span<const std::int32_t> owner,
+    const std::vector<std::vector<int>>* neighbors) {
   if (auditor_) auditor_->on_flagged(flagged_count());
   const std::int64_t before = auditor_ ? total_particles() : 0;
   exchange::ExchangeStats ex;
   {
     const obs::HostProfiler::Scope prof(prof_, "exchange");
-    ex = exchange::exchange_particles(*rt_, phases::kPicExchange,
-                                      pcfg_.strategy, stores_, removed_,
-                                      owner_, /*root=*/0, &neighbors_);
+    ex = exchange::exchange_particles(*rt_, phase, pcfg_.strategy, stores_,
+                                      removed_, owner, /*root=*/0, neighbors);
   }
-  diag.migrated_pic += ex.migrated;
   if (auditor_)
-    auditor_->check_exchange(phases::kPicExchange, before, ex.dropped,
-                             total_particles());
-  do_poisson_solve(diag);
+    auditor_->check_exchange(phase, before, ex.dropped, total_particles());
+  return ex;
 }
 
 void CoupledSolver::do_poisson_solve(StepDiagnostics& diag) {
@@ -543,32 +534,23 @@ void CoupledSolver::maybe_rebalance(StepDiagnostics& diag) {
 
   // Eq. (6) inputs over the window since the previous step: per-rank total
   // busy time minus the particle-migration and Poisson components.
-  const std::vector<double> cur_total = rt_->busy_all();
-  const std::vector<double> cur_pm = rt_->busy_totals(std::array<std::string, 2>{
-      phases::kDsmcExchange, phases::kPicExchange});
-  const std::vector<double> cur_poi =
-      rt_->busy_totals(std::array<std::string, 1>{phases::kPoissonSolve});
-  const std::vector<double> cur_particle = rt_->busy_totals(
-      std::array<std::string, 3>{phases::kDsmcMove, phases::kColliReact,
-                                 phases::kPicMove});
+  const BusyWindow cur = capture_busy();
+  const BusyWindow& prev = prev_busy_;
   // lii/policy windows cover the ACTIVE prefix (parked ranks do no work);
   // wpart stays nominal-sized — the cost model's per-rank guards skip parked
   // ranks (their predicted load is zero).
   std::vector<double> wt(active_), wpm(active_), wpoi(active_), wcomp(active_);
   std::vector<double> wpart(pcfg_.nranks);
   for (int r = 0; r < active_; ++r) {
-    wt[r] = cur_total[r] - prev_total_[r];
-    wpm[r] = cur_pm[r] - prev_pm_[r];
-    wpoi[r] = cur_poi[r] - prev_poi_[r];
+    wt[r] = cur.total[r] - prev.total[r];
+    wpm[r] = cur.pm[r] - prev.pm[r];
+    wpoi[r] = cur.poi[r] - prev.poi[r];
     // The Eq.-6 signal per rank: pure compute, migration and Poisson out.
     wcomp[r] = wt[r] - wpm[r] - wpoi[r];
   }
   for (int r = 0; r < pcfg_.nranks; ++r)
-    wpart[r] = cur_particle[r] - prev_particle_[r];
-  prev_total_ = cur_total;
-  prev_pm_ = cur_pm;
-  prev_poi_ = cur_poi;
-  prev_particle_ = cur_particle;
+    wpart[r] = cur.particle[r] - prev.particle[r];
+  prev_busy_ = cur;
 
   const double lii = balance::load_imbalance_indicator(wt, wpm, wpoi);
   diag.lii = lii;
@@ -590,20 +572,12 @@ void CoupledSolver::maybe_rebalance(StepDiagnostics& diag) {
     ensemble_.observe_step(wcomp, step_total);
   }
   if (cost_model_.config().kind != balance::CostModelKind::kStatic) {
-    // Static per-rank wlm prediction: sum of Eq.-7 weights over each
-    // rank's cells = N_r + R*C_r + W_cell * ncells_r. The measured window
-    // is the work of the particles present at the *start* of this step, so
-    // it is regressed against the PREVIOUS step's prediction — pairing it
-    // with end-of-step counts would make fast-growing ranks look cheap and
-    // under-provision exactly where the load is arriving.
-    std::vector<double> predicted(pcfg_.nranks);
-    for (int r = 0; r < pcfg_.nranks; ++r) {
-      const auto n_h = stores_[r].count_species(dsmc::kSpeciesH);
-      const auto n_hp = stores_[r].count_species(dsmc::kSpeciesHPlus);
-      predicted[r] = static_cast<double>(n_h) +
-                     lb.weight_ratio * static_cast<double>(n_hp) +
-                     lb.cell_weight * static_cast<double>(my_cells_[r].size());
-    }
+    // The measured window is the work of the particles present at the
+    // *start* of this step, so it is regressed against the PREVIOUS step's
+    // static prediction — pairing it with end-of-step counts would make
+    // fast-growing ranks look cheap and under-provision exactly where the
+    // load is arriving.
+    std::vector<double> predicted = predicted_loads();
     if (!prev_predicted_.empty())
       cost_model_.observe_step(wpart, prev_predicted_);
     prev_predicted_ = std::move(predicted);
@@ -617,31 +591,12 @@ void CoupledSolver::maybe_rebalance(StepDiagnostics& diag) {
   maybe_resize_ensemble(diag);
   if (steps_since_rebalance_ == 0) return;
 
-  if (!lb.enabled) return;
-  const balance::PolicyDecision decision = policy_.decide(step_, lii);
-  if (!decision.rebalance) return;
+  if (!lb.enabled || !policy_.decide(step_, lii).rebalance) return;
 
-  // Per-cell particle counts for the weighted load model.
-  std::vector<std::int64_t> neutrals(coarse_.num_tets(), 0);
-  std::vector<std::int64_t> charged(coarse_.num_tets(), 0);
-  for (int r = 0; r < pcfg_.nranks; ++r) {
-    const auto cells = stores_[r].cells();
-    const auto spec = stores_[r].species();
-    for (std::size_t i = 0; i < stores_[r].size(); ++i) {
-      if (removed_[r][i]) continue;
-      if (species_[spec[i]].charged())
-        ++charged[cells[i]];
-      else
-        ++neutrals[cells[i]];
-    }
-  }
-
-  // Timer/hybrid weights replace the rebalancer's internal Eq.-7 ones; an
-  // empty span keeps the static path bit-identical.
-  std::vector<double> weights;
-  if (cost_model_.config().kind != balance::CostModelKind::kStatic)
-    weights = cost_model_.cell_weights(owner_, neutrals, charged,
-                                       lb.weight_ratio, lb.cell_weight);
+  const CellCounts counts = count_cells();
+  const std::vector<double> weights = cost_model_.cell_weights(
+      owner_, counts.neutrals, counts.charged, lb.weight_ratio,
+      lb.cell_weight);
 
   // Measured cost of the whole event (repartition + KM + migration +
   // rebuild) in virtual time: the busy_max span of the Rebalance phase.
@@ -650,37 +605,10 @@ void CoupledSolver::maybe_rebalance(StepDiagnostics& diag) {
   const double estimate_before = policy_.rebalance_cost_estimate();
 
   const obs::HostProfiler::Scope prof_rb(prof_, "rebalance");
-  const std::vector<std::int32_t> new_owner = balance::redecompose(
-      *rt_, phases::kRebalance, dual_, coarse_.centroids(), neutrals, charged,
-      owner_, lb, lb_stats_, weights);
-
-  // Work redistribution: migrate particles to their new owners.
-  if (auditor_) auditor_->on_flagged(flagged_count());
-  const std::int64_t before = auditor_ ? total_particles() : 0;
-  exchange::ExchangeStats ex;
-  {
-    const obs::HostProfiler::Scope prof_ex(prof_, "exchange");
-    ex = exchange::exchange_particles(*rt_, phases::kRebalance, pcfg_.strategy,
-                                      stores_, removed_, new_owner);
-  }
-  if (auditor_)
-    auditor_->check_exchange(phases::kRebalance, before, ex.dropped,
-                             total_particles());
-  owner_ = new_owner;
-  rebuild_parallel_structures(phases::kRebalance, /*charge_costs=*/true);
-
-  // The decomposition (and each rank's population) just changed: refresh
-  // the cached prediction so the next measured window is paired with the
-  // post-migration counts, not the stale pre-rebalance ones.
-  if (!prev_predicted_.empty()) {
-    for (int r = 0; r < pcfg_.nranks; ++r) {
-      const auto n_h = stores_[r].count_species(dsmc::kSpeciesH);
-      const auto n_hp = stores_[r].count_species(dsmc::kSpeciesHPlus);
-      prev_predicted_[r] =
-          static_cast<double>(n_h) + lb.weight_ratio * static_cast<double>(n_hp) +
-          lb.cell_weight * static_cast<double>(my_cells_[r].size());
-    }
-  }
+  redistribute(balance::redecompose(*rt_, phases::kRebalance, dual_,
+                                    coarse_.centroids(), weights, owner_, lb,
+                                    lb_stats_),
+               active_);
 
   const double rb_measured = std::max(
       0.0, rt_->phase_stats(phases::kRebalance).busy_max - rb_busy_before);
@@ -718,68 +646,67 @@ void CoupledSolver::maybe_resize_ensemble(StepDiagnostics& diag) {
 void CoupledSolver::resize_active(int target) {
   DSMCPIC_CHECK(target >= 1 && target <= pcfg_.nranks);
   const balance::RebalanceConfig& lb = pcfg_.balance;
+  const CellCounts counts = count_cells();
+  std::vector<double> weights(counts.neutrals.size());
+  for (std::size_t c = 0; c < weights.size(); ++c)
+    weights[c] = balance::wlm_per_cell(counts.neutrals[c], counts.charged[c],
+                                       lb.weight_ratio, lb.cell_weight);
 
-  // Per-cell particle counts for the weighted load model (Eq. 7).
-  std::vector<std::int64_t> neutrals(coarse_.num_tets(), 0);
-  std::vector<std::int64_t> charged(coarse_.num_tets(), 0);
-  for (int r = 0; r < pcfg_.nranks; ++r) {
-    const auto cells = stores_[r].cells();
-    const auto spec = stores_[r].species();
-    for (std::size_t i = 0; i < stores_[r].size(); ++i) {
-      if (removed_[r][i]) continue;
-      if (species_[spec[i]].charged())
-        ++charged[cells[i]];
-      else
-        ++neutrals[cells[i]];
-    }
-  }
-
-  // Grow activates the new ranks BEFORE migration so they can receive;
-  // shrink migrates first (everyone still dispatched) so the soon-parked
-  // ranks drain their particles, then leaves the dispatch set.
-  const bool grow = target > active_;
-  if (grow) {
+  if (target > active_) {
     rt_->set_active_ranks(target);
     active_ = target;
   }
+  redistribute(balance::redecompose(*rt_, phases::kRebalance, dual_,
+                                    coarse_.centroids(), weights, owner_, lb,
+                                    lb_stats_, /*nparts=*/target),
+               target);
+}
 
-  const std::vector<std::int32_t> new_owner = balance::redecompose(
-      *rt_, phases::kRebalance, dual_, coarse_.centroids(), neutrals, charged,
-      owner_, lb, lb_stats_, /*cell_weights=*/{}, /*nparts=*/target);
-
-  if (auditor_) auditor_->on_flagged(flagged_count());
-  const std::int64_t before = auditor_ ? total_particles() : 0;
-  exchange::ExchangeStats ex;
-  {
-    // Dense fallback even under Strategy::kNeighbor: a resize moves cells
-    // wholesale, so the steady-state partition adjacency says nothing about
-    // who talks to whom here.
-    const obs::HostProfiler::Scope prof_ex(prof_, "exchange");
-    ex = exchange::exchange_particles(*rt_, phases::kRebalance, pcfg_.strategy,
-                                      stores_, removed_, new_owner);
-  }
-  if (auditor_)
-    auditor_->check_exchange(phases::kRebalance, before, ex.dropped,
-                             total_particles());
-  owner_ = new_owner;
-  if (!grow) {
+void CoupledSolver::redistribute(std::vector<std::int32_t> new_owner,
+                                 int target) {
+  // Dense handshakes even under Strategy::kNeighbor: the adjacency lists
+  // belong to the old partition, and a redistribution moves cells wholesale.
+  migrate(phases::kRebalance, new_owner, /*neighbors=*/nullptr);
+  owner_ = std::move(new_owner);
+  // Every rank was still dispatched for the migration, so the parked ranks
+  // of a shrink have drained; they leave the dispatch set before the rebuild.
+  if (target < active_) {
     rt_->set_active_ranks(target);
     active_ = target;
   }
   rebuild_parallel_structures(phases::kRebalance, /*charge_costs=*/true);
 
-  // Same pairing rule as the rebalance path: the next measured window must
-  // regress against post-migration populations.
-  if (!prev_predicted_.empty()) {
-    for (int r = 0; r < pcfg_.nranks; ++r) {
-      const auto n_h = stores_[r].count_species(dsmc::kSpeciesH);
-      const auto n_hp = stores_[r].count_species(dsmc::kSpeciesHPlus);
-      prev_predicted_[r] =
-          static_cast<double>(n_h) +
-          lb.weight_ratio * static_cast<double>(n_hp) +
-          lb.cell_weight * static_cast<double>(my_cells_[r].size());
+  // The decomposition and each rank's population just changed: the next
+  // measured window must regress against the post-migration counts, not the
+  // stale pre-redistribution ones.
+  if (!prev_predicted_.empty()) prev_predicted_ = predicted_loads();
+}
+
+CoupledSolver::CellCounts CoupledSolver::count_cells() const {
+  CellCounts n{std::vector<std::int64_t>(coarse_.num_tets(), 0),
+               std::vector<std::int64_t>(coarse_.num_tets(), 0)};
+  for (int r = 0; r < pcfg_.nranks; ++r) {
+    const auto cells = stores_[r].cells();
+    const auto spec = stores_[r].species();
+    for (std::size_t i = 0; i < stores_[r].size(); ++i) {
+      if (removed_[r][i]) continue;
+      auto& count = species_[spec[i]].charged() ? n.charged : n.neutrals;
+      ++count[cells[i]];
     }
   }
+  return n;
+}
+
+std::vector<double> CoupledSolver::predicted_loads() const {
+  const balance::RebalanceConfig& lb = pcfg_.balance;
+  std::vector<double> load(pcfg_.nranks);
+  for (int r = 0; r < pcfg_.nranks; ++r)
+    load[r] = balance::wlm(
+        stores_[r].count_species(dsmc::kSpeciesH),
+        stores_[r].count_species(dsmc::kSpeciesHPlus),
+        static_cast<std::int64_t>(my_cells_[r].size()), lb.weight_ratio,
+        lb.cell_weight);
+  return load;
 }
 
 CoupledSolver::ExchangeVolume CoupledSolver::exchange_volume() const {

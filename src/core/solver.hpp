@@ -193,10 +193,34 @@ class CoupledSolver {
   void maybe_rebalance(StepDiagnostics& diag);
   /// Elastic-ensemble resize check at rebalance-period boundaries (§2i).
   void maybe_resize_ensemble(StepDiagnostics& diag);
-  /// Repartitions into `target` parts, migrates particles, and resizes the
-  /// runtime's active rank set (grow activates before migration so new
-  /// ranks can receive; shrink migrates first so parked ranks drain).
+  /// Repartitions into `target` parts by plain Eq.-7 weights and
+  /// redistributes. A grow activates the new ranks before the repartition
+  /// so they can receive; redistribute() parks the ranks of a shrink.
   void resize_active(int target);
+
+  /// Moves every particle to the rank owning its cell under `owner`, under
+  /// the auditor's exchange checks; null `neighbors` means dense handshakes.
+  exchange::ExchangeStats migrate(
+      const char* phase, std::span<const std::int32_t> owner,
+      const std::vector<std::vector<int>>* neighbors);
+  /// The tail of a rebalance and of a resize: migrates to `new_owner` and
+  /// installs it, parks the ranks of a shrink to `target` (now drained),
+  /// rebuilds the layout and refreshes the cost model's prediction.
+  void redistribute(std::vector<std::int32_t> new_owner, int target);
+
+  struct CellCounts {  // live particles per coarse cell
+    std::vector<std::int64_t> neutrals, charged;
+  };
+  CellCounts count_cells() const;
+  /// Eq. 7 summed over each rank's cells: the static model's per-rank load.
+  std::vector<double> predicted_loads() const;
+
+  /// Per-rank busy seconds at a window boundary: Eq. 6's total, migration
+  /// and Poisson rows, and the cost model's particle phases.
+  struct BusyWindow {
+    std::vector<double> total, pm, poi, particle;
+  };
+  BusyWindow capture_busy() const;
 
   SolverConfig cfg_;
   ParallelConfig pcfg_;
@@ -251,8 +275,7 @@ class CoupledSolver {
 
   int step_ = 0;
   int steps_since_rebalance_ = 0;
-  std::vector<double> prev_total_, prev_pm_, prev_poi_;  // lii window
-  std::vector<double> prev_particle_;  // particle-phase window (cost model)
+  BusyWindow prev_busy_;
   std::vector<double> prev_predicted_;  // last step's static wlm per rank
   balance::RebalanceStats lb_stats_;
   balance::CostModel cost_model_;

@@ -60,18 +60,41 @@ void append_records(ParticleStore& store, std::span<const ParticleRecord> recs) 
   for (const auto& r : recs) store.add(r);
 }
 
+/// The last superstep of every strategy: each rank appends what it received
+/// and resets its removal flags. Then the per-rank migration and drop
+/// counts are summed here; the bodies wrote one slot per rank, as they may
+/// run on worker threads.
+ExchangeStats deliver(par::Runtime& rt, const std::string& phase,
+                      std::vector<ParticleStore>& stores,
+                      std::vector<std::vector<std::uint8_t>>& removed,
+                      std::span<const std::int64_t> migrated,
+                      std::span<const std::int64_t> dropped) {
+  rt.superstep(phase, [&](par::Comm& c) {
+    const int r = c.rank();
+    for (const auto& msg : c.inbox())
+      append_records(stores[r], msg.view<ParticleRecord>());
+    removed[r].assign(stores[r].size(), 0);
+  });
+
+  ExchangeStats stats;
+  for (const std::int64_t m : migrated) stats.migrated += m;
+  for (const std::int64_t d : dropped) stats.dropped += d;
+  for (int r = 0; r < rt.active_ranks(); ++r)
+    stats.kept += static_cast<std::int64_t>(stores[r].size());
+  stats.kept -= stats.migrated;
+  return stats;
+}
+
 ExchangeStats exchange_centralized(par::Runtime& rt, const std::string& phase,
                                    std::vector<ParticleStore>& stores,
                                    std::vector<std::vector<std::uint8_t>>& removed,
                                    std::span<const std::int32_t> cell_owner,
                                    int root) {
   const int nranks = rt.active_ranks();
-  ExchangeStats stats;
   // Root-side staging for classify: records pooled from everyone.
   std::vector<ParticleRecord> root_pool;
-  // Per-rank drop counts: bodies may run on worker threads, so each rank
-  // writes only its own slot and the driver reduces afterwards.
-  std::vector<std::int64_t> dropped(nranks, 0);
+  // Only the root relays, so only its migration slot fills.
+  std::vector<std::int64_t> migrated(nranks, 0), dropped(nranks, 0);
 
   // Stage 1 — gather: every rank ships ALL its outgoing to the root in one
   // message (root's own outgoing goes straight to the pool).
@@ -109,7 +132,7 @@ ExchangeStats exchange_centralized(par::Runtime& rt, const std::string& phase,
     std::map<int, std::vector<ParticleRecord>> by_dest;
     for (const auto& rec : root_pool)
       by_dest[cell_owner[rec.cell]].push_back(rec);
-    stats.migrated = static_cast<std::int64_t>(root_pool.size());
+    migrated[root] = static_cast<std::int64_t>(root_pool.size());
     root_pool.clear();
     for (auto& [dest, recs] : by_dest) {
       if (dest == root) {
@@ -123,18 +146,7 @@ ExchangeStats exchange_centralized(par::Runtime& rt, const std::string& phase,
   });
 
   // Stage 3 — deliver.
-  rt.superstep(phase, [&](par::Comm& c) {
-    const int r = c.rank();
-    for (const auto& msg : c.inbox())
-      append_records(stores[r], msg.view<ParticleRecord>());
-    removed[r].assign(stores[r].size(), 0);
-  });
-
-  for (int r = 0; r < nranks; ++r)
-    stats.kept += static_cast<std::int64_t>(stores[r].size());
-  stats.kept -= stats.migrated;
-  for (const std::int64_t d : dropped) stats.dropped += d;
-  return stats;
+  return deliver(rt, phase, stores, removed, migrated, dropped);
 }
 
 ExchangeStats exchange_distributed(par::Runtime& rt, const std::string& phase,
@@ -142,11 +154,7 @@ ExchangeStats exchange_distributed(par::Runtime& rt, const std::string& phase,
                                    std::vector<std::vector<std::uint8_t>>& removed,
                                    std::span<const std::int32_t> cell_owner) {
   const int nranks = rt.active_ranks();
-  ExchangeStats stats;
-  // Per-rank migration/drop counts: bodies may run on worker threads, so
-  // each rank writes only its own slot and the driver reduces afterwards.
-  std::vector<std::int64_t> migrated(nranks, 0);
-  std::vector<std::int64_t> dropped(nranks, 0);
+  std::vector<std::int64_t> migrated(nranks, 0), dropped(nranks, 0);
 
   // The paper's implementation performs a synchronized two-round send/recv
   // across ALL ordered pairs (Sec. IV-B2), i.e. N(N-1) transactions even
@@ -177,19 +185,7 @@ ExchangeStats exchange_distributed(par::Runtime& rt, const std::string& phase,
     }
   });
 
-  rt.superstep(phase, [&](par::Comm& c) {
-    const int r = c.rank();
-    for (const auto& msg : c.inbox())
-      append_records(stores[r], msg.view<ParticleRecord>());
-    removed[r].assign(stores[r].size(), 0);
-  });
-
-  for (const std::int64_t m : migrated) stats.migrated += m;
-  for (const std::int64_t d : dropped) stats.dropped += d;
-  for (int r = 0; r < nranks; ++r)
-    stats.kept += static_cast<std::int64_t>(stores[r].size());
-  stats.kept -= stats.migrated;
-  return stats;
+  return deliver(rt, phase, stores, removed, migrated, dropped);
 }
 
 /// Hierarchical exchange: intra-node funnel to the node leader, all-to-all
@@ -203,9 +199,7 @@ ExchangeStats exchange_hierarchical(par::Runtime& rt, const std::string& phase,
   const int nodes = rt.active_nodes();
   auto leader_of = [ppn](int rank) { return (rank / ppn) * ppn; };
 
-  ExchangeStats stats;
-  std::vector<std::int64_t> migrated(nranks, 0);  // per rank; reduced below
-  std::vector<std::int64_t> dropped(nranks, 0);
+  std::vector<std::int64_t> migrated(nranks, 0), dropped(nranks, 0);
 
   // Stage 1 — funnel: every rank classifies and ships its whole outgoing
   // set to its node leader (leaders keep theirs locally).
@@ -289,19 +283,7 @@ ExchangeStats exchange_hierarchical(par::Runtime& rt, const std::string& phase,
   });
 
   // Stage 4 — deliver.
-  rt.superstep(phase, [&](par::Comm& c) {
-    const int r = c.rank();
-    for (const auto& msg : c.inbox())
-      append_records(stores[r], msg.view<ParticleRecord>());
-    removed[r].assign(stores[r].size(), 0);
-  });
-
-  for (const std::int64_t m : migrated) stats.migrated += m;
-  for (const std::int64_t d : dropped) stats.dropped += d;
-  for (int r = 0; r < nranks; ++r)
-    stats.kept += static_cast<std::int64_t>(stores[r].size());
-  stats.kept -= stats.migrated;
-  return stats;
+  return deliver(rt, phase, stores, removed, migrated, dropped);
 }
 
 /// Neighbor exchange: DC's two-round semantics, but each rank's handshake
@@ -321,9 +303,7 @@ ExchangeStats exchange_neighbor(par::Runtime& rt, const std::string& phase,
   DSMCPIC_CHECK_MSG(static_cast<int>(neighbors.size()) >= nranks,
                     "neighbor lists cover " << neighbors.size()
                                             << " ranks, need " << nranks);
-  ExchangeStats stats;
-  std::vector<std::int64_t> migrated(nranks, 0);
-  std::vector<std::int64_t> dropped(nranks, 0);
+  std::vector<std::int64_t> migrated(nranks, 0), dropped(nranks, 0);
 
   rt.hint_round_transactions_all_pairs();
   rt.superstep(phase, [&](par::Comm& c) {
@@ -350,19 +330,7 @@ ExchangeStats exchange_neighbor(par::Runtime& rt, const std::string& phase,
     }
   });
 
-  rt.superstep(phase, [&](par::Comm& c) {
-    const int r = c.rank();
-    for (const auto& msg : c.inbox())
-      append_records(stores[r], msg.view<ParticleRecord>());
-    removed[r].assign(stores[r].size(), 0);
-  });
-
-  for (const std::int64_t m : migrated) stats.migrated += m;
-  for (const std::int64_t d : dropped) stats.dropped += d;
-  for (int r = 0; r < nranks; ++r)
-    stats.kept += static_cast<std::int64_t>(stores[r].size());
-  stats.kept -= stats.migrated;
-  return stats;
+  return deliver(rt, phase, stores, removed, migrated, dropped);
 }
 
 }  // namespace

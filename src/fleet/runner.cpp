@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <mutex>
 #include <sstream>
 
@@ -109,10 +110,21 @@ std::string FleetRunner::add_resume(const std::string& run_dir) {
   js->run_id = io::read_string(is);
   js->job.scenario = io::read_string(is);
   js->job.seed = io::read_pod<std::uint64_t>(is);
-  js->ranks = static_cast<int>(io::read_pod<std::int64_t>(is));
-  js->steps_total = static_cast<int>(io::read_pod<std::int64_t>(is));
-  js->steps_done = static_cast<int>(io::read_pod<std::int64_t>(is));
-  js->leases = static_cast<int>(io::read_pod<std::int64_t>(is));
+  // Each count must fit its int unchanged, and a lease exists only for a
+  // started, unfinished run.
+  const auto read_count = [&](const char* field, std::int64_t lo,
+                              std::int64_t hi) {
+    const auto v = io::read_pod<std::int64_t>(is);
+    DSMCPIC_CHECK_MSG(v >= lo && v <= hi, dir << "/lease.bin: " << field
+                                              << " " << v << " outside ["
+                                              << lo << ", " << hi << "]");
+    return static_cast<int>(v);
+  };
+  constexpr std::int64_t kMaxInt = std::numeric_limits<int>::max();
+  js->ranks = read_count("ranks", 1, kMaxInt);
+  js->steps_total = read_count("steps_total", 2, kMaxInt);
+  js->steps_done = read_count("steps_done", 1, js->steps_total - 1);
+  js->leases = read_count("leases", 1, kMaxInt);
   js->digest.set_state(io::read_pod<std::uint64_t>(is));
   js->carried.injected = io::read_pod<std::int64_t>(is);
   js->carried.migrated_dsmc = io::read_pod<std::int64_t>(is);

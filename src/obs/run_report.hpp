@@ -43,7 +43,7 @@ struct RunReportConfig {
   std::string strategy;
   bool balance = false;
   std::string audit_severity;  // "off" when no auditor was attached
-  std::string cost_model;      // "static" | "timer" | "hybrid"
+  std::string cost_model;      // "static" | "timer"
   std::string policy;          // "threshold" | "lookahead"
   int horizon = 0;             // look-ahead horizon H (steps)
 };

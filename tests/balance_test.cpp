@@ -144,6 +144,17 @@ TEST(KmRemap, PartialOverlapPicksBestMatch) {
   EXPECT_EQ(owner[3], 1);
 }
 
+/// The Eq.-7 weight of every cell under `cfg`.
+std::vector<double> eq7_weights(const std::vector<std::int64_t>& neutrals,
+                                const std::vector<std::int64_t>& charged,
+                                const RebalanceConfig& cfg) {
+  std::vector<double> w(neutrals.size());
+  for (std::size_t c = 0; c < w.size(); ++c)
+    w[c] = wlm_per_cell(neutrals[c], charged[c], cfg.weight_ratio,
+                        cfg.cell_weight);
+  return w;
+}
+
 TEST(Redecompose, BalancesSkewedParticleLoad) {
   // Path graph of 32 cells; all particles piled into the first 4 cells
   // (the paper's Fig. 5 situation). Initial owner: block partition.
@@ -169,8 +180,9 @@ TEST(Redecompose, BalancesSkewedParticleLoad) {
   RebalanceStats stats;
   std::vector<Vec3> centroids(ncells);
   for (int c = 0; c < ncells; ++c) centroids[c] = {static_cast<double>(c), 0, 0};
-  const auto new_owner = redecompose(rt, "rebalance", dual, centroids, neutrals,
-                                     charged, owner, cfg, stats);
+  const auto new_owner =
+      redecompose(rt, "rebalance", dual, centroids,
+                  eq7_weights(neutrals, charged, cfg), owner, cfg, stats);
 
   // The four heavy cells must now be spread across ranks.
   std::vector<std::int64_t> load(nranks, 0);
@@ -210,8 +222,9 @@ TEST(Redecompose, WeightRatioPrioritizesChargedCells) {
   RebalanceStats stats;
   std::vector<Vec3> centroids(ncells);
   for (int c = 0; c < ncells; ++c) centroids[c] = {static_cast<double>(c), 0, 0};
-  const auto new_owner = redecompose(rt, "rb", dual, centroids, neutrals,
-                                     charged, owner, cfg, stats);
+  const auto new_owner =
+      redecompose(rt, "rb", dual, centroids,
+                  eq7_weights(neutrals, charged, cfg), owner, cfg, stats);
   EXPECT_NE(new_owner[3], new_owner[12]);
 }
 

@@ -106,12 +106,12 @@ TEST(BenchCli, CostModelDefaultsStaticAndRejectsTypos) {
     EXPECT_EQ(o.cost_model, "static");
     EXPECT_EQ(o.policy, "threshold");
   }
-  {
+  for (const char* bad : {"wallclock", "hybrid"}) {
     Cli cli("bench under test");
     bench::CommonFlags flags(cli, "bench_under_test", "4", 3);
-    const char* argv[] = {"prog", "--cost-model", "wallclock"};
+    const char* argv[] = {"prog", "--cost-model", bad};
     ASSERT_TRUE(bench::parse_or_usage(cli, 3, argv));
-    EXPECT_THROW(flags.finish(), Error);
+    EXPECT_THROW(flags.finish(), Error) << bad;
   }
   {
     Cli cli("bench under test");

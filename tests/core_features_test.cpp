@@ -144,8 +144,9 @@ TEST(Checkpoint, RejectsGarbageFile) {
 }
 
 // A checkpoint whose owner array names a rank outside the active set, or
-// whose Eq.-6 load window does not hold one entry per rank, must be refused
-// with a typed error, not indexed out of bounds by the restored solver.
+// whose Eq.-6 load window or cost-model prediction does not hold one entry
+// per rank, must be refused with a typed error, not indexed out of bounds by
+// the restored solver.
 TEST(Checkpoint, RejectsCorruptOwnersAndLoadWindows) {
   const std::string path = temp_path("dsmcpic_ckpt_corrupt.bin");
   const ParallelConfig par = tiny_parallel(3);
@@ -194,6 +195,21 @@ TEST(Checkpoint, RejectsCorruptOwnersAndLoadWindows) {
   const std::uint64_t shorter = 2;
   std::memcpy(patched.data() + at, &shorter, sizeof(shorter));
   patched.erase(at + sizeof(n) + 2 * sizeof(double), sizeof(double));
+  EXPECT_THROW(restore(patched), Error);
+
+  // The cost model's per-rank prediction follows the particle-phase window,
+  // a row as long as the Poisson one; the static model leaves it empty. A
+  // one-entry prediction for three ranks must be refused too.
+  const std::size_t predicted = at + 2 * row.size();
+  std::uint64_t len = 1;
+  std::memcpy(&len, saved.data() + predicted, sizeof(len));
+  ASSERT_EQ(len, 0u);
+  patched = saved;
+  const std::uint64_t one = 1;
+  const double load = 1.0;
+  std::memcpy(patched.data() + predicted, &one, sizeof(one));
+  patched.insert(predicted + sizeof(one),
+                 reinterpret_cast<const char*>(&load), sizeof(load));
   EXPECT_THROW(restore(patched), Error);
   std::filesystem::remove(path);
 }

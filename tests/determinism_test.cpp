@@ -318,18 +318,6 @@ TEST(CostModelDeterminism, TimerKernelLaneAndSortInvariance) {
   expect_identical(plain, kt4_sorted);
 }
 
-TEST(CostModelDeterminism, HybridComposedParallelismInvariance) {
-  const RunResult plain = run_solver(
-      par::ExecMode::kSequential, 6, 0, exchange::Strategy::kDistributed,
-      /*balance=*/true, 8, /*kernel_threads=*/1, /*sort_every=*/0,
-      balance::CostModelKind::kHybrid, balance::PolicyKind::kLookahead);
-  const RunResult both = run_solver(
-      par::ExecMode::kThreaded, 6, 3, exchange::Strategy::kDistributed,
-      /*balance=*/true, 8, /*kernel_threads=*/2, /*sort_every=*/1,
-      balance::CostModelKind::kHybrid, balance::PolicyKind::kLookahead);
-  expect_identical(plain, both);
-}
-
 TEST(CostModelDeterminism, TimerRunsAreRepeatable) {
   // Two identical invocations: the decision sequence (and everything else)
   // must reproduce exactly — the policy consumes only virtual-time signals.

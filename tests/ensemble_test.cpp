@@ -95,10 +95,9 @@ TEST(Ensemble, ComputeDominatedGrowsAtMostDoubling) {
 TEST(Ensemble, HysteresisDeadbandHolds) {
   EnsembleConfig cfg;
   cfg.kind = EnsembleKind::kElastic;
-  cfg.hysteresis = 0.25;
   EnsemblePolicy p(cfg, 64);
   // n* = sqrt(C * cur / ovh) with C/ovh tuned so n* ~ 18 from cur = 16:
-  // |18 - 16| = 2 <= 0.25 * 16 = 4 -> stay put.
+  // |18 - 16| = 2 <= 0.25 (the deadband) * 16 = 4 -> stay put.
   std::vector<double> comp(16, 1.0);  // C = 16
   p.observe_step(comp, 16.0 + 16.0 * 16.0 / (18.0 * 18.0));
   EXPECT_EQ(p.decide(0, 16), 16);
@@ -115,15 +114,14 @@ TEST(Ensemble, NoObservationNoMove) {
 TEST(Ensemble, EwmaBlendsObservations) {
   EnsembleConfig cfg;
   cfg.kind = EnsembleKind::kElastic;
-  cfg.ewma_alpha = 0.5;
   EnsemblePolicy p(cfg, 8);
   std::vector<double> comp(8, 1.0);  // C = 8 each step
   p.observe_step(comp, 10.0);        // ovh 2
-  p.observe_step(comp, 14.0);        // ovh 6 -> EWMA 4
+  p.observe_step(comp, 14.0);        // ovh 6 -> EWMA 0.7 * 2 + 0.3 * 6
   p.decide(0, 8);
   const EnsembleDecision& d = p.decisions().back();
   EXPECT_DOUBLE_EQ(d.compute_ewma, 8.0);
-  EXPECT_DOUBLE_EQ(d.overhead_ewma, 4.0);
+  EXPECT_DOUBLE_EQ(d.overhead_ewma, 3.2);
 }
 
 TEST(Ensemble, SaveLoadRoundTrip) {

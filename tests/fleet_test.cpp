@@ -18,6 +18,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -329,6 +330,67 @@ TEST(Fleet, ResumeRejectsOversizedLeasePrefix) {
   fo.results_dir = base + "/other";
   FleetRunner runner(fo);
   EXPECT_THROW(runner.add_resume(parked_dir), Error);
+  fs::remove_all(base);
+}
+
+// The lease's counts are int64 on disk and int in the runner: a count that
+// does not fit, or that names no unfinished run, is a typed error — not a
+// resume at the wrong step, a run reported done early, or a wrong tally.
+TEST(Fleet, ResumeRejectsOutOfRangeLeaseFields) {
+  const std::string base = temp_dir("fleet_test_lease_fields");
+  std::string parked_dir;
+  {
+    FleetOptions fo;
+    fo.slots = 1;
+    fo.results_dir = base + "/parked";
+    FleetRunner runner(fo);
+    FleetJob j;
+    j.scenario = "reentry";
+    j.seed = 7;
+    j.park_at = 1;
+    parked_dir = fo.results_dir + "/" + runner.add(j);
+    ASSERT_EQ(runner.run_all()[0].state, RunState::kParked);
+  }
+  const std::string lease = parked_dir + "/lease.bin";
+  const std::string saved = slurp(lease);
+  const auto i64_at = [&saved](std::size_t at) {
+    std::int64_t v;
+    std::memcpy(&v, saved.data() + at, sizeof v);
+    return v;
+  };
+  // Three length-prefixed strings (schema, run id, scenario) and the seed
+  // come before ranks, steps_total, steps_done and leases.
+  std::size_t at = 0;
+  for (int s = 0; s < 3; ++s) at += 8 + static_cast<std::size_t>(i64_at(at));
+  at += 8;
+  const std::size_t ranks = at, steps_total = at + 8, steps_done = at + 16,
+                    leases = at + 24;
+  ASSERT_EQ(i64_at(ranks), 6);
+  ASSERT_EQ(i64_at(steps_total), 8);
+  ASSERT_EQ(i64_at(steps_done), 1);
+  ASSERT_EQ(i64_at(leases), 1);
+
+  const auto resume_with = [&](std::size_t field, std::int64_t value) {
+    std::string patched = saved;
+    std::memcpy(patched.data() + field, &value, sizeof value);
+    {
+      std::ofstream os(lease, std::ios::binary | std::ios::trunc);
+      os.write(patched.data(), static_cast<std::streamsize>(patched.size()));
+    }
+    FleetOptions fo;
+    fo.slots = 1;
+    fo.results_dir = base + "/other";
+    FleetRunner runner(fo);
+    runner.add_resume(parked_dir);
+  };
+  EXPECT_NO_THROW(resume_with(steps_done, 1));  // the saved value
+  for (const std::int64_t bad : {std::int64_t{13}, std::int64_t{-3},
+                                 std::int64_t{0}, std::int64_t{8}})
+    EXPECT_THROW(resume_with(steps_done, bad), Error) << "steps_done " << bad;
+  EXPECT_THROW(resume_with(steps_total, 0), Error);
+  EXPECT_THROW(resume_with(ranks, 6 + (std::int64_t{1} << 32)), Error);
+  EXPECT_THROW(resume_with(ranks, 0), Error);
+  EXPECT_THROW(resume_with(leases, -7), Error);
   fs::remove_all(base);
 }
 

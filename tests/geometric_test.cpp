@@ -133,8 +133,12 @@ TEST(Redecompose, GeometricRepartitionersBalanceToo) {
     balance::RebalanceConfig cfg;
     cfg.repartitioner = repart;
     balance::RebalanceStats stats;
+    std::vector<double> weights(ncells);
+    for (int c = 0; c < ncells; ++c)
+      weights[c] = balance::wlm_per_cell(neutrals[c], charged[c],
+                                         cfg.weight_ratio, cfg.cell_weight);
     const auto new_owner = balance::redecompose(
-        rt, "rb", dual, centroids, neutrals, charged, owner, cfg, stats);
+        rt, "rb", dual, centroids, weights, owner, cfg, stats);
     std::vector<std::int64_t> load(nranks, 0);
     for (int c = 0; c < ncells; ++c) load[new_owner[c]] += neutrals[c];
     const auto mx = *std::max_element(load.begin(), load.end());

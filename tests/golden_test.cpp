@@ -38,11 +38,33 @@ class Fnv1a {
   std::uint64_t h_ = 14695981039346656037ULL;
 };
 
-SolverConfig tiny_config() {
-  Dataset d = make_dataset(1, /*particle_scale=*/0.25);
+SolverConfig tiny_config(double particle_scale = 0.25) {
+  Dataset d = make_dataset(1, particle_scale);
   d.config.nozzle.radial_divisions = 3;
   d.config.nozzle.axial_divisions = 6;
   return d.config;
+}
+
+/// Hashes every step diagnostic and the final virtual clocks.
+void hash_run(Fnv1a& d, const CoupledSolver& solver) {
+  for (const StepDiagnostics& s : solver.history()) {
+    d.i64(s.dsmc_step);
+    for (const std::int64_t p : s.particles_per_rank) d.i64(p);
+    d.i64(s.total_h);
+    d.i64(s.total_hplus);
+    d.i64(s.injected);
+    d.i64(s.migrated_dsmc);
+    d.i64(s.migrated_pic);
+    d.i64(s.collisions);
+    d.i64(s.ionizations);
+    d.i64(s.recombinations);
+    d.i64(s.poisson_iterations);
+    d.f64(s.lii);
+    d.i64(s.rebalanced ? 1 : 0);
+  }
+  for (int r = 0; r < solver.runtime().size(); ++r)
+    d.f64(solver.runtime().clock(r));
+  d.f64(solver.runtime().total_time());
 }
 
 std::uint64_t run_digest(exchange::Strategy strategy, bool balance_enabled,
@@ -87,24 +109,7 @@ std::uint64_t run_digest(exchange::Strategy strategy, bool balance_enabled,
   }
 
   Fnv1a d;
-  for (const StepDiagnostics& s : solver.history()) {
-    d.i64(s.dsmc_step);
-    for (const std::int64_t p : s.particles_per_rank) d.i64(p);
-    d.i64(s.total_h);
-    d.i64(s.total_hplus);
-    d.i64(s.injected);
-    d.i64(s.migrated_dsmc);
-    d.i64(s.migrated_pic);
-    d.i64(s.collisions);
-    d.i64(s.ionizations);
-    d.i64(s.recombinations);
-    d.i64(s.poisson_iterations);
-    d.f64(s.lii);
-    d.i64(s.rebalanced ? 1 : 0);
-  }
-  for (int r = 0; r < solver.runtime().size(); ++r)
-    d.f64(solver.runtime().clock(r));
-  d.f64(solver.runtime().total_time());
+  hash_run(d, solver);
   return d.value();
 }
 
@@ -271,6 +276,80 @@ TEST(GoldenCostModel, TimerSortedMatchesTimerGolden) {
                  balance::PolicyKind::kLookahead);
   EXPECT_EQ(got, kGoldenDcTimerLookahead)
       << "new digest: 0x" << std::hex << got << "ULL";
+}
+
+// ---- Redistribution paths: ensemble resizes and an NC rebalance -----------
+// The goldens above rebalance only under DC. These pin the elastic
+// ensemble's grow and shrink and a rebalance under the neighbor exchange,
+// hashing the final owner map and active count as well, so a change to how
+// the balancer migrates particles or installs a new decomposition shows up
+// here.
+
+struct Redistributed {
+  std::uint64_t digest = 0;
+  int active = 0;
+  int rebalances = 0;   // redecompose calls: resizes + rebalances
+  int resizes = 0;      // ensemble resizes
+};
+
+Redistributed run_redistribution(double particle_scale,
+                                 const ParallelConfig& par, int steps) {
+  CoupledSolver solver(tiny_config(particle_scale), par);
+  solver.run(steps);
+  Fnv1a d;
+  hash_run(d, solver);
+  for (const std::int32_t o : solver.owner()) d.i64(o);
+  d.i64(solver.active_ranks());
+  return {d.value(), solver.active_ranks(),
+          solver.rebalance_stats().rebalances, solver.ensemble().resizes()};
+}
+
+ParallelConfig redistribution_parallel(int nranks) {
+  ParallelConfig par;
+  par.nranks = nranks;
+  par.balance.period = 3;
+  return par;
+}
+
+constexpr std::uint64_t kGoldenElasticGrow = 0x3c56468ee1469a45ULL;
+constexpr std::uint64_t kGoldenElasticShrink = 0x1f296b225b6281d2ULL;
+constexpr std::uint64_t kGoldenNeighborRebalance = 0xf6a22bf3ed6dbd52ULL;
+
+TEST(GoldenRedistribution, ElasticGrow) {
+  ParallelConfig par = redistribution_parallel(12);
+  par.balance.enabled = false;
+  par.balance.ensemble.kind = balance::EnsembleKind::kElastic;
+  par.balance.ensemble.ranks_min = 2;
+  par.balance.ensemble.initial = 2;
+  const Redistributed got = run_redistribution(1.0, par, 12);
+  EXPECT_EQ(got.active, 4);
+  EXPECT_EQ(got.resizes, 1);
+  EXPECT_EQ(got.digest, kGoldenElasticGrow)
+      << "new digest: 0x" << std::hex << got.digest << "ULL";
+}
+
+TEST(GoldenRedistribution, ElasticShrinkWithRebalance) {
+  ParallelConfig par = redistribution_parallel(12);
+  par.balance.threshold = 1.01;
+  par.balance.ensemble.kind = balance::EnsembleKind::kElastic;
+  par.balance.ensemble.ranks_min = 4;
+  const Redistributed got = run_redistribution(0.25, par, 12);
+  EXPECT_EQ(got.active, 4);
+  EXPECT_EQ(got.resizes, 2);
+  EXPECT_EQ(got.rebalances, got.resizes + 1);
+  EXPECT_EQ(got.digest, kGoldenElasticShrink)
+      << "new digest: 0x" << std::hex << got.digest << "ULL";
+}
+
+TEST(GoldenRedistribution, NeighborExchangeRebalance) {
+  ParallelConfig par = redistribution_parallel(6);
+  par.strategy = exchange::Strategy::kNeighbor;
+  par.balance.threshold = 1.01;
+  const Redistributed got = run_redistribution(0.25, par, 9);
+  EXPECT_EQ(got.active, 6);
+  EXPECT_EQ(got.rebalances, 1);
+  EXPECT_EQ(got.digest, kGoldenNeighborRebalance)
+      << "new digest: 0x" << std::hex << got.digest << "ULL";
 }
 
 }  // namespace
