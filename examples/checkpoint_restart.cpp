@@ -3,8 +3,8 @@
 //   1. Auto-tune (T, Threshold) with short pilot runs (the paper's
 //      "sampling script" approach).
 //   2. Run the first half of the simulation and write a checkpoint.
-//   3. Restore into a fresh solver and finish — the result is identical to
-//      an uninterrupted run.
+//   3. Resume a fresh solver from the checkpoint and finish — the result is
+//      identical to an uninterrupted run.
 
 #include <cstdio>
 #include <filesystem>
@@ -66,9 +66,9 @@ int main(int argc, char** argv) {
                 static_cast<long long>(solver.total_particles()));
   }
 
-  // 3. Restore into a fresh solver and finish the run.
-  core::CoupledSolver resumed(ds.config, par);
-  resumed.restore_checkpoint(*ckpt);
+  // 3. Build a fresh solver straight from the checkpoint and finish the run
+  //    (nullptr: the solver builds its own meshes).
+  core::CoupledSolver resumed(ds.config, par, nullptr, *ckpt);
   resumed.run(static_cast<int>(*steps) - half);
 
   // Reference: the same run without interruption.

@@ -17,7 +17,9 @@
 # rebalance and an ensemble resize. The checkpoint- and lease-corruption
 # tests patch saved files that must be refused with a typed error, not
 # indexed out of bounds, sized from a corrupt length prefix or narrowed
-# into a wrong count. The build uses -DDSMCPIC_WERROR=ON, so a new
+# into a wrong count; a solver built straight from a checkpoint must refuse
+# the same files, and equal one restored in place, without reading the
+# layout it never built. The build uses -DDSMCPIC_WERROR=ON, so a new
 # compiler warning fails the sweep too.
 #
 #   scripts/run_asan.sh [build-dir]
@@ -60,7 +62,9 @@ export UBSAN_OPTIONS="print_stacktrace=1 ${UBSAN_OPTIONS:-}"
 "$BUILD"/tests/golden_test
 # Every exchange strategy ending in the shared delivery step, redecompose
 # on caller-supplied Eq.-7 weights, the policy and cost-model battery, and
-# ensemble resizes through the solver.
+# ensemble resizes through the solver. The policy and ensemble suites
+# include the field-by-field decision logs and their 0-or-1 bool bytes
+# (*.DecisionLogIsWrittenFieldByField, *.RejectsDecisionBoolOtherThanZeroOrOne).
 "$BUILD"/tests/exchange_test
 "$BUILD"/tests/balance_test
 "$BUILD"/tests/balance_policy_test
@@ -71,10 +75,14 @@ export UBSAN_OPTIONS="print_stacktrace=1 ${UBSAN_OPTIONS:-}"
 "$BUILD"/tests/par_test
 "$BUILD"/tests/linalg_test
 # Out-of-range owners, short load windows, a one-entry cost-model
-# prediction (Checkpoint.RejectsCorruptOwnersAndLoadWindows), and particles
+# prediction (Checkpoint.RejectsCorruptOwnersAndLoadWindows), particles
 # in a cell past the mesh or in another rank's cell in a solver checkpoint
-# (Checkpoint.RejectsParticlesOutsideTheirRanksCells).
-"$BUILD"/tests/core_features_test --gtest_filter='Checkpoint.Rejects*'
+# (Checkpoint.RejectsParticlesOutsideTheirRanksCells), and a missing,
+# foreign, older or truncated file given to the checkpoint constructor
+# (Checkpoint.RejectsBadFilesAtResumeConstruction). Then that constructor
+# against a restore in place on five configurations (ResumeConstructor.*).
+"$BUILD"/tests/core_features_test \
+  --gtest_filter='Checkpoint.Rejects*:Configs/ResumeConstructor.*'
 # Oversized length prefixes (2^62, 2^40, 2^27) in read_vec/read_string and
 # in a parked run's lease.bin, multi-chunk reads, and lease counts that do
 # not fit an int or name no unfinished run

@@ -80,9 +80,12 @@ export TSAN_OPTIONS="halt_on_error=1 ${TSAN_OPTIONS:-}"
 # The fleet service (DESIGN.md §2j) runs whole solvers concurrently on the
 # slot pool while they read the same immutable CaseGeometry through
 # SharedAssets, and preempt/resume moves solver state across slots through
-# checkpoint v4. The fleet suite runs 4-slot fleets, lease slicing, and the
-# park/resume round trip, so a racy registry, result aggregation, or shared
-# mesh access would be flagged here.
+# the solver checkpoint. The fleet suite runs 4-slot fleets, lease slicing,
+# and the park/resume round trip, so a racy registry, result aggregation, or
+# shared mesh access would be flagged here. The geometry's Poisson systems
+# are assembled on first request under its mutex;
+# SharedPoisson.ConcurrentFirstRequestsAssembleOnce makes four threads ask
+# for the same one at once.
 "$BUILD"/tests/fleet_test
 # The telemetry bus (docs/observability.md §6) samples the solver from the
 # driver thread, but the FLEET aggregator republishes fleet_summary.json +

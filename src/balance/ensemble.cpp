@@ -104,15 +104,33 @@ void EnsemblePolicy::save(std::ostream& os) const {
   io::write_pod(os, overhead_ewma_);
   io::write_pod(os, has_observation_);
   io::write_pod(os, resizes_);
-  io::write_vec(os, decisions_);
+  // Field by field: a raw record would carry its padding bytes.
+  io::write_pod<std::uint64_t>(os, decisions_.size());
+  for (const EnsembleDecision& d : decisions_) {
+    io::write_pod(os, d.step);
+    io::write_pod(os, d.compute_ewma);
+    io::write_pod(os, d.overhead_ewma);
+    io::write_pod(os, d.target);
+    io::write_pod(os, d.resized);
+  }
 }
 
 void EnsemblePolicy::load(std::istream& is) {
   compute_ewma_ = io::read_pod<double>(is);
   overhead_ewma_ = io::read_pod<double>(is);
-  has_observation_ = io::read_pod<bool>(is);
+  has_observation_ = io::read_bool(is);
   resizes_ = io::read_pod<int>(is);
-  decisions_ = io::read_vec<EnsembleDecision>(is);
+  const auto n = io::read_pod<std::uint64_t>(is);
+  decisions_.clear();
+  for (std::uint64_t i = 0; i < n; ++i) {
+    EnsembleDecision d;
+    d.step = io::read_pod<int>(is);
+    d.compute_ewma = io::read_pod<double>(is);
+    d.overhead_ewma = io::read_pod<double>(is);
+    d.target = io::read_pod<int>(is);
+    d.resized = io::read_bool(is);
+    decisions_.push_back(d);
+  }
 }
 
 }  // namespace dsmcpic::balance

@@ -134,20 +134,40 @@ void RebalancePolicy::save(std::ostream& os) const {
   io::write_pod(os, residual_samples_);
   io::write_pod(os, cost_estimate_);
   io::write_pod(os, rebalances_observed_);
-  io::write_vec(os, decisions_);
+  // Field by field: a raw record would carry its padding bytes.
+  io::write_pod<std::uint64_t>(os, decisions_.size());
+  for (const PolicyDecision& d : decisions_) {
+    io::write_pod(os, d.step);
+    io::write_pod(os, d.lii);
+    io::write_pod(os, d.imbalance_per_step);
+    io::write_pod(os, d.projected_imbalance_cost);
+    io::write_pod(os, d.rebalance_cost_estimate);
+    io::write_pod(os, d.rebalance);
+  }
 }
 
 void RebalancePolicy::load(std::istream& is) {
   imb_level_ = io::read_pod<double>(is);
   imb_trend_ = io::read_pod<double>(is);
   prev_imb_ = io::read_pod<double>(is);
-  has_observation_ = io::read_pod<bool>(is);
+  has_observation_ = io::read_bool(is);
   residual_ = io::read_pod<double>(is);
-  awaiting_residual_ = io::read_pod<bool>(is);
+  awaiting_residual_ = io::read_bool(is);
   residual_samples_ = io::read_pod<int>(is);
   cost_estimate_ = io::read_pod<double>(is);
   rebalances_observed_ = io::read_pod<int>(is);
-  decisions_ = io::read_vec<PolicyDecision>(is);
+  const auto n = io::read_pod<std::uint64_t>(is);
+  decisions_.clear();
+  for (std::uint64_t i = 0; i < n; ++i) {
+    PolicyDecision d;
+    d.step = io::read_pod<int>(is);
+    d.lii = io::read_pod<double>(is);
+    d.imbalance_per_step = io::read_pod<double>(is);
+    d.projected_imbalance_cost = io::read_pod<double>(is);
+    d.rebalance_cost_estimate = io::read_pod<double>(is);
+    d.rebalance = io::read_bool(is);
+    decisions_.push_back(d);
+  }
 }
 
 }  // namespace dsmcpic::balance

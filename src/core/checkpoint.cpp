@@ -25,7 +25,9 @@ constexpr std::uint64_t kMagic = 0x44534d435049434bULL;  // "DSMCPICK"
 // v4: adds the elastic-ensemble state — the solver's active rank count and
 // the ensemble policy's EWMAs/decision log — and the runtime stream gained
 // its active set and superstep counter (DESIGN.md §2i).
-constexpr std::uint32_t kVersion = 4;
+// v5: the policy and ensemble decision logs are written field by field
+// (no struct padding in the file) and their bools are checked to be 0 or 1.
+constexpr std::uint32_t kVersion = 5;
 
 /// A cheap fingerprint of the configuration pieces that must match between
 /// the saving and restoring solver.

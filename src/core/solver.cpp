@@ -33,6 +33,22 @@ CoupledSolver::CoupledSolver(SolverConfig cfg, ParallelConfig par)
 
 CoupledSolver::CoupledSolver(SolverConfig cfg, ParallelConfig par,
                              std::shared_ptr<const CaseGeometry> geom)
+    : CoupledSolver(std::move(cfg), par, std::move(geom), Undecomposed{}) {
+  decompose();
+}
+
+CoupledSolver::CoupledSolver(SolverConfig cfg, ParallelConfig par,
+                             std::shared_ptr<const CaseGeometry> geom,
+                             const std::string& checkpoint)
+    : CoupledSolver(std::move(cfg), par, std::move(geom), Undecomposed{}) {
+  restore_checkpoint(checkpoint);
+}
+
+CoupledSolver::~CoupledSolver() = default;
+
+CoupledSolver::CoupledSolver(SolverConfig cfg, ParallelConfig par,
+                             std::shared_ptr<const CaseGeometry> geom,
+                             Undecomposed)
     : cfg_(cfg),
       pcfg_(par),
       species_(dsmc::SpeciesTable::hydrogen(cfg.fnum_h, cfg.fnum_hplus)),
@@ -43,12 +59,6 @@ CoupledSolver::CoupledSolver(SolverConfig cfg, ParallelConfig par,
   DSMCPIC_CHECK_MSG(geom_->spec == cfg_.nozzle,
                     "shared CaseGeometry was built from a different NozzleSpec "
                     "than cfg.nozzle");
-  init();
-}
-
-CoupledSolver::~CoupledSolver() = default;
-
-void CoupledSolver::init() {
   const int nranks = pcfg_.nranks;
   DSMCPIC_CHECK_MSG(nranks >= 1, "need at least one rank");
 
@@ -63,21 +73,13 @@ void CoupledSolver::init() {
   // Dual graph of the coarse grid (the only grid that is decomposed).
   coarse_.dual_graph(dual_.xadj, dual_.adjncy);
 
-  // First decomposition: unweighted, as in the paper (Sec. IV-A).
-  if (active_ == 1) {
-    owner_.assign(static_cast<std::size_t>(coarse_.num_tets()), 0);
-  } else {
-    partition::PartitionOptions opt = pcfg_.balance.partition_options;
-    owner_ = partition::part_graph_kway(dual_, active_, opt).part;
-  }
-
   rt_ = std::make_unique<par::Runtime>(
       nranks, par::Topology(pcfg_.profile, nranks, pcfg_.placement),
       pcfg_.particle_scale, pcfg_.grid_scale,
       par::ExecOptions{pcfg_.exec_mode, pcfg_.exec_threads});
   if (active_ < nranks) rt_->set_active_ranks(active_);
 
-  psys_ = std::make_unique<pic::PoissonSystem>(refined_.mesh, cfg_.poisson_bcs);
+  psys_ = geom_->poisson(cfg_.poisson_bcs);
   phi_global_.assign(static_cast<std::size_t>(psys_->num_nodes()), 0.0);
 
   stores_.resize(nranks);
@@ -115,6 +117,20 @@ void CoupledSolver::init() {
       std::make_unique<dsmc::CollisionKernel>(coarse_, species_, ccfg,
                                               chemistry_.get());
 
+  cost_model_ = balance::CostModel(pcfg_.balance.cost_model, pcfg_.nranks);
+  policy_ = balance::RebalancePolicy(pcfg_.balance.policy,
+                                     pcfg_.balance.threshold, pcfg_.nranks);
+}
+
+void CoupledSolver::decompose() {
+  // First decomposition: unweighted, as in the paper (Sec. IV-A).
+  if (active_ == 1) {
+    owner_.assign(static_cast<std::size_t>(coarse_.num_tets()), 0);
+  } else {
+    partition::PartitionOptions opt = pcfg_.balance.partition_options;
+    owner_ = partition::part_graph_kway(dual_, active_, opt).part;
+  }
+
   rebuild_parallel_structures(phases::kInit, /*charge_costs=*/true);
 
   // Initial electrostatic field (no charge yet: pure boundary solve).
@@ -122,10 +138,6 @@ void CoupledSolver::init() {
   do_poisson_solve(dummy);
 
   prev_busy_ = capture_busy();  // baseline for the first window
-
-  cost_model_ = balance::CostModel(pcfg_.balance.cost_model, pcfg_.nranks);
-  policy_ = balance::RebalancePolicy(pcfg_.balance.policy,
-                                     pcfg_.balance.threshold, pcfg_.nranks);
 }
 
 CoupledSolver::BusyWindow CoupledSolver::capture_busy() const {

@@ -78,6 +78,15 @@ class CoupledSolver {
   /// privately, identical to the two-argument constructor.
   CoupledSolver(SolverConfig cfg, ParallelConfig par,
                 std::shared_ptr<const CaseGeometry> geom);
+  /// Resumes the run saved in `checkpoint`: equal to the three-argument
+  /// constructor followed by restore_checkpoint(checkpoint), without the
+  /// initial partition, layout charge, field solve and busy baseline that
+  /// the restore overwrites. Throws dsmcpic::Error if the file cannot be
+  /// loaded. Payload-pool counters are host-side and not checkpointed: they
+  /// start from pools those skipped supersteps did not warm.
+  CoupledSolver(SolverConfig cfg, ParallelConfig par,
+                std::shared_ptr<const CaseGeometry> geom,
+                const std::string& checkpoint);
   ~CoupledSolver();
 
   /// Runs `n` DSMC steps (each containing cfg.pic_substeps PIC steps).
@@ -92,6 +101,9 @@ class CoupledSolver {
   const ParallelConfig& parallel_config() const { return pcfg_; }
   const mesh::TetMesh& coarse_grid() const { return coarse_; }
   const pic::FineGrid& fine_grid() const { return *fine_; }
+  /// The Poisson system, shared with every solver of this geometry and
+  /// boundary values (CaseGeometry::poisson).
+  const pic::PoissonSystem& poisson_system() const { return *psys_; }
   const dsmc::SpeciesTable& species() const { return species_; }
   const dsmc::CellSampler& sampler() const { return sampler_; }
   std::span<const std::int32_t> owner() const { return owner_; }
@@ -153,11 +165,21 @@ class CoupledSolver {
   void save_checkpoint(const std::string& path) const;
   /// Restores state saved by save_checkpoint into a solver constructed with
   /// the SAME SolverConfig/ParallelConfig (verified by fingerprint).
-  /// Continuing the run reproduces the uninterrupted run exactly.
+  /// Continuing the run reproduces the uninterrupted run exactly. A throw
+  /// leaves this solver half-restored; the checkpoint constructor does not.
   void restore_checkpoint(const std::string& path);
 
  private:
-  void init();
+  struct Undecomposed {};
+  /// Builds what every solver needs (runtime, stores, kernels, Poisson
+  /// system, policies) but no decomposition: the public constructors
+  /// finish with decompose() or restore_checkpoint().
+  CoupledSolver(SolverConfig cfg, ParallelConfig par,
+                std::shared_ptr<const CaseGeometry> geom, Undecomposed);
+  /// The initial decomposition: an unweighted k-way partition (Sec. IV-A),
+  /// its charged layout, the boundary-only field solve and the first busy
+  /// window's baseline.
+  void decompose();
   /// (Re)builds rank-local cell lists, node exchange, and the distributed
   /// Poisson operator for the current owner_ map; charges setup work under
   /// `phase` when charge_costs is true.
@@ -262,7 +284,7 @@ class CoupledSolver {
   std::unique_ptr<dsmc::Chemistry> chemistry_;
   std::unique_ptr<dsmc::CollisionKernel> collide_;
 
-  std::unique_ptr<pic::PoissonSystem> psys_;
+  std::shared_ptr<const pic::PoissonSystem> psys_;  // from geom_
   std::unique_ptr<pic::NodeExchange> nodex_;
   linalg::DistMatrix dmat_;
   linalg::DistVector x_;                        // per-rank owned phi

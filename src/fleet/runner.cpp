@@ -187,10 +187,15 @@ void FleetRunner::run_lease(JobState& js) {
     tc.run_label = js.run_id;
     hub = std::make_unique<obs::TelemetryHub>(tc);
   }
-  core::CoupledSolver solver(cfg, par,
-                             assets_->geometry(js.scenario->config.nozzle));
-  if (hub) solver.set_telemetry(hub.get());
-  if (js.has_checkpoint) solver.restore_checkpoint(js.dir + "/checkpoint.bin");
+  // A resumed lease builds its solver from the checkpoint: no initial
+  // partition or field solve that the restore would overwrite.
+  auto geom = assets_->geometry(js.scenario->config.nozzle);
+  const auto solver =
+      js.has_checkpoint
+          ? std::make_unique<core::CoupledSolver>(cfg, par, std::move(geom),
+                                                  js.dir + "/checkpoint.bin")
+          : std::make_unique<core::CoupledSolver>(cfg, par, std::move(geom));
+  if (hub) solver->set_telemetry(hub.get());
 
   int limit = js.steps_total;
   if (js.job.park_at > js.steps_done && js.job.park_at < limit)
@@ -199,22 +204,22 @@ void FleetRunner::run_lease(JobState& js) {
     limit = std::min(limit, js.steps_done + opts_.lease_steps);
 
   while (js.steps_done < limit) {
-    solver.step();
+    solver->step();
     ++js.steps_done;
   }
-  // history() covers exactly this lease (restore clears it), so the
-  // streaming digest continues where the parked half stopped.
-  for (const core::StepDiagnostics& d : solver.history()) js.digest.absorb(d);
+  // history() covers exactly this lease (a resumed solver starts empty), so
+  // the streaming digest continues where the parked half stopped.
+  for (const core::StepDiagnostics& d : solver->history()) js.digest.absorb(d);
   ++js.leases;
 
   if (js.steps_done >= js.steps_total) {
-    finish_run(js, solver);
+    finish_run(js, *solver);
     js.state = RunState::kDone;
   } else {
     DSMCPIC_CHECK_MSG(!js.dir.empty(),
                       "preempting a run requires a results dir");
-    for (const core::StepDiagnostics& d : solver.history()) js.carried.add(d);
-    solver.save_checkpoint(js.dir + "/checkpoint.bin");
+    for (const core::StepDiagnostics& d : solver->history()) js.carried.add(d);
+    solver->save_checkpoint(js.dir + "/checkpoint.bin");
     write_sidecar(js);
     js.has_checkpoint = true;
     js.state = (js.job.park_at > 0 && js.steps_done == js.job.park_at)

@@ -6,7 +6,7 @@
 // slot. The runner schedules in rounds — every queued job gets a lease, a
 // lease steps its solver up to `lease_steps` DSMC steps (or to its park
 // point, or to completion), then either finishes the run or checkpoints it
-// (checkpoint v4) and requeues it in deterministic job order. Because every
+// (checkpoint v5) and requeues it in deterministic job order. Because every
 // run is a self-contained deterministic solver and the digest/report bytes
 // never depend on wall-clock, results are bit-identical for ANY slot count,
 // lease length, or completion order.

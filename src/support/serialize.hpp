@@ -30,6 +30,16 @@ T read_pod(std::istream& is) {
   return value;
 }
 
+/// Reads a bool saved by write_pod: one byte, which must be 0 or 1 (any
+/// other byte would load as a bool with an invalid value).
+inline bool read_bool(std::istream& is) {
+  static_assert(sizeof(bool) == 1);
+  const auto b = read_pod<std::uint8_t>(is);
+  DSMCPIC_CHECK_MSG(b <= 1, "checkpoint bool byte is " << static_cast<int>(b)
+                                                       << ", not 0 or 1");
+  return b == 1;
+}
+
 template <typename T>
 void write_vec(std::ostream& os, const std::vector<T>& v) {
   static_assert(std::is_trivially_copyable_v<T>);

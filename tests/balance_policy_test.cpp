@@ -333,6 +333,62 @@ TEST(RebalancePolicy, SaveLoadRoundtripPreservesDecisions) {
   EXPECT_EQ(p.decide(9, 2.5).rebalance, q.decide(9, 2.5).rebalance);
 }
 
+// The decision log is written field by field: each record is exactly its
+// fields' bytes (no struct padding), and every field round-trips.
+TEST(RebalancePolicy, DecisionLogIsWrittenFieldByField) {
+  PolicyConfig cfg;
+  cfg.kind = PolicyKind::kLookahead;
+  RebalancePolicy p(cfg, /*threshold=*/2.0);
+  std::stringstream empty;
+  p.save(empty);
+  const std::vector<double> costs{4.0, 2.0, 0.0};
+  for (int i = 0; i < 5; ++i) {
+    p.observe_step(costs);
+    p.decide(i, 1.0 + 0.5 * i);
+  }
+  p.observe_rebalance(0.5);
+  p.observe_step(costs);
+  p.decide(5, 3.0);
+  ASSERT_EQ(p.decisions().size(), 6u);
+  std::stringstream ss;
+  p.save(ss);
+  constexpr std::size_t kRecord = sizeof(int) + 4 * sizeof(double) + 1;
+  EXPECT_EQ(ss.str().size(), empty.str().size() + 6 * kRecord);
+
+  RebalancePolicy q(cfg, /*threshold=*/2.0);
+  q.load(ss);
+  ASSERT_EQ(q.decisions().size(), p.decisions().size());
+  bool any_rebalance = false;
+  for (std::size_t i = 0; i < p.decisions().size(); ++i) {
+    const PolicyDecision& a = p.decisions()[i];
+    const PolicyDecision& b = q.decisions()[i];
+    EXPECT_EQ(b.step, a.step);
+    EXPECT_EQ(b.lii, a.lii);
+    EXPECT_EQ(b.imbalance_per_step, a.imbalance_per_step);
+    EXPECT_EQ(b.projected_imbalance_cost, a.projected_imbalance_cost);
+    EXPECT_EQ(b.rebalance_cost_estimate, a.rebalance_cost_estimate);
+    EXPECT_EQ(b.rebalance, a.rebalance);
+    any_rebalance |= a.rebalance;
+  }
+  EXPECT_TRUE(any_rebalance);
+}
+
+// A bool is one byte of 0 or 1 in the file; any other byte is a typed error,
+// not a bool with an invalid value.
+TEST(RebalancePolicy, RejectsDecisionBoolOtherThanZeroOrOne) {
+  RebalancePolicy p(PolicyConfig{}, /*threshold=*/2.0);
+  p.observe_step(std::vector<double>{3.0, 1.0});
+  p.decide(0, 3.0);
+  std::stringstream ss;
+  p.save(ss);
+  std::string bytes = ss.str();
+  ASSERT_EQ(bytes.back(), 1);  // the last decision's `rebalance`
+  bytes.back() = 2;
+  std::stringstream bad(bytes);
+  RebalancePolicy q(PolicyConfig{}, /*threshold=*/2.0);
+  EXPECT_THROW(q.load(bad), Error);
+}
+
 TEST(RebalancePolicy, ConfigValidationRejectsBadValues) {
   PolicyConfig bad;
   bad.horizon = -1;

@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <bit>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
@@ -19,8 +22,8 @@
 namespace dsmcpic::core {
 namespace {
 
-SolverConfig tiny_config() {
-  Dataset d = make_dataset(1, /*particle_scale=*/0.25);
+SolverConfig tiny_config(double particle_scale = 0.25) {
+  Dataset d = make_dataset(1, particle_scale);
   d.config.nozzle.radial_divisions = 3;
   d.config.nozzle.axial_divisions = 6;
   return d.config;
@@ -279,6 +282,215 @@ TEST(Checkpoint, RejectsParticlesOutsideTheirRanksCells) {
     std::memcpy(patched.data() + cell0, &bad, sizeof(bad));
     EXPECT_THROW(restore(patched), Error) << "cell " << bad;
   }
+  std::filesystem::remove(path);
+}
+
+std::string slurp(const std::string& path) {
+  std::ifstream is(path, std::ios::binary);
+  EXPECT_TRUE(is.good()) << "cannot open " << path;
+  return {std::istreambuf_iterator<char>(is), {}};
+}
+
+/// FNV-1a over every step diagnostic since construction or restore, then
+/// the virtual clocks.
+std::uint64_t run_digest(const CoupledSolver& s) {
+  std::uint64_t h = 14695981039346656037ULL;
+  const auto mix = [&h](auto v) {
+    for (const unsigned char b :
+         std::bit_cast<std::array<unsigned char, sizeof v>>(v)) {
+      h ^= b;
+      h *= 1099511628211ULL;
+    }
+  };
+  for (const StepDiagnostics& d : s.history()) {
+    mix(d.dsmc_step);
+    for (const std::int64_t p : d.particles_per_rank) mix(p);
+    for (const std::int64_t v :
+         {d.total_h, d.total_hplus, d.injected, d.migrated_dsmc,
+          d.migrated_pic, d.collisions, d.ionizations, d.recombinations,
+          d.exited_dsmc, d.exited_pic, d.pic_lost})
+      mix(v);
+    mix(d.poisson_iterations);
+    mix(d.lii);
+    mix(d.rebalanced);
+  }
+  for (int r = 0; r < s.runtime().size(); ++r) mix(s.runtime().clock(r));
+  return h;
+}
+
+// Two solvers of one configuration save the same bytes: every record in the
+// file is written field by field, so no uninitialized padding reaches it.
+// Twelve ranks under the look-ahead policy and an elastic ensemble fill
+// both decision logs.
+TEST(Checkpoint, SavesOfOneConfigurationAreByteIdentical) {
+  ParallelConfig par = tiny_parallel(12);
+  par.balance.period = 3;
+  par.balance.policy.kind = balance::PolicyKind::kLookahead;
+  par.balance.ensemble.kind = balance::EnsembleKind::kElastic;
+  par.balance.ensemble.ranks_min = 2;
+  std::string bytes[2];
+  for (int i = 0; i < 2; ++i) {
+    const std::string path = temp_path("dsmcpic_ckpt_same_bytes.bin");
+    CoupledSolver solver(tiny_config(), par);
+    solver.run(12);
+    ASSERT_FALSE(solver.policy().decisions().empty());
+    ASSERT_FALSE(solver.ensemble().decisions().empty());
+    solver.save_checkpoint(path);
+    bytes[i] = slurp(path);
+    std::filesystem::remove(path);
+  }
+  EXPECT_EQ(bytes[0], bytes[1]);
+}
+
+// The checkpoint constructor equals the three-argument constructor followed
+// by restore_checkpoint: same owner map, active count and checkpoint bytes
+// right after the restore, and the same run afterwards.
+struct ResumeCase {
+  const char* name;
+  double particle_scale;
+  ParallelConfig par;
+  int save_at;  // DSMC steps before the checkpoint
+  int more;     // DSMC steps after it
+};
+
+ResumeCase resume_case(const char* name) {
+  ResumeCase c{name, 0.25, tiny_parallel(4), 6, 6};
+  const std::string n = name;
+  if (n == "TimerLookahead") {
+    c.par.balance.cost_model.kind = balance::CostModelKind::kTimer;
+    c.par.balance.policy.kind = balance::PolicyKind::kLookahead;
+  } else if (n == "ElasticShrunk") {
+    // Shrinks 12 -> 6 -> 3 -> 2 active ranks in its first nine steps and
+    // grows back to 3 in its thirteenth: saved at 6 active ranks, the
+    // resumed run shrinks and grows.
+    c.particle_scale = 0.5;
+    c.par.nranks = 12;
+    c.par.balance.enabled = false;
+    c.par.balance.period = 3;
+    c.par.balance.ensemble.kind = balance::EnsembleKind::kElastic;
+    c.par.balance.ensemble.ranks_min = 2;
+    c.save_at = 4;
+    c.more = 10;
+  } else if (n == "NeighborRebalanced") {
+    c.par.nranks = 6;
+    c.par.strategy = exchange::Strategy::kNeighbor;
+    c.par.balance.period = 3;
+    c.par.balance.threshold = 1.01;
+    c.save_at = 9;  // after its first rebalance
+  } else if (n == "KernelThreads2") {
+    c.par.kernel_threads = 2;
+  }
+  return c;
+}
+
+std::vector<std::int32_t> owners(const CoupledSolver& s) {
+  return {s.owner().begin(), s.owner().end()};
+}
+
+class ResumeConstructor : public ::testing::TestWithParam<const char*> {};
+
+TEST_P(ResumeConstructor, EqualsRestoreInPlace) {
+  const ResumeCase c = resume_case(GetParam());
+  const SolverConfig cfg = tiny_config(c.particle_scale);
+  const std::string path =
+      temp_path((std::string("dsmcpic_resume_") + c.name + ".bin").c_str());
+  const std::string again = path + ".again";
+  {
+    CoupledSolver first(cfg, c.par);
+    first.run(c.save_at);
+    first.save_checkpoint(path);
+  }
+  const std::string saved = slurp(path);
+
+  CoupledSolver restored(cfg, c.par);
+  restored.restore_checkpoint(path);
+  CoupledSolver resumed(cfg, c.par, nullptr, path);
+  EXPECT_EQ(resumed.current_step(), c.save_at);
+  EXPECT_TRUE(resumed.history().empty());
+  EXPECT_EQ(owners(resumed), owners(restored));
+  EXPECT_EQ(resumed.active_ranks(), restored.active_ranks());
+  EXPECT_EQ(resumed.potential(), restored.potential());
+  resumed.save_checkpoint(again);
+  EXPECT_EQ(slurp(again), saved);
+
+  const int active_at_save = resumed.active_ranks();
+  const int rebalances_at_save = resumed.rebalance_stats().rebalances;
+  bool grew = false, shrank = false;
+  for (int i = 0; i < c.more; ++i) {
+    const int before = resumed.active_ranks();
+    restored.step();
+    resumed.step();
+    grew |= resumed.active_ranks() > before;
+    shrank |= resumed.active_ranks() < before;
+  }
+  EXPECT_EQ(run_digest(resumed), run_digest(restored));
+  EXPECT_EQ(owners(resumed), owners(restored));
+  EXPECT_EQ(resumed.active_ranks(), restored.active_ranks());
+  EXPECT_EQ(resumed.rebalance_stats().rebalances,
+            restored.rebalance_stats().rebalances);
+  restored.save_checkpoint(path);
+  resumed.save_checkpoint(again);
+  EXPECT_EQ(slurp(again), slurp(path));
+
+  // Each case exercises what it is named for.
+  const std::string n = c.name;
+  if (n == "ElasticShrunk") {
+    EXPECT_LT(active_at_save, c.par.nranks);
+    EXPECT_TRUE(grew && shrank) << "grew " << grew << ", shrank " << shrank;
+  }
+  if (n == "NeighborRebalanced") {
+    EXPECT_GE(rebalances_at_save, 1) << "no rebalance before the checkpoint";
+  }
+  if (n == "TimerLookahead") {
+    EXPECT_FALSE(resumed.policy().decisions().empty());
+  }
+  std::filesystem::remove(path);
+  std::filesystem::remove(again);
+}
+
+INSTANTIATE_TEST_SUITE_P(Configs, ResumeConstructor,
+                         ::testing::Values("DcStatic", "TimerLookahead",
+                                           "ElasticShrunk",
+                                           "NeighborRebalanced",
+                                           "KernelThreads2"),
+                         [](const auto& info) {
+                           return std::string(info.param);
+                         });
+
+// The checkpoint constructor refuses what restore_checkpoint refuses, and
+// leaves no solver behind: a missing file, another configuration's
+// checkpoint (fingerprint), an older version and every sampled truncation.
+TEST(Checkpoint, RejectsBadFilesAtResumeConstruction) {
+  const std::string path = temp_path("dsmcpic_ckpt_resume_bad.bin");
+  const ParallelConfig par = tiny_parallel(3);
+  std::filesystem::remove(path);
+  EXPECT_THROW(CoupledSolver(tiny_config(), par, nullptr, path), Error);
+  {
+    CoupledSolver solver(tiny_config(), par);
+    solver.run(2);
+    solver.save_checkpoint(path);
+  }
+  const std::string saved = slurp(path);
+  EXPECT_NO_THROW(CoupledSolver(tiny_config(), par, nullptr, path));
+  EXPECT_THROW(CoupledSolver(tiny_config(), tiny_parallel(2), nullptr, path),
+               Error);
+
+  const auto resume = [&](const std::string& bytes) {
+    {
+      std::ofstream os(path, std::ios::binary | std::ios::trunc);
+      os.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+    }
+    CoupledSolver solver(tiny_config(), par, nullptr, path);
+  };
+  // The version follows the u64 magic.
+  std::string v4 = saved;
+  const std::uint32_t four = 4;
+  std::memcpy(v4.data() + 8, &four, sizeof(four));
+  EXPECT_THROW(resume(v4), Error);
+  for (const std::size_t len :
+       {std::size_t{0}, std::size_t{7}, std::size_t{20}, saved.size() / 3,
+        saved.size() / 2, saved.size() - 1})
+    EXPECT_THROW(resume(saved.substr(0, len)), Error) << "length " << len;
   std::filesystem::remove(path);
 }
 

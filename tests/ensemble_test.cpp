@@ -1,6 +1,6 @@
 // Elastic rank ensembles (DESIGN.md §2i): the EnsemblePolicy unit battery
 // plus solver-level grow/shrink/park behavior, exec-mode bit-identity of an
-// elastic run, NC-vs-DC physics equivalence, and the v4 checkpoint
+// elastic run, NC-vs-DC physics equivalence, and the checkpoint
 // round-trip of ensemble state.
 
 #include <gtest/gtest.h>
@@ -144,6 +144,59 @@ TEST(Ensemble, SaveLoadRoundTrip) {
   // Identical future decisions: the EWMAs survived bitwise.
   EnsemblePolicy p2 = p, q2 = q;
   EXPECT_EQ(p2.decide(4, 16), q2.decide(4, 16));
+}
+
+// The decision log is written field by field: each record is exactly its
+// fields' bytes (no struct padding), and every field round-trips.
+TEST(Ensemble, DecisionLogIsWrittenFieldByField) {
+  EnsembleConfig cfg;
+  cfg.kind = EnsembleKind::kElastic;
+  cfg.ranks_min = 2;
+  EnsemblePolicy p(cfg, 32);
+  std::stringstream empty;
+  p.save(empty);
+  const std::vector<double> comp(32, 0.5);
+  p.observe_step(comp, 400.0);
+  const int target = p.decide(3, 32);
+  p.observe_step(std::vector<double>(target, 0.5), 400.0);
+  p.decide(6, target);
+  ASSERT_EQ(p.decisions().size(), 2u);
+  std::stringstream ss;
+  p.save(ss);
+  constexpr std::size_t kRecord = 2 * sizeof(int) + 2 * sizeof(double) + 1;
+  EXPECT_EQ(ss.str().size(), empty.str().size() + 2 * kRecord);
+
+  EnsemblePolicy q(cfg, 32);
+  q.load(ss);
+  ASSERT_EQ(q.decisions().size(), p.decisions().size());
+  for (std::size_t i = 0; i < p.decisions().size(); ++i) {
+    const EnsembleDecision& a = p.decisions()[i];
+    const EnsembleDecision& b = q.decisions()[i];
+    EXPECT_EQ(b.step, a.step);
+    EXPECT_EQ(b.compute_ewma, a.compute_ewma);
+    EXPECT_EQ(b.overhead_ewma, a.overhead_ewma);
+    EXPECT_EQ(b.target, a.target);
+    EXPECT_EQ(b.resized, a.resized);
+  }
+  EXPECT_TRUE(p.decisions().front().resized);
+}
+
+// A bool is one byte of 0 or 1 in the file; any other byte is a typed error,
+// not a bool with an invalid value.
+TEST(Ensemble, RejectsDecisionBoolOtherThanZeroOrOne) {
+  EnsembleConfig cfg;
+  cfg.kind = EnsembleKind::kElastic;
+  EnsemblePolicy p(cfg, 32);
+  p.observe_step(std::vector<double>(32, 0.5), 400.0);
+  p.decide(3, 32);
+  std::stringstream ss;
+  p.save(ss);
+  std::string bytes = ss.str();
+  ASSERT_EQ(bytes.back(), 1);  // the last decision's `resized`
+  bytes.back() = 2;
+  std::stringstream bad(bytes);
+  EnsemblePolicy q(cfg, 32);
+  EXPECT_THROW(q.load(bad), Error);
 }
 
 // ---- solver-level behavior -----------------------------------------------

@@ -3,7 +3,7 @@
 // Fleet.* proves the three load-bearing properties of the runner:
 //   (a) a 4-slot fleet of 8 runs produces per-run digests bit-identical to
 //       the same runs executed serially (run_scenario_digest),
-//   (b) preempt/resume round-trips bit-identically through checkpoint v4 —
+//   (b) preempt/resume round-trips bit-identically through the checkpoint —
 //       a run parked mid-flight and resumed in a FRESH FleetRunner lands on
 //       the same golden digest AND the same run_report.json bytes as an
 //       uninterrupted run,
@@ -11,7 +11,8 @@
 //       order.
 // GoldenCorpus.* pins the canonical digest of every corpus scenario; the
 // "nozzle" value is the original golden_test kGoldenDcBalanced constant,
-// proving the fleet path hashes the exact same byte stream.
+// proving the fleet path hashes the exact same byte stream. SharedPoisson.*
+// pins one Poisson system per geometry and boundary values.
 
 #include <gtest/gtest.h>
 
@@ -21,8 +22,11 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <latch>
+#include <memory>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "dsmc/injector.hpp"
@@ -155,6 +159,56 @@ TEST(Fleet, SharedAssetsCacheIdentityAndStats) {
 }
 
 // ---------------------------------------------------------------------------
+// One Poisson system per geometry and boundary values (CaseGeometry::poisson)
+
+TEST(SharedPoisson, SolversOfOneGeometryAndBcsShareOneSystem) {
+  ScenarioCorpus corpus;
+  const Scenario& sc = corpus.by_name("nozzle");
+  const auto geom = core::CaseGeometry::build(sc.config.nozzle);
+  core::CoupledSolver a(sc.config, canonical_parallel(4), geom);
+  core::CoupledSolver b(sc.config, canonical_parallel(6), geom);
+  EXPECT_EQ(&a.poisson_system(), &b.poisson_system());
+  EXPECT_EQ(&a.poisson_system(), geom->poisson(sc.config.poisson_bcs).get());
+}
+
+// Other boundary values on the same geometry get their own system, which
+// runs exactly as one the solver's private geometry assembles.
+TEST(SharedPoisson, OtherBcsGetTheirOwnSystem) {
+  ScenarioCorpus corpus;
+  const Scenario& sc = corpus.by_name("nozzle");
+  Scenario other = sc;
+  other.config.poisson_bcs.phi_inlet += 40.0;
+  const auto geom = core::CaseGeometry::build(sc.config.nozzle);
+  const std::uint64_t base = run_scenario_digest(sc, 6, 4, 7, geom);
+  const std::uint64_t shared = run_scenario_digest(other, 6, 4, 7, geom);
+  EXPECT_NE(geom->poisson(other.config.poisson_bcs).get(),
+            geom->poisson(sc.config.poisson_bcs).get());
+  EXPECT_EQ(shared, run_scenario_digest(other, 6, 4, 7, nullptr));
+  EXPECT_NE(shared, base) << "the boundary values never reached the run";
+}
+
+// Slots of a fleet request a geometry's system concurrently: the first
+// requests, all at once, assemble one object and every caller gets it.
+TEST(SharedPoisson, ConcurrentFirstRequestsAssembleOnce) {
+  ScenarioCorpus corpus;
+  const Scenario& sc = corpus.by_name("twin-plume");
+  const auto geom = core::CaseGeometry::build(sc.config.nozzle);
+  constexpr int kThreads = 4;
+  std::vector<std::shared_ptr<const pic::PoissonSystem>> got(kThreads);
+  std::latch start(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t)
+    threads.emplace_back([&, t] {
+      start.arrive_and_wait();
+      got[t] = geom->poisson(sc.config.poisson_bcs);
+    });
+  for (std::thread& th : threads) th.join();
+  ASSERT_NE(got[0], nullptr);
+  for (const auto& sys : got) EXPECT_EQ(sys.get(), got[0].get());
+  EXPECT_EQ(geom->poisson(sc.config.poisson_bcs).get(), got[0].get());
+}
+
+// ---------------------------------------------------------------------------
 // (a) fleet == serial
 
 TEST(Fleet, FourSlotFleetMatchesSerialDigests) {
@@ -232,7 +286,7 @@ TEST(Fleet, DigestsIndependentOfSlotsAndLeases) {
 }
 
 // ---------------------------------------------------------------------------
-// (b) preempt/resume through checkpoint v4
+// (b) preempt/resume through the checkpoint
 
 TEST(Fleet, PreemptResumeBitIdenticalThroughCheckpointV4) {
   const std::string base = temp_dir("fleet_test_preempt");
