@@ -1,17 +1,13 @@
 // Wall-clock microbenchmark for the intra-rank kernels (move, collide,
-// deposit) at serial vs 2 vs 4 kernel lanes, plus the pre-cache seed
-// baseline (geometry caches disabled, serial) so the win from the
-// precomputed face planes / barycentric inverses is measured separately
-// from the win of chunking. The sorted_* lanes rerun cached-serial/kt2/kt4
-// on a cell-major (cell-sorted) copy of the same population, isolating the
-// traversal-locality win of the periodic cell sort (DESIGN.md §2g) from
-// both. Unlike the paper-reproduction benches this one
-// reports REAL milliseconds, not virtual seconds — the kernel lanes are
-// invisible to the cost model by design (docs/cost_model.md).
+// deposit) at serial vs 2 vs 4 kernel lanes. The sorted_* lanes rerun
+// serial/kt2/kt4 on a cell-major (cell-sorted) copy of the same
+// population, isolating the traversal-locality win of the periodic cell
+// sort (DESIGN.md §2g) from the win of chunking. Unlike the
+// paper-reproduction benches this one reports REAL milliseconds, not
+// virtual seconds — the kernel lanes are invisible to the cost model by
+// design (docs/cost_model.md).
 //
-// Writes BENCH_kernels.json (see scripts/bench_kernels.sh). The headline
-// number is move.speedup_kt4_vs_serial: cached geometry + 4 lanes against
-// the seed-equivalent recompute-serial baseline.
+// Writes BENCH_kernels.json (see scripts/bench_kernels.sh).
 
 #include <chrono>
 #include <cstdio>
@@ -97,11 +93,10 @@ dsmc::ParticleStore make_population(const mesh::TetMesh& mesh,
 }
 
 struct KernelTimes {
-  double serial_recompute = 0.0;  // seed baseline: no caches, no lanes
-  double serial = 0.0;            // caches on, no lanes
+  double serial = 0.0;  // no lanes
   double kt2 = 0.0;
   double kt4 = 0.0;
-  double sorted_serial = 0.0;  // cell-sorted population, caches on, no lanes
+  double sorted_serial = 0.0;  // cell-sorted population, no lanes
   double sorted_kt2 = 0.0;
   double sorted_kt4 = 0.0;
 };
@@ -110,22 +105,18 @@ void emit(std::FILE* f, const char* name, const KernelTimes& t,
           bool trailing_comma) {
   std::fprintf(f,
                "    \"%s\": {\n"
-               "      \"serial_recompute_ms\": %.3f,\n"
                "      \"serial_cached_ms\": %.3f,\n"
                "      \"kt2_ms\": %.3f,\n"
                "      \"kt4_ms\": %.3f,\n"
                "      \"sorted_serial_ms\": %.3f,\n"
                "      \"sorted_kt2_ms\": %.3f,\n"
                "      \"sorted_kt4_ms\": %.3f,\n"
-               "      \"speedup_kt4_vs_serial\": %.3f,\n"
-               "      \"speedup_cache_only\": %.3f,\n"
                "      \"speedup_sort_only\": %.3f,\n"
                "      \"speedup_kt4_vs_serial_cached\": %.3f\n"
                "    }%s\n",
-               name, t.serial_recompute, t.serial, t.kt2, t.kt4,
-               t.sorted_serial, t.sorted_kt2, t.sorted_kt4,
-               t.serial_recompute / t.kt4, t.serial_recompute / t.serial,
-               t.serial / t.sorted_serial, t.serial / t.sorted_kt4,
+               name, t.serial, t.kt2, t.kt4, t.sorted_serial, t.sorted_kt2,
+               t.sorted_kt4, t.serial / t.sorted_serial,
+               t.serial / t.sorted_kt4,
                trailing_comma ? "," : "");
 }
 
@@ -134,7 +125,7 @@ void emit(std::FILE* f, const char* name, const KernelTimes& t,
 int main(int argc, char** argv) {
   Cli cli(
       "Intra-rank kernel microbenchmark: move / collide / deposit wall-clock "
-      "at {seed recompute-serial, cached serial, 2 lanes, 4 lanes}");
+      "at {serial, 2 lanes, 4 lanes}, scattered and cell-sorted");
   const auto* radial = cli.add_int("radial", 6, "nozzle radial divisions");
   const auto* axial = cli.add_int("axial", 14, "nozzle axial divisions");
   const auto* nparticles =
@@ -152,8 +143,9 @@ int main(int argc, char** argv) {
   mesh::NozzleSpec spec;
   spec.radial_divisions = static_cast<int>(*radial);
   spec.axial_divisions = static_cast<int>(*axial);
-  mesh::TetMesh coarse = mesh::make_cylinder_nozzle(spec);
-  mesh::RefinedMesh refined = mesh::red_refine(coarse, nozzle_classifier(spec));
+  const mesh::TetMesh coarse = mesh::make_cylinder_nozzle(spec);
+  const mesh::RefinedMesh refined =
+      mesh::red_refine(coarse, nozzle_classifier(spec));
   pic::FineGrid grid(coarse, refined);
 
   const dsmc::SpeciesTable table = dsmc::SpeciesTable::hydrogen(2e11, 2e11);
@@ -186,34 +178,30 @@ int main(int argc, char** argv) {
   struct Lane {
     const char* name;
     const support::KernelExec* exec;
-    bool cache;
     const dsmc::ParticleStore* pop;
   };
-  const Lane lanes[] = {{"serial_recompute", nullptr, false, &base},
-                        {"serial", nullptr, true, &base},
-                        {"kt2", &exec2, true, &base},
-                        {"kt4", &exec4, true, &base},
-                        {"sorted_serial", nullptr, true, &sorted_base},
-                        {"sorted_kt2", &exec2, true, &sorted_base},
-                        {"sorted_kt4", &exec4, true, &sorted_base}};
-  constexpr int kNumLanes = 7;
+  const Lane lanes[] = {{"serial", nullptr, &base},
+                        {"kt2", &exec2, &base},
+                        {"kt4", &exec4, &base},
+                        {"sorted_serial", nullptr, &sorted_base},
+                        {"sorted_kt2", &exec2, &sorted_base},
+                        {"sorted_kt4", &exec4, &sorted_base}};
+  constexpr int kNumLanes = 6;
 
   KernelTimes move_t, collide_t, deposit_t;
   const auto slot = [](KernelTimes& t, int i) -> double& {
     switch (i) {
-      case 0: return t.serial_recompute;
-      case 1: return t.serial;
-      case 2: return t.kt2;
-      case 3: return t.kt4;
-      case 4: return t.sorted_serial;
-      case 5: return t.sorted_kt2;
+      case 0: return t.serial;
+      case 1: return t.kt2;
+      case 2: return t.kt4;
+      case 3: return t.sorted_serial;
+      case 4: return t.sorted_kt2;
     }
     return t.sorted_kt4;
   };
 
   // --- move ---------------------------------------------------------------
   for (int i = 0; i < kNumLanes; ++i) {
-    coarse.set_geometry_cache_enabled(lanes[i].cache);
     dsmc::ParticleStore store = *lanes[i].pop;
     std::vector<std::uint8_t> removed(store.size(), 0);
     std::int64_t walk = 0;
@@ -234,7 +222,6 @@ int main(int argc, char** argv) {
       static_cast<std::size_t>(coarse.num_tets()));
   std::iota(all_cells.begin(), all_cells.end(), 0);
   for (int i = 0; i < kNumLanes; ++i) {
-    coarse.set_geometry_cache_enabled(lanes[i].cache);
     dsmc::CollideScratch scratch;
     dsmc::CellIndex index;
     std::int64_t collisions = 0;
@@ -266,7 +253,6 @@ int main(int argc, char** argv) {
   std::vector<double> node_charge(sorted_nodes.size(), 0.0);
   const std::vector<std::uint8_t> none(base.size(), 0);
   for (int i = 0; i < kNumLanes; ++i) {
-    refined.mesh.set_geometry_cache_enabled(lanes[i].cache);
     pic::DepositScratch scratch;
     std::int64_t deposited = 0;
     slot(deposit_t, i) = best_of(nreps, [&] {
@@ -280,8 +266,6 @@ int main(int argc, char** argv) {
                 lanes[i].name, slot(deposit_t, i),
                 static_cast<long long>(deposited));
   }
-  coarse.set_geometry_cache_enabled(true);
-  refined.mesh.set_geometry_cache_enabled(true);
 
   // --- telemetry overhead ---------------------------------------------------
   // Times a real mini-solver step loop with and without a TelemetryHub
@@ -336,8 +320,7 @@ int main(int argc, char** argv) {
                "{\n"
                "  \"bench\": \"bench_kernels\",\n"
                "  \"note\": \"wall-clock ms, best of %d reps; "
-               "serial_recompute is the pre-cache seed baseline, "
-               "speedups are vs that baseline\",\n"
+               "speedups are vs the serial lane\",\n"
                "  \"mesh\": {\"coarse_tets\": %d, \"fine_tets\": %d},\n"
                "  \"layout\": \"soa\",\n"
                "  \"particles\": %zu,\n"
@@ -382,11 +365,11 @@ int main(int argc, char** argv) {
     std::printf("run report: %s\n", report->c_str());
   }
 
-  std::printf("\nmove speedup kt4 vs serial baseline: %.2fx\n",
-              move_t.serial_recompute / move_t.kt4);
-  std::printf("collide sorted kt4 vs cached serial:  %.2fx\n",
+  std::printf("\nmove sorted kt4 vs serial:    %.2fx\n",
+              move_t.serial / move_t.sorted_kt4);
+  std::printf("collide sorted kt4 vs serial: %.2fx\n",
               collide_t.serial / collide_t.sorted_kt4);
-  std::printf("deposit sorted kt4 vs cached serial:  %.2fx  -> %s\n",
+  std::printf("deposit sorted kt4 vs serial: %.2fx  -> %s\n",
               deposit_t.serial / deposit_t.sorted_kt4, out->c_str());
   return 0;
 }

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Runs the intra-rank kernel microbenchmark (move / collide / deposit at
-# serial vs 2 vs 4 kernel lanes, plus the pre-cache recompute baseline) and
-# leaves BENCH_kernels.json at the repo root.
+# serial vs 2 vs 4 kernel lanes, on a scattered and a cell-sorted copy of
+# one population) and leaves BENCH_kernels.json at the repo root.
 #
 #   scripts/bench_kernels.sh [build-dir] [extra bench_kernels flags...]
 #

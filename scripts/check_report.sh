@@ -73,7 +73,7 @@ assert r["schema"] == "dsmcpic.run_report.v1"
 assert r["bench"] == "bench_kernels"
 assert r["audit"]["enabled"] is False
 kernels = r["host_profile"]["kernels"]
-for want in ("move/serial", "move/kt4", "collide/kt2", "deposit/serial_recompute"):
+for want in ("move/serial", "move/kt4", "collide/kt2", "deposit/sorted_kt4"):
     assert want in kernels, f"{want} missing from {sorted(kernels)}"
 print(f"{sys.argv[1]}: ok ({len(kernels)} kernel lanes)")
 EOF

@@ -19,8 +19,10 @@
 # indexed out of bounds, sized from a corrupt length prefix or narrowed
 # into a wrong count; a solver built straight from a checkpoint must refuse
 # the same files, and equal one restored in place, without reading the
-# layout it never built. The build uses -DDSMCPIC_WERROR=ON, so a new
-# compiler warning fails the sweep too.
+# layout it never built. A corrupt collide or inlet stream (NaN, infinite or
+# out-of-range majorants, carries, remainders and sequences) is refused at
+# load rather than cast to an integer. The build uses -DDSMCPIC_WERROR=ON,
+# so a new compiler warning fails the sweep too.
 #
 #   scripts/run_asan.sh [build-dir]
 set -euo pipefail
@@ -53,6 +55,11 @@ export UBSAN_OPTIONS="print_stacktrace=1 ${UBSAN_OPTIONS:-}"
 # (NodeExchange.TetSlotsEqualSearchInOwnersList, Field.TableGather*,
 # Field.ForeignTetTakesTheSearchPath, Deposit.TableMatchesSpanOnlyBitwise).
 "$BUILD"/tests/pic_test
+# Includes move_all's push hook at lanes 1, 2 and 4
+# (Mover.PushHookDropsFlagsAndAdvancesLikeMoveOne), the collide and inlet
+# streams patched with NaN, infinity and out-of-range values
+# (*.LoadRejectsStreamsARunCannotWrite), and a finite majorant whose
+# candidate count does not fit an int64 (Collide.CandidateCountPastInt64*).
 "$BUILD"/tests/dsmc_test
 # Whole solves: the periodic sort composed with the reused Reindex index,
 # and kernel-lane chunking over it.
@@ -77,10 +84,12 @@ export UBSAN_OPTIONS="print_stacktrace=1 ${UBSAN_OPTIONS:-}"
 # Out-of-range owners, short load windows, a one-entry cost-model
 # prediction (Checkpoint.RejectsCorruptOwnersAndLoadWindows), particles
 # in a cell past the mesh or in another rank's cell in a solver checkpoint
-# (Checkpoint.RejectsParticlesOutsideTheirRanksCells), and a missing,
+# (Checkpoint.RejectsParticlesOutsideTheirRanksCells), a missing,
 # foreign, older or truncated file given to the checkpoint constructor
-# (Checkpoint.RejectsBadFilesAtResumeConstruction). Then that constructor
-# against a restore in place on five configurations (ResumeConstructor.*).
+# (Checkpoint.RejectsBadFilesAtResumeConstruction), and a NaN collision
+# majorant refused both ways (Checkpoint.RejectsNanMajorant). Then that
+# constructor against a restore in place on five configurations
+# (ResumeConstructor.*).
 "$BUILD"/tests/core_features_test \
   --gtest_filter='Checkpoint.Rejects*:Configs/ResumeConstructor.*'
 # Oversized length prefixes (2^62, 2^40, 2^27) in read_vec/read_string and

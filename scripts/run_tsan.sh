@@ -18,12 +18,17 @@ BUILD="${1:-build-tsan}"
 cmake -B "$BUILD" -S . -G Ninja \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DDSMCPIC_SANITIZE=thread
-cmake --build "$BUILD" --target par_test support_test linalg_test determinism_test trace_test obs_test pic_test balance_policy_test ensemble_test fleet_test telemetry_test -j
+cmake --build "$BUILD" --target par_test support_test linalg_test determinism_test trace_test obs_test pic_test dsmc_test balance_policy_test ensemble_test fleet_test telemetry_test -j
 
 # halt_on_error so a race fails the script, not just prints a report.
 export TSAN_OPTIONS="halt_on_error=1 ${TSAN_OPTIONS:-}"
 
+# KernelExec.* includes the kernels' one chunk reduction (sum_tasks /
+# sum_chunks) at lanes 2 and 4, so its per-task stats slots are written from
+# real pool threads; the push-hook test runs move_all's PIC-style push the
+# same way.
 "$BUILD"/tests/support_test --gtest_filter='ThreadPool.*:KernelExec.*'
+"$BUILD"/tests/dsmc_test --gtest_filter='Mover.PushHook*'
 # Includes the message-round tests, whose threaded case routes a round
 # after concurrent bodies that may not send.
 "$BUILD"/tests/par_test
@@ -46,7 +51,8 @@ export TSAN_OPTIONS="halt_on_error=1 ${TSAN_OPTIONS:-}"
 # search fallback and the table build.
 "$BUILD"/tests/pic_test --gtest_filter='Deposit.*:Field.*:NodeExchange.*'
 # Intra-rank kernel chunking first (real threads inside move/collide/
-# react/deposit), then the sorted-traversal suite (periodic cell sort
+# react/deposit and PIC_Move's push, all summed by the one reduction), then
+# the sorted-traversal suite (periodic cell sort
 # composed with threaded exec + kernel lanes, DESIGN.md §2g), then the
 # full harness including both levels at once.
 "$BUILD"/tests/determinism_test --gtest_filter='KernelThreads.*'

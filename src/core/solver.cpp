@@ -377,64 +377,30 @@ void CoupledSolver::do_pic_substep(int substep, StepDiagnostics& diag) {
   rt_->superstep(phases::kPicMove, [&](par::Comm& c) {
     const int r = c.rank();
     const obs::HostProfiler::Scope prof(prof_, "move");
-    auto& store = stores_[r];
-    auto px = store.px(), py = store.py(), pz = store.pz();
-    auto vx = store.vx(), vy = store.vy(), vz = store.vz();
-    auto cells = store.cells();
-    auto spec = store.species();
-    auto ids = store.ids();
-    // Particles are independent (gather/push/move touch only slot i), so
-    // the range chunks across the kernel pool; per-chunk counters are
-    // summed in chunk order.
-    std::array<dsmc::MoveStats, 64> chunk_st{};
-    std::array<std::int64_t, 64> chunk_pushed{};
-    std::array<std::int64_t, 64> chunk_lost{};
-    const std::int64_t n = static_cast<std::int64_t>(store.size());
-    kexec_->for_chunks(n, [&](int ch, std::int64_t begin, std::int64_t end) {
-      for (std::int64_t i = begin; i < end; ++i) {
-        if (removed_[r][i]) continue;
-        const dsmc::Species& sp = species_[spec[i]];
-        if (!sp.charged()) continue;
-        // Gather E from the previous timestep's field (paper Sec. III-B).
-        Vec3 pos{px[i], py[i], pz[i]};
-        const std::int32_t fc = fine_->locate(cells[i], pos);
-        if (fc < 0) {
-          removed_[r][i] = 1;
-          ++chunk_lost[ch];
-          continue;
-        }
-        const Vec3 e = pic::efield_in_cell(
-            *fine_, fc, nodex_->tet_slots(r, fc), phi_local_[r]);
-        Vec3 vel = pic::boris_push({vx[i], vy[i], vz[i]}, e,
-                                   cfg_.magnetic_field, sp.charge / sp.mass,
-                                   dt);
-        ++chunk_pushed[ch];
-        if (!mover_->move_one(pos, vel, cells[i], spec[i], ids[i], dt,
-                              pic_step, chunk_st[ch]))
-          removed_[r][i] = 1;
-        px[i] = pos.x;
-        py[i] = pos.y;
-        pz[i] = pos.z;
-        vx[i] = vel.x;
-        vy[i] = vel.y;
-        vz[i] = vel.z;
-      }
-    });
-    dsmc::MoveStats st;
-    std::int64_t pushed = 0;
-    for (int ch = 0; ch < kexec_->num_chunks(n); ++ch) {
-      st.moved += chunk_st[ch].moved;
-      st.walk_steps += chunk_st[ch].walk_steps;
-      st.wall_hits += chunk_st[ch].wall_hits;
-      st.exited += chunk_st[ch].exited;
-      pushed += chunk_pushed[ch];
-      lost[r] += chunk_lost[ch];
-    }
-    c.charge(par::WorkKind::kFieldGather, static_cast<double>(pushed));
-    c.charge(par::WorkKind::kBorisPush, static_cast<double>(pushed));
+    // Gather E from the previous timestep's field at the ion's fine tet
+    // (paper Sec. III-B) and Boris-push it; an ion the fine locate cannot
+    // place is dropped before its flight.
+    const auto gather_push = [&](const Vec3& pos, Vec3& vel,
+                                 std::int32_t cell, std::int32_t species) {
+      const std::int32_t fc = fine_->locate(cell, pos);
+      if (fc < 0) return false;
+      const Vec3 e = pic::efield_in_cell(*fine_, fc, nodex_->tet_slots(r, fc),
+                                         phi_local_[r]);
+      const dsmc::Species& sp = species_[species];
+      vel = pic::boris_push(vel, e, cfg_.magnetic_field, sp.charge / sp.mass,
+                            dt);
+      return true;
+    };
+    const dsmc::MoveStats st = mover_->move_all(
+        stores_[r], dt, pic_step, removed_[r], dsmc::MoveFilter::kChargedOnly,
+        kexec_.get(), gather_push);
+    // `moved` counts every pushed ion: each one flies exactly once.
+    c.charge(par::WorkKind::kFieldGather, static_cast<double>(st.moved));
+    c.charge(par::WorkKind::kBorisPush, static_cast<double>(st.moved));
     c.charge(par::WorkKind::kMove, static_cast<double>(st.moved));
     c.charge(par::WorkKind::kWalkStep, static_cast<double>(st.walk_steps));
     exited[r] = st.exited;
+    lost[r] = st.lost;
   });
   for (int r = 0; r < pcfg_.nranks; ++r) {
     diag.exited_pic += exited[r];

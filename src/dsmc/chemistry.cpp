@@ -1,15 +1,12 @@
 #include "dsmc/chemistry.hpp"
 
-#include <array>
 #include <cmath>
 
 namespace dsmcpic::dsmc {
 
 bool Chemistry::try_ionization(Rng& rng, const ParticleStore& store,
                                std::size_t i, std::size_t j, double e_rel,
-                               ChemistryStats& stats,
                                std::vector<ParticleRecord>& spawned) {
-  if (!cfg_.enabled) return false;
   const auto species = store.species();
   if (species[i] != kSpeciesH || species[j] != kSpeciesH) return false;
   if (e_rel <= cfg_.ionization_threshold) return false;
@@ -28,14 +25,11 @@ bool Chemistry::try_ionization(Rng& rng, const ParticleStore& store,
   // Random id: ids only need uniqueness until the next Reindex renumbering.
   ion.id = static_cast<std::int64_t>(rng.next_u64() >> 1);
   spawned.push_back(ion);
-  ++stats.ionizations;
   return true;
 }
 
 bool Chemistry::try_charge_exchange(Rng& rng, ParticleStore& store,
-                                    std::size_t i, std::size_t j,
-                                    ChemistryStats& stats) {
-  if (!cfg_.enabled) return false;
+                                    std::size_t i, std::size_t j) {
   auto species = store.species();
   // Order the pair as (ion, neutral).
   std::size_t ion = i, neutral = j;
@@ -49,9 +43,15 @@ bool Chemistry::try_charge_exchange(Rng& rng, ParticleStore& store,
   // velocity. The neutral super-particle is left unchanged — the fast
   // neutrals created are a negligible fraction of its (much larger) weight.
   store.set_velocity(ion, store.velocity(neutral));
-  ++stats.charge_exchanges;
   return true;
 }
+
+namespace {
+// Seed of recombine's (cell, step) streams. It ignores SolverConfig::seed,
+// so runs differing only in that seed draw the same recombination uniforms;
+// deriving it re-pins every digest (ROADMAP item 5's RNG keys).
+constexpr std::uint64_t kRecombinationSeed = 0xc43cULL;
+}  // namespace
 
 ChemistryStats Chemistry::recombine(ParticleStore& store, const CellIndex& index,
                                     std::span<const std::int32_t> my_cells,
@@ -59,8 +59,6 @@ ChemistryStats Chemistry::recombine(ParticleStore& store, const CellIndex& index
                                     int step, std::span<std::uint8_t> removed,
                                     const support::KernelExec* exec) {
   DSMCPIC_CHECK(removed.size() == store.size());
-  ChemistryStats stats;
-  if (!cfg_.enabled) return stats;
   const Species& ion = (*table_)[kSpeciesHPlus];
   const Species& neutral = (*table_)[kSpeciesH];
   const double weight_ratio = ion.fnum / neutral.fnum;  // << 1 typically
@@ -81,7 +79,8 @@ ChemistryStats Chemistry::recombine(ParticleStore& store, const CellIndex& index
       const double p_rec = 1.0 - std::exp(-cfg_.recombination_rate * n_e * dt);
       if (p_rec <= 0.0) continue;
 
-      Rng rng(derive_stream_seed(cfg_.seed, static_cast<std::uint64_t>(cell)),
+      Rng rng(derive_stream_seed(kRecombinationSeed,
+                                 static_cast<std::uint64_t>(cell)),
               static_cast<std::uint64_t>(step));
       for (std::int32_t p : parts) {
         if (species[p] != kSpeciesHPlus || removed[p]) continue;
@@ -95,21 +94,8 @@ ChemistryStats Chemistry::recombine(ParticleStore& store, const CellIndex& index
       }
     }
   };
-  const std::int64_t n = static_cast<std::int64_t>(my_cells.size());
-  if (!exec || exec->serial()) {
-    recombine_range(0, n, stats);
-    return stats;
-  }
-  std::array<ChemistryStats, 64> chunk_stats{};
-  exec->for_chunks(n, [&](int c, std::int64_t begin, std::int64_t end) {
-    recombine_range(begin, end, chunk_stats[c]);
-  });
-  for (int c = 0; c < exec->num_chunks(n); ++c) {
-    stats.ionizations += chunk_stats[c].ionizations;
-    stats.recombinations += chunk_stats[c].recombinations;
-    stats.charge_exchanges += chunk_stats[c].charge_exchanges;
-  }
-  return stats;
+  return support::sum_chunks<ChemistryStats>(
+      exec, static_cast<std::int64_t>(my_cells.size()), recombine_range);
 }
 
 }  // namespace dsmcpic::dsmc

@@ -28,7 +28,6 @@
 namespace dsmcpic::dsmc {
 
 struct ChemistryConfig {
-  bool enabled = true;
   /// Relative collision energy above which an H–H collision can ionize [J].
   /// Physically 13.6 eV; experiments use a reduced effective threshold to
   /// exercise the channel at plume speeds (documented in DESIGN.md).
@@ -43,13 +42,17 @@ struct ChemistryConfig {
   /// paper cites via SUGAR). The identities swap; for equal masses this is
   /// equivalent to swapping the velocities.
   double cex_probability = 0.5;
-  std::uint64_t seed = 0xc43cULL;
 };
 
+/// recombine's result. The collide counts ionizations and charge exchanges
+/// itself (CollisionStats), from the hooks' return values.
 struct ChemistryStats {
-  std::int64_t ionizations = 0;
   std::int64_t recombinations = 0;
-  std::int64_t charge_exchanges = 0;
+
+  ChemistryStats& operator+=(const ChemistryStats& o) {
+    recombinations += o.recombinations;
+    return *this;
+  }
 };
 
 class Chemistry {
@@ -66,7 +69,7 @@ class Chemistry {
   /// layout. Returns true when an ionization occurred (the elastic scatter
   /// still proceeds for the pair).
   bool try_ionization(Rng& rng, const ParticleStore& store, std::size_t i,
-                      std::size_t j, double e_rel, ChemistryStats& stats,
+                      std::size_t j, double e_rel,
                       std::vector<ParticleRecord>& spawned);
 
   /// Called from the NTC accept path for an H+/H pair: with probability
@@ -74,13 +77,13 @@ class Chemistry {
   /// (momentum-preserving; replaces the elastic scatter when it fires).
   /// Returns true when the exchange occurred.
   bool try_charge_exchange(Rng& rng, ParticleStore& store, std::size_t i,
-                           std::size_t j, ChemistryStats& stats);
+                           std::size_t j);
 
   /// Cell-based recombination sweep over the caller's cells: every H+ in a
   /// cell recombines with probability 1 - exp(-k * n_e * dt). Flags removed
   /// ions in `removed` (one flag per particle); converts survivors-of-the-weight-lottery to H in
   /// place. Returns stats. With `exec`, the cell list is chunked (cells are
-  /// disjoint, RNG keyed (seed, cell, step), int stats summed in chunk
+  /// disjoint, RNG keyed (cell, step), int stats summed in chunk
   /// order), so any chunk count gives the serial result.
   ChemistryStats recombine(ParticleStore& store, const CellIndex& index,
                            std::span<const std::int32_t> my_cells,

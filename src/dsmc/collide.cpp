@@ -2,10 +2,15 @@
 
 #include "support/serialize.hpp"
 
-#include <array>
 #include <cmath>
 
 namespace dsmcpic::dsmc {
+
+namespace {
+// Every cell's majorant (sigma * c_r)_max [m^3/s] starts here and only
+// grows, so a checkpointed majorant below it was never written by a run.
+constexpr double kInitialSigmaCrMax = 1e-15;
+}  // namespace
 
 double vhs_cross_section(const Species& a, const Species& b, double c_r) {
   // Bird's VHS: sigma = pi d_ref^2 * [2 kB T_ref / (m_r c_r^2)]^(omega-1/2)
@@ -30,7 +35,7 @@ CollisionKernel::CollisionKernel(const mesh::TetMesh& grid,
       chemistry_(chemistry),
       num_species_(static_cast<std::size_t>(table.size())),
       sigma_cr_max_(static_cast<std::size_t>(grid.num_tets()),
-                    cfg.initial_sigma_cr_max),
+                    kInitialSigmaCrMax),
       candidate_carry_(static_cast<std::size_t>(grid.num_tets()), 0.0) {
   // Precompute the pair-averaged VHS constants. The expressions mirror
   // vhs_cross_section exactly (same grouping, divide by gamma rather than
@@ -56,9 +61,8 @@ CollisionKernel::CollisionKernel(const mesh::TetMesh& grid,
 
 namespace {
 // Chunk-plan sizing: a few chunks per lane absorbs residual imbalance the
-// weight model misses; the cap bounds the fixed per-chunk stat arrays.
+// weight model misses; the plan stays within sum_tasks' task cap.
 constexpr int kCollideChunksPerLane = 4;
-constexpr int kMaxCollideChunks = 64;
 }  // namespace
 
 int CollisionKernel::plan_chunks(const ParticleStore& store,
@@ -67,8 +71,13 @@ int CollisionKernel::plan_chunks(const ParticleStore& store,
                                  double dt, int threads,
                                  CollideScratch& scr) const {
   const std::int64_t ncells = static_cast<std::int64_t>(my_cells.size());
-  if (ncells < threads || threads < 2) return 1;
-  const int want = std::min(kMaxCollideChunks, threads * kCollideChunksPerLane);
+  const auto serial = [&] {
+    scr.bounds.assign({0, ncells});
+    return 1;
+  };
+  if (ncells < threads || threads < 2) return serial();
+  const int want = std::min(support::KernelExec::kMaxChunks,
+                            threads * kCollideChunksPerLane);
 
   // Measured per-cell cost: the sweep's own expected-candidate expression,
   // evaluated read-only (the carry is NOT consumed here).
@@ -92,7 +101,7 @@ int CollisionKernel::plan_chunks(const ParticleStore& store,
     scr.weight[static_cast<std::size_t>(ci)] = w;
     total += w;
   }
-  if (!(total > 0.0)) return 1;
+  if (!(total > 0.0)) return serial();
 
   // Greedy prefix split at the weight targets; a chunk always takes at
   // least one cell, so bounds are strictly increasing (no empty chunks).
@@ -112,31 +121,30 @@ int CollisionKernel::plan_chunks(const ParticleStore& store,
   const int nc = static_cast<int>(scr.bounds.size()) - 1;
   // Serial fallback: a plan that cannot give every lane its own chunk
   // loses to dispatch overhead (the kt2 regression this replaces).
-  return nc < threads ? 1 : nc;
+  return nc < threads ? serial() : nc;
 }
 
 CollisionStats CollisionKernel::collide_cells(
     ParticleStore& store, const CellIndex& index,
     std::span<const std::int32_t> my_cells, double dt, int step,
     const support::KernelExec* exec, CollideScratch* scratch) {
-  const std::int64_t ncells = static_cast<std::int64_t>(my_cells.size());
   CollideScratch local;
   CollideScratch& scr = scratch ? *scratch : local;
-  const int nc = (exec && !exec->serial())
-                     ? plan_chunks(store, index, my_cells, dt,
-                                   exec->threads(), scr)
-                     : 1;
+  const int nc = plan_chunks(store, index, my_cells, dt,
+                             exec ? exec->threads() : 1, scr);
   if (scr.spawned.size() < static_cast<std::size_t>(nc))
     scr.spawned.resize(static_cast<std::size_t>(nc));
   for (auto& buf : scr.spawned) buf.clear();
 
   const auto species = store.species();
   auto vx = store.vx(), vy = store.vy(), vz = store.vz();
-  const auto collide_range = [&](std::int64_t begin, std::int64_t end,
-                                 CollisionStats& stats,
-                                 ChemistryStats& chem_stats,
-                                 std::vector<ParticleRecord>& spawned) {
-    for (std::int64_t ci = begin; ci < end; ++ci) {
+  // Cells are disjoint between chunks (majorant, carry, RNG stream and
+  // partner velocities are all per-cell); chunk stats and spawn buffers are
+  // merged in chunk order, which equals cell order — exactly the serial
+  // sequence, for ANY chunk boundaries the plan picks.
+  const auto collide_chunk = [&](int c, CollisionStats& stats) {
+    std::vector<ParticleRecord>& spawned = scr.spawned[c];
+    for (std::int64_t ci = scr.bounds[c]; ci < scr.bounds[c + 1]; ++ci) {
       const std::int32_t cell = my_cells[ci];
       const auto parts = index.particles_in(cell);
       const auto np = static_cast<std::int64_t>(parts.size());
@@ -155,6 +163,9 @@ CollisionStats CollisionKernel::collide_cells(
           0.5 * static_cast<double>(np) * static_cast<double>(np - 1) *
               fnum_mean * majorant * dt / volume +
           candidate_carry_[cell];
+      // The cast is undefined for NaN, infinity or 2^63 and up, which a
+      // finite corrupt majorant can still produce.
+      DSMCPIC_CHECK(expected >= 0.0 && expected < 0x1p63);
       const auto n_cand = static_cast<std::int64_t>(expected);
       candidate_carry_[cell] = expected - static_cast<double>(n_cand);
       if (n_cand <= 0) continue;
@@ -189,13 +200,13 @@ CollisionStats CollisionKernel::collide_cells(
         const double m_r = ma * mb / (ma + mb);
         const double e_rel = 0.5 * m_r * c_r * c_r;
 
-        if (chemistry_ && chemistry_->try_ionization(rng, store, pi, pj, e_rel,
-                                                     chem_stats, spawned)) {
+        if (chemistry_ &&
+            chemistry_->try_ionization(rng, store, pi, pj, e_rel, spawned)) {
           ++stats.ionizations;
           // Elastic scatter still applies to the colliding pair below.
         }
         if (chemistry_ && si != sj &&
-            chemistry_->try_charge_exchange(rng, store, pi, pj, chem_stats)) {
+            chemistry_->try_charge_exchange(rng, store, pi, pj)) {
           ++stats.charge_exchanges;
           continue;  // CEX replaces the elastic scatter for this pair
         }
@@ -218,38 +229,14 @@ CollisionStats CollisionKernel::collide_cells(
     }
   };
 
-  CollisionStats stats;
-  ChemistryStats chem_stats;
-  if (nc == 1) {
-    collide_range(0, ncells, stats, chem_stats, scr.spawned[0]);
-  } else {
-    // Cells are disjoint between chunks (majorant, carry, RNG stream and
-    // partner velocities are all per-cell); per-chunk stats and spawn
-    // buffers are merged in chunk order below, which equals cell order —
-    // exactly the serial sequence, for ANY chunk boundaries the plan picks.
-    std::array<CollisionStats, kMaxCollideChunks> cstats{};
-    std::array<ChemistryStats, kMaxCollideChunks> cchem{};
-    exec->for_tasks(nc, [&](int c) {
-      collide_range(scr.bounds[c], scr.bounds[c + 1], cstats[c], cchem[c],
-                    scr.spawned[c]);
-    });
-    for (int c = 0; c < nc; ++c) {
-      stats.candidates += cstats[c].candidates;
-      stats.collisions += cstats[c].collisions;
-      stats.ionizations += cstats[c].ionizations;
-      stats.charge_exchanges += cstats[c].charge_exchanges;
-      chem_stats.ionizations += cchem[c].ionizations;
-      chem_stats.recombinations += cchem[c].recombinations;
-      chem_stats.charge_exchanges += cchem[c].charge_exchanges;
-    }
-  }
+  const CollisionStats stats =
+      support::sum_tasks<CollisionStats>(exec, nc, collide_chunk);
   // Append spawned ions after the sweep, in chunk (= cell) order: the store
   // ends up identical to the serial interleaved-append version because the
   // records were captured at event time and serial appends also happen in
   // cell order.
   for (int c = 0; c < nc; ++c)
     for (const ParticleRecord& ion : scr.spawned[c]) store.add(ion);
-  stats.ionizations = chem_stats.ionizations;
   return stats;
 }
 
@@ -265,6 +252,14 @@ void CollisionKernel::load(std::istream& is) {
       sigma_cr_max_.size() == static_cast<std::size_t>(grid_->num_tets()) &&
           candidate_carry_.size() == sigma_cr_max_.size(),
       "checkpoint cell count mismatch");
+  for (std::size_t c = 0; c < sigma_cr_max_.size(); ++c)
+    DSMCPIC_CHECK_MSG(std::isfinite(sigma_cr_max_[c]) &&
+                          sigma_cr_max_[c] >= kInitialSigmaCrMax &&
+                          candidate_carry_[c] >= 0.0 &&
+                          candidate_carry_[c] < 1.0,
+                      "checkpoint majorant " << sigma_cr_max_[c] << " or carry "
+                                             << candidate_carry_[c]
+                                             << " of cell " << c);
 }
 
 }  // namespace dsmcpic::dsmc

@@ -21,9 +21,9 @@
 namespace dsmcpic::dsmc {
 
 struct CollisionConfig {
+  /// Per-(cell, step) stream seed. CoupledSolver overwrites it with one
+  /// derived from SolverConfig::seed; only a kernel built directly reads it.
   std::uint64_t seed = 0xb5297a4dULL;
-  /// Initial per-cell majorant (sigma * c_r)_max [m^3/s]; adapts upward.
-  double initial_sigma_cr_max = 1e-15;
 };
 
 struct CollisionStats {
@@ -31,6 +31,14 @@ struct CollisionStats {
   std::int64_t collisions = 0;  // accepted (elastic or reactive)
   std::int64_t ionizations = 0;
   std::int64_t charge_exchanges = 0;  // CEX events (H+/H identity swaps)
+
+  CollisionStats& operator+=(const CollisionStats& o) {
+    candidates += o.candidates;
+    collisions += o.collisions;
+    ionizations += o.ionizations;
+    charge_exchanges += o.charge_exchanges;
+    return *this;
+  }
 };
 
 /// VHS total cross section for a colliding pair with relative speed c_r.
@@ -80,7 +88,9 @@ class CollisionKernel {
     return p.pi_d2 * std::pow(ratio, p.omega_mhalf) / p.gamma;
   }
 
-  /// Binary checkpoint of the adaptive per-cell state.
+  /// Binary checkpoint of the adaptive per-cell state. load refuses, with
+  /// dsmcpic::Error, a majorant a run cannot reach (not finite, or below
+  /// its initial value) and a carry outside [0, 1).
   void save(std::ostream& os) const;
   void load(std::istream& is);
 
@@ -89,10 +99,11 @@ class CollisionKernel {
   /// of my_cells whose chunks carry roughly equal expected NTC candidate
   /// counts (0.5 n(n-1) fnum_mean majorant dt / V + carry per cell — the
   /// same expression the sweep evaluates, read-only). Returns the chunk
-  /// count; 1 means "run serial" (the balanced plan could not produce at
-  /// least one chunk per thread, so pool dispatch would only add overhead).
-  /// Chunk boundaries never affect results — cells are independent — so
-  /// the plan may depend on the thread count freely.
+  /// count; 1 means "run serial" (bounds {0, ncells}: the balanced plan
+  /// could not produce at least one chunk per thread, so pool dispatch
+  /// would only add overhead). Chunk boundaries never affect results —
+  /// cells are independent — so the plan may depend on the thread count
+  /// freely.
   int plan_chunks(const ParticleStore& store, const CellIndex& index,
                   std::span<const std::int32_t> my_cells, double dt,
                   int threads, CollideScratch& scr) const;

@@ -202,6 +202,11 @@ void MaxwellianInjector::load(std::istream& is) {
   DSMCPIC_CHECK_MSG(remainder_.size() == faces_.size() &&
                         seq_.size() == faces_.size(),
                     "checkpoint inlet-face count mismatch");
+  for (std::size_t f = 0; f < faces_.size(); ++f)
+    DSMCPIC_CHECK_MSG(
+        remainder_[f] >= 0.0 && remainder_[f] < 1.0 && seq_[f] >= 0,
+        "checkpoint inlet remainder " << remainder_[f] << " or sequence "
+                                      << seq_[f] << " of face " << f);
   prepared_step_ = -1;
 }
 

@@ -73,6 +73,8 @@ class MaxwellianInjector {
   const InjectionSpec& spec() const { return spec_; }
 
   /// Binary checkpoint of the stream state (remainders, id sequences).
+  /// load refuses, with dsmcpic::Error, a remainder outside [0, 1) and a
+  /// negative sequence.
   void save(std::ostream& os) const;
   void load(std::istream& is);
 

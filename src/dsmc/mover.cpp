@@ -1,6 +1,5 @@
 #include "dsmc/mover.hpp"
 
-#include <array>
 #include <cmath>
 
 #include "dsmc/maxwell.hpp"
@@ -72,56 +71,6 @@ bool Mover::move_one(Vec3& pos, Vec3& vel, std::int32_t& cell,
     return false;
   }
   return true;
-}
-
-MoveStats Mover::move_all(ParticleStore& store, double dt, int step,
-                          std::span<std::uint8_t> removed, MoveFilter filter,
-                          const support::KernelExec* exec) const {
-  DSMCPIC_CHECK(removed.size() == store.size());
-  auto px = store.px(), py = store.py(), pz = store.pz();
-  auto vx = store.vx(), vy = store.vy(), vz = store.vz();
-  auto cells = store.cells();
-  auto species = store.species();
-  auto ids = store.ids();
-  const auto move_range = [&](std::int64_t begin, std::int64_t end,
-                              MoveStats& stats) {
-    for (std::int64_t i = begin; i < end; ++i) {
-      if (removed[i]) continue;
-      const bool charged = (*table_)[species[i]].charged();
-      if (filter == MoveFilter::kNeutralOnly && charged) continue;
-      if (filter == MoveFilter::kChargedOnly && !charged) continue;
-      Vec3 pos{px[i], py[i], pz[i]};
-      Vec3 vel{vx[i], vy[i], vz[i]};
-      if (!move_one(pos, vel, cells[i], species[i], ids[i], dt, step, stats))
-        removed[i] = 1;
-      px[i] = pos.x;
-      py[i] = pos.y;
-      pz[i] = pos.z;
-      vx[i] = vel.x;
-      vy[i] = vel.y;
-      vz[i] = vel.z;
-    }
-  };
-  const std::int64_t n = static_cast<std::int64_t>(store.size());
-  if (!exec || exec->serial()) {
-    MoveStats stats;
-    move_range(0, n, stats);
-    return stats;
-  }
-  // Each chunk writes disjoint particle slots and its own stats slot; the
-  // integer stats are summed in chunk order afterwards.
-  std::array<MoveStats, 64> chunk_stats{};
-  exec->for_chunks(n, [&](int c, std::int64_t begin, std::int64_t end) {
-    move_range(begin, end, chunk_stats[c]);
-  });
-  MoveStats stats;
-  for (int c = 0; c < exec->num_chunks(n); ++c) {
-    stats.moved += chunk_stats[c].moved;
-    stats.walk_steps += chunk_stats[c].walk_steps;
-    stats.wall_hits += chunk_stats[c].wall_hits;
-    stats.exited += chunk_stats[c].exited;
-  }
-  return stats;
 }
 
 }  // namespace dsmcpic::dsmc

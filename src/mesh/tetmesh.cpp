@@ -143,8 +143,7 @@ std::array<std::int32_t, 3> TetMesh::face_nodes(std::int32_t t, int f) const {
 }
 
 Vec3 TetMesh::face_normal(std::int32_t t, int f) const {
-  if (geometry_cache_enabled_) return face_planes_[t][f].unit_normal;
-  return face_normal_recompute(t, f);
+  return face_planes_[t][f].unit_normal;
 }
 
 Vec3 TetMesh::face_normal_recompute(std::int32_t t, int f) const {
@@ -165,15 +164,12 @@ Vec3 TetMesh::face_centroid(std::int32_t t, int f) const {
 }
 
 std::array<double, 4> TetMesh::barycentric(std::int32_t t, const Vec3& p) const {
-  if (geometry_cache_enabled_) {
-    const BaryCache& bc = bary_[t];
-    const Vec3 r = p - bc.anchor;
-    const double l1 = dot(bc.rows[0], r);
-    const double l2 = dot(bc.rows[1], r);
-    const double l3 = dot(bc.rows[2], r);
-    return {1.0 - l1 - l2 - l3, l1, l2, l3};
-  }
-  return barycentric_recompute(t, p);
+  const BaryCache& bc = bary_[t];
+  const Vec3 r = p - bc.anchor;
+  const double l1 = dot(bc.rows[0], r);
+  const double l2 = dot(bc.rows[1], r);
+  const double l3 = dot(bc.rows[2], r);
+  return {1.0 - l1 - l2 - l3, l1, l2, l3};
 }
 
 std::array<double, 4> TetMesh::barycentric_recompute(std::int32_t t,
@@ -240,8 +236,6 @@ std::int32_t TetMesh::locate_brute(const Vec3& p) const {
 
 int TetMesh::ray_exit_face(std::int32_t t, const Vec3& origin, const Vec3& dir,
                            double* t_exit) const {
-  if (!geometry_cache_enabled_)
-    return ray_exit_face_recompute(t, origin, dir, t_exit);
   const auto& planes = face_planes_[t];
   int best_face = -1;
   double best_t = std::numeric_limits<double>::infinity();

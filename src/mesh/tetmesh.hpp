@@ -113,17 +113,11 @@ class TetMesh {
   int ray_exit_face(std::int32_t t, const Vec3& origin, const Vec3& dir,
                     double* t_exit) const;
 
-  /// Toggles use of the precomputed geometry caches. When off, barycentric
-  /// / face_normal / ray_exit_face fall back to the recomputing paths (the
-  /// caches stay built). For the cache equivalence test only.
-  void set_geometry_cache_enabled(bool on) { geometry_cache_enabled_ = on; }
-  bool geometry_cache_enabled() const { return geometry_cache_enabled_; }
-
   /// Recomputing variants, deriving everything from raw node coordinates on
-  /// every call. Kept as the reference implementations for the cache
-  /// equivalence test. ray_exit_face and face_normal are bit-identical to
-  /// the cached paths; barycentric differs in rounding (volume ratios vs a
-  /// precomputed matrix-vector product).
+  /// every call. No kernel calls them: they are the reference
+  /// implementations for the cache equivalence test. ray_exit_face and
+  /// face_normal are bit-identical to the cached paths; barycentric differs
+  /// in rounding (volume ratios vs a precomputed matrix-vector product).
   std::array<double, 4> barycentric_recompute(std::int32_t t, const Vec3& p) const;
   Vec3 face_normal_recompute(std::int32_t t, int f) const;
   int ray_exit_face_recompute(std::int32_t t, const Vec3& origin,
@@ -163,7 +157,6 @@ class TetMesh {
   std::vector<Vec3> centroids_;
   std::vector<std::array<FacePlane, 4>> face_planes_;
   std::vector<BaryCache> bary_;
-  bool geometry_cache_enabled_ = true;
   std::array<std::vector<BoundaryFace>, 4> boundary_lists_;  // by kind
 };
 

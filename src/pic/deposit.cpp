@@ -1,7 +1,6 @@
 #include "pic/deposit.hpp"
 
 #include <algorithm>
-#include <array>
 
 #include "pic/node_exchange.hpp"
 #include "support/error.hpp"
@@ -84,21 +83,16 @@ DepositStats deposit(const dsmc::ParticleStore& store, const FineGrid& grid,
   // within-block accumulation order is position in `order`, not cell.
   const std::size_t nnodes = node_charge.size();
   scr.block_charge.resize(static_cast<std::size_t>(nblocks) * nnodes);
-  std::array<DepositStats, kDepositBlocks> bstats{};
-  const auto run_block = [&](int b) {
+  const auto run_block = [&](int b, DepositStats& out) {
     const std::int64_t begin = m * b / nblocks;
     const std::int64_t end = m * (b + 1) / nblocks;
     const std::span<double> acc(
         scr.block_charge.data() + static_cast<std::size_t>(b) * nnodes, nnodes);
     std::fill(acc.begin(), acc.end(), 0.0);
     for (std::int64_t t = begin; t < end; ++t)
-      scatter_one(order[static_cast<std::size_t>(t)], acc, bstats[b]);
+      scatter_one(order[static_cast<std::size_t>(t)], acc, out);
   };
-  if (exec) {
-    exec->for_tasks(nblocks, run_block);
-  } else {
-    for (int b = 0; b < nblocks; ++b) run_block(b);
-  }
+  stats = support::sum_tasks<DepositStats>(exec, nblocks, run_block);
 
   // Phase B: reduce each node over the blocks in ascending order — a left
   // fold whose grouping is fixed by (m, nnodes) alone. Nodes are
@@ -112,18 +106,13 @@ DepositStats deposit(const dsmc::ParticleStore& store, const FineGrid& grid,
       node_charge[static_cast<std::size_t>(j)] = s;
     }
   };
-  if (exec && !exec->serial()) {
+  if (exec) {
     exec->for_chunks(static_cast<std::int64_t>(nnodes),
                      [&](int, std::int64_t b, std::int64_t e) {
                        reduce_range(b, e);
                      });
   } else {
     reduce_range(0, static_cast<std::int64_t>(nnodes));
-  }
-
-  for (int b = 0; b < nblocks; ++b) {
-    stats.deposited += bstats[b].deposited;
-    stats.lost += bstats[b].lost;
   }
   return stats;
 }

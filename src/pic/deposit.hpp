@@ -29,6 +29,12 @@ namespace dsmcpic::pic {
 struct DepositStats {
   std::int64_t deposited = 0;  // charged particles scattered
   std::int64_t lost = 0;       // particles whose fine cell could not be found
+
+  DepositStats& operator+=(const DepositStats& o) {
+    deposited += o.deposited;
+    lost += o.lost;
+    return *this;
+  }
 };
 
 /// Reusable per-rank scratch for the blocked deposit: the cell-major

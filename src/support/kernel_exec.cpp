@@ -6,10 +6,9 @@ namespace dsmcpic::support {
 
 namespace {
 // A few chunks per lane lets the pool's dynamic index claiming absorb
-// per-chunk cost imbalance; the cap bounds caller-side per-chunk scratch
-// (stack arrays of MoveStats etc.) at a fixed small size.
+// per-chunk cost imbalance; the cap (kMaxChunks) bounds sum_tasks' stack
+// array of per-chunk stats at a fixed small size.
 constexpr int kChunksPerLane = 4;
-constexpr int kMaxChunks = 64;
 }  // namespace
 
 KernelExec::KernelExec(int threads) : threads_(std::max(threads, 1)) {
@@ -21,15 +20,6 @@ int KernelExec::num_chunks(std::int64_t n) const {
   const std::int64_t want =
       std::min<std::int64_t>(static_cast<std::int64_t>(threads_) * kChunksPerLane, kMaxChunks);
   return static_cast<int>(std::min(n, want));
-}
-
-void KernelExec::for_tasks(int ntasks, const std::function<void(int)>& fn) const {
-  if (ntasks <= 0) return;
-  if (serial() || ntasks == 1) {
-    for (int t = 0; t < ntasks; ++t) fn(t);
-    return;
-  }
-  pool_->parallel_for(ntasks, fn);
 }
 
 void KernelExec::for_chunks(

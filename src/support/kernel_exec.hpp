@@ -11,22 +11,27 @@
 // (see ThreadPool's dispatch rules).
 //
 // Determinism contract: callers must arrange that results are invariant
-// under the chunk count (per-chunk accumulators reduced in chunk order,
-// RNG streams keyed by particle/cell id, appends buffered per chunk and
-// merged in chunk order). Chunk boundaries are pure arithmetic on (n,
-// num_chunks) — no allocation, no scheduling dependence — so for_chunks
-// adds no per-call state.
+// under the chunk count (per-chunk stats summed in chunk order by
+// sum_tasks / sum_chunks below, RNG streams keyed by particle/cell id,
+// appends buffered per chunk and merged in chunk order). Chunk boundaries
+// are pure arithmetic on (n, num_chunks) — no allocation, no scheduling
+// dependence — so for_chunks adds no per-call state.
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <memory>
 
+#include "support/error.hpp"
 #include "support/thread_pool.hpp"
 
 namespace dsmcpic::support {
 
 class KernelExec {
  public:
+  /// Most chunks num_chunks returns, and most tasks sum_tasks takes.
+  static constexpr int kMaxChunks = 64;
+
   /// threads <= 1 means serial (no pool is created; for_chunks runs one
   /// chunk inline). threads > 1 spawns a dedicated pool of that many lanes.
   explicit KernelExec(int threads = 1);
@@ -46,23 +51,48 @@ class KernelExec {
                   const std::function<void(int, std::int64_t, std::int64_t)>&
                       fn) const;
 
-  /// Runs fn(task) for each task in [0, ntasks) — the fixed-task-count
-  /// companion to for_chunks for callers that plan their own partition
-  /// (cost-balanced collide chunks, the deposit's fixed reduction blocks).
-  /// The task count is the caller's: it must NOT depend on the thread
-  /// count when the caller's determinism contract requires a schedule
-  /// that is invariant across kernel-thread settings. Serial executors
-  /// run every task inline, in ascending order, on the calling thread.
-  void for_tasks(int ntasks, const std::function<void(int)>& fn) const;
-
   /// Chunk boundary arithmetic, exposed so tests can assert coverage.
   static std::int64_t chunk_begin(std::int64_t n, int num_chunks, int chunk) {
     return n * chunk / num_chunks;
   }
 
  private:
+  template <class Stats, class Body>
+  friend Stats sum_tasks(const KernelExec* exec, int ntasks, Body&& body);
+
   int threads_ = 1;
   std::unique_ptr<ThreadPool> pool_;  // null when serial
 };
+
+/// The one chunk reduction of the particle kernels: runs body(task, stats)
+/// for each task in [0, ntasks) — on the pool, or inline and in order for a
+/// null or serial executor — and returns the tasks' stats summed in task
+/// order (Stats needs operator+=; the body only adds to its stats). The
+/// task list is the caller's plan: the collide's cost-balanced cell chunks,
+/// the deposit's fixed blocks.
+template <class Stats, class Body>
+Stats sum_tasks(const KernelExec* exec, int ntasks, Body&& body) {
+  Stats total{};
+  if (!exec || exec->serial() || ntasks <= 1) {
+    for (int t = 0; t < ntasks; ++t) body(t, total);
+    return total;
+  }
+  DSMCPIC_CHECK(ntasks <= KernelExec::kMaxChunks);
+  std::array<Stats, KernelExec::kMaxChunks> per_task{};
+  exec->pool_->parallel_for(ntasks, [&](int t) { body(t, per_task[t]); });
+  for (int t = 0; t < ntasks; ++t) total += per_task[t];
+  return total;
+}
+
+/// sum_tasks over the chunks for_chunks cuts [0, n) into:
+/// body(begin, end, stats) per chunk.
+template <class Stats, class Body>
+Stats sum_chunks(const KernelExec* exec, std::int64_t n, Body&& body) {
+  const int nc = exec ? exec->num_chunks(n) : 1;
+  return sum_tasks<Stats>(exec, nc, [&](int c, Stats& stats) {
+    body(KernelExec::chunk_begin(n, nc, c),
+         KernelExec::chunk_begin(n, nc, c + 1), stats);
+  });
+}
 
 }  // namespace dsmcpic::support

@@ -12,6 +12,7 @@
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -491,6 +492,49 @@ TEST(Checkpoint, RejectsBadFilesAtResumeConstruction) {
        {std::size_t{0}, std::size_t{7}, std::size_t{20}, saved.size() / 3,
         saved.size() / 2, saved.size() - 1})
     EXPECT_THROW(resume(saved.substr(0, len)), Error) << "length " << len;
+  std::filesystem::remove(path);
+}
+
+// A NaN collision majorant would reach the candidate-count cast of the
+// next Colli_React; both ways of resuming must refuse the file instead.
+TEST(Checkpoint, RejectsNanMajorant) {
+  const std::string path = temp_path("dsmcpic_ckpt_nan_majorant.bin");
+  const ParallelConfig par = tiny_parallel(3);
+  {
+    CoupledSolver solver(tiny_config(), par);
+    solver.run(2);
+    solver.save_checkpoint(path);
+  }
+  const std::string saved = slurp(path);
+  const auto u64_at = [&saved](std::size_t at) {
+    std::uint64_t v;
+    std::memcpy(&v, saved.data() + at, sizeof(v));
+    return v;
+  };
+  // Header, step counters and owner array; then the stores (nine vectors
+  // each: six of doubles, ids, species, cells), the potential, the two
+  // injectors' remainders and sequences, and the collide's majorants.
+  std::size_t at = 8 + 4 + 8 + 4 + 4;
+  const std::uint64_t ncells = u64_at(at);
+  at += 8 + 4 * ncells;
+  const std::uint64_t nstores = u64_at(at);
+  at += 8;
+  for (std::uint64_t r = 0; r < nstores; ++r) {
+    const std::uint64_t n = u64_at(at);
+    at += 7 * (8 + 8 * n) + 2 * (8 + 4 * n);
+  }
+  for (int v = 0; v < 5; ++v) at += 8 + 8 * u64_at(at);
+  ASSERT_EQ(u64_at(at), ncells);
+  std::string patched = saved;
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  std::memcpy(patched.data() + at + 8, &nan, sizeof(nan));
+  {
+    std::ofstream os(path, std::ios::binary | std::ios::trunc);
+    os.write(patched.data(), static_cast<std::streamsize>(patched.size()));
+  }
+  CoupledSolver in_place(tiny_config(), par);
+  EXPECT_THROW(in_place.restore_checkpoint(path), Error);
+  EXPECT_THROW(CoupledSolver(tiny_config(), par, nullptr, path), Error);
   std::filesystem::remove(path);
 }
 

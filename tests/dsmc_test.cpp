@@ -1,8 +1,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <limits>
 #include <map>
 #include <numeric>
+#include <sstream>
+#include <string>
 
 #include "dsmc/chemistry.hpp"
 #include "dsmc/collide.hpp"
@@ -14,9 +18,28 @@
 #include "dsmc/species.hpp"
 #include "mesh/nozzle.hpp"
 #include "support/error.hpp"
+#include "support/kernel_exec.hpp"
 
 namespace dsmcpic::dsmc {
 namespace {
+
+/// Overwrites element k of the `vec`-th length-prefixed vector of 8-byte
+/// elements in a saved stream.
+template <class T>
+std::string patched(std::string bytes, int vec, std::size_t k, T value) {
+  static_assert(sizeof(T) == 8);
+  std::size_t at = 0;
+  for (int v = 0; v < vec; ++v) {
+    std::uint64_t n;
+    std::memcpy(&n, bytes.data() + at, sizeof n);
+    at += 8 + 8 * n;
+  }
+  std::memcpy(bytes.data() + at + 8 + 8 * k, &value, sizeof value);
+  return bytes;
+}
+
+constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+constexpr double kInf = std::numeric_limits<double>::infinity();
 
 mesh::NozzleSpec test_spec() {
   mesh::NozzleSpec s;
@@ -250,6 +273,31 @@ TEST(Injector, ShardRequiresBeginStep) {
   EXPECT_THROW(inj.inject_shard(store, table, 0, 2), Error);
 }
 
+// A run keeps every inlet remainder in [0, 1) and every id sequence >= 0;
+// anything else in a checkpoint would reach the next step's count cast.
+TEST(Injector, LoadRejectsStreamsARunCannotWrite) {
+  const mesh::TetMesh grid = mesh::make_cylinder_nozzle(test_spec());
+  const SpeciesTable table = SpeciesTable::hydrogen(1e9, 100.0);
+  InjectionSpec is;
+  is.number_density = 1e19;
+  is.drift_speed = 1e4;
+  MaxwellianInjector inj(grid, mesh::BoundaryKind::kInlet, is, 7);
+  const std::vector<std::int32_t> owner(grid.num_tets(), 0);
+  ParticleStore store;
+  for (int s = 0; s < 3; ++s) inj.inject(store, table, 2e-7, s, owner, 0);
+  std::ostringstream os;
+  inj.save(os);
+  const std::string saved = os.str();
+  const auto load = [&](const std::string& bytes) {
+    std::istringstream in(bytes);
+    inj.load(in);
+  };
+  EXPECT_NO_THROW(load(saved));
+  for (const double bad : {kNaN, kInf, -1.0, 1.0})
+    EXPECT_THROW(load(patched(saved, 0, 1, bad)), Error) << "remainder " << bad;
+  EXPECT_THROW(load(patched(saved, 1, 1, std::int64_t{-1})), Error);
+}
+
 TEST(Mover, StraightFlightStaysInDomain) {
   const mesh::TetMesh grid = mesh::make_cylinder_nozzle(test_spec());
   const SpeciesTable table = SpeciesTable::hydrogen(1e8, 100.0);
@@ -323,6 +371,97 @@ TEST(Mover, DiffuseWallThermalizes) {
   EXPECT_GT(mean_speed, 1000.0);
 }
 
+// move_all's per-particle push: PIC_Move's gather + Boris push ride on the
+// same loop as DSMC_Move. Ion j sits in cell j; the push drops the ions in
+// every third cell and halves and tilts the velocity of the others.
+struct PushHookRun {
+  ParticleStore store;
+  std::vector<std::uint8_t> removed;
+  MoveStats stats;
+};
+
+PushHookRun run_push_hook(const mesh::TetMesh& grid, const SpeciesTable& table,
+                          const ParticleStore& initial,
+                          const support::KernelExec* exec) {
+  const Mover mover(grid, table, {});
+  PushHookRun run{initial, std::vector<std::uint8_t>(initial.size(), 0), {}};
+  run.stats = mover.move_all(
+      run.store, 2e-6, /*step=*/3, run.removed, MoveFilter::kChargedOnly, exec,
+      [](const Vec3&, Vec3& vel, std::int32_t cell, std::int32_t) {
+        if (cell % 3 == 0) return false;
+        vel = vel * 0.5 + Vec3{0.0, 0.0, 4e3};
+        return true;
+      });
+  return run;
+}
+
+TEST(Mover, PushHookDropsFlagsAndAdvancesLikeMoveOne) {
+  const mesh::TetMesh grid = mesh::make_cylinder_nozzle(test_spec());
+  const SpeciesTable table = SpeciesTable::hydrogen(1e8, 100.0);
+  const Mover mover(grid, table, {});
+  ParticleStore initial;
+  Rng rng(0x9a5ULL);
+  const std::int32_t nions = 240;
+  ASSERT_LT(nions, grid.num_tets());
+  for (std::int32_t j = 0; j < 2 * nions; ++j) {
+    ParticleRecord p;
+    p.species = (j % 2 == 1) ? kSpeciesHPlus : kSpeciesH;
+    p.cell = j / 2;
+    p.position = grid.centroid(p.cell);
+    p.velocity = sample_maxwellian(rng, 3000.0, constants::kHydrogenMass);
+    p.id = j;
+    initial.add(p);
+  }
+
+  const PushHookRun run = run_push_hook(grid, table, initial, nullptr);
+  MoveStats expect;
+  for (std::size_t i = 0; i < initial.size(); ++i) {
+    const std::int32_t cell0 = initial.cells()[i];
+    if (initial.species()[i] != kSpeciesHPlus || cell0 % 3 == 0) {
+      // Neutrals are filtered out; dropped ions keep their state.
+      if (initial.species()[i] == kSpeciesHPlus) ++expect.lost;
+      EXPECT_EQ(run.removed[i], initial.species()[i] == kSpeciesHPlus ? 1 : 0);
+      EXPECT_EQ(run.store.position(i), initial.position(i));
+      EXPECT_EQ(run.store.velocity(i), initial.velocity(i));
+      EXPECT_EQ(run.store.cells()[i], cell0);
+      continue;
+    }
+    Vec3 pos = initial.position(i);
+    Vec3 vel = initial.velocity(i) * 0.5 + Vec3{0.0, 0.0, 4e3};
+    std::int32_t cell = cell0;
+    const bool stays = mover.move_one(pos, vel, cell, kSpeciesHPlus,
+                                      initial.ids()[i], 2e-6, 3, expect);
+    EXPECT_EQ(run.removed[i], stays ? 0 : 1) << "particle " << i;
+    EXPECT_EQ(run.store.position(i), pos) << "particle " << i;
+    EXPECT_EQ(run.store.velocity(i), vel) << "particle " << i;
+    EXPECT_EQ(run.store.cells()[i], cell) << "particle " << i;
+  }
+  EXPECT_EQ(run.stats.lost, nions / 3);
+  EXPECT_EQ(run.stats.lost, expect.lost);
+  EXPECT_EQ(run.stats.moved, nions - nions / 3);
+  EXPECT_EQ(run.stats.moved, expect.moved);
+  EXPECT_EQ(run.stats.walk_steps, expect.walk_steps);
+  EXPECT_EQ(run.stats.wall_hits, expect.wall_hits);
+  EXPECT_EQ(run.stats.exited, expect.exited);
+  EXPECT_GT(run.stats.walk_steps, 0);
+
+  for (const int lanes : {1, 2, 4}) {
+    const support::KernelExec exec(lanes);
+    const PushHookRun chunked = run_push_hook(grid, table, initial, &exec);
+    EXPECT_EQ(chunked.removed, run.removed) << lanes << " lanes";
+    EXPECT_EQ(chunked.stats.moved, run.stats.moved) << lanes << " lanes";
+    EXPECT_EQ(chunked.stats.walk_steps, run.stats.walk_steps);
+    EXPECT_EQ(chunked.stats.wall_hits, run.stats.wall_hits);
+    EXPECT_EQ(chunked.stats.exited, run.stats.exited);
+    EXPECT_EQ(chunked.stats.lost, run.stats.lost);
+    for (std::size_t i = 0; i < initial.size(); ++i) {
+      EXPECT_EQ(chunked.store.position(i), run.store.position(i));
+      EXPECT_EQ(chunked.store.velocity(i), run.store.velocity(i));
+      EXPECT_EQ(chunked.store.cells()[i], run.store.cells()[i]);
+    }
+  }
+}
+
 TEST(Collide, MomentumAndEnergyConservedPerCell) {
   const mesh::TetMesh grid = mesh::make_cylinder_nozzle(test_spec());
   // Big fnum + big diameter so collisions certainly happen.
@@ -389,6 +528,54 @@ TEST(Collide, VhsPairCacheMatchesFreeFunctionBitwise) {
   }
 }
 
+// Every majorant starts at 1e-15 and only grows, and every candidate carry
+// stays in [0, 1): a checkpoint holding anything else is refused at load.
+TEST(Collide, LoadRejectsStreamsARunCannotWrite) {
+  const mesh::TetMesh grid = mesh::make_cylinder_nozzle(test_spec());
+  const SpeciesTable table = SpeciesTable::hydrogen(1e12, 6000.0);
+  CollisionKernel kernel(grid, table, CollisionConfig{});
+  std::ostringstream os;
+  kernel.save(os);
+  const std::string saved = os.str();
+  const auto load = [&](const std::string& bytes) {
+    std::istringstream in(bytes);
+    kernel.load(in);
+  };
+  EXPECT_NO_THROW(load(saved));
+  for (const double bad : {kNaN, kInf, -1.0})
+    EXPECT_THROW(load(patched(saved, 0, 5, bad)), Error) << "majorant " << bad;
+  for (const double bad : {kNaN, kInf, -1.0, 1.0})
+    EXPECT_THROW(load(patched(saved, 1, 5, bad)), Error) << "carry " << bad;
+}
+
+// A finite majorant passes load's checks however large it is; the candidate
+// count it implies must still be a typed error, not an out-of-range cast or
+// a near-endless candidate loop.
+TEST(Collide, CandidateCountPastInt64IsATypedError) {
+  const mesh::TetMesh grid = mesh::make_cylinder_nozzle(test_spec());
+  const SpeciesTable table = SpeciesTable::hydrogen(1e12, 6000.0);
+  CollisionKernel kernel(grid, table, CollisionConfig{});
+  const std::int32_t cell = grid.locate({0, 0, 0.025}, 0);
+  ASSERT_GE(cell, 0);
+  ParticleStore store;
+  for (int i = 0; i < 10; ++i) {
+    ParticleRecord p;
+    p.position = grid.centroid(cell);
+    p.velocity = {1e3 * i, 0.0, 0.0};
+    p.cell = cell;
+    p.id = i;
+    store.add(p);
+  }
+  std::ostringstream os;
+  kernel.save(os);
+  std::istringstream in(patched(os.str(), 0, static_cast<std::size_t>(cell),
+                                1e300));
+  kernel.load(in);
+  const CellIndex index(store, grid.num_tets());
+  const std::vector<std::int32_t> my_cells{cell};
+  EXPECT_THROW(kernel.collide_cells(store, index, my_cells, 1e-5, 0), Error);
+}
+
 TEST(CellIndex, RebuildMatchesFreshBuildAndReusesStorage) {
   ParticleStore store;
   Rng rng(0xce11ULL);
@@ -444,17 +631,15 @@ TEST(Chemistry, IonizationSpawnsIonAboveThreshold) {
     store.add(p);
   }
   Rng rng(5);
-  ChemistryStats stats;
   std::vector<ParticleRecord> spawned;
-  EXPECT_TRUE(chem.try_ionization(rng, store, 0, 1, 1e-20, stats, spawned));
-  EXPECT_EQ(stats.ionizations, 1);
+  EXPECT_TRUE(chem.try_ionization(rng, store, 0, 1, 1e-20, spawned));
   ASSERT_EQ(spawned.size(), 1u);
   store.add(spawned[0]);
   ASSERT_EQ(store.size(), 3u);
   EXPECT_EQ(store.species()[2], kSpeciesHPlus);
   // Below threshold: nothing happens.
   spawned.clear();
-  EXPECT_FALSE(chem.try_ionization(rng, store, 0, 1, 1e-22, stats, spawned));
+  EXPECT_FALSE(chem.try_ionization(rng, store, 0, 1, 1e-22, spawned));
   EXPECT_TRUE(spawned.empty());
 }
 
@@ -520,10 +705,8 @@ TEST(Chemistry, ChargeExchangeSwapsIonVelocity) {
   neutral.velocity = {0, 0, 2e3};  // slow neutral
   store.add(neutral);
   Rng rng(4);
-  ChemistryStats stats;
   // Argument order must not matter.
-  EXPECT_TRUE(chem.try_charge_exchange(rng, store, 1, 0, stats));
-  EXPECT_EQ(stats.charge_exchanges, 1);
+  EXPECT_TRUE(chem.try_charge_exchange(rng, store, 1, 0));
   // The ion super-particle adopted the (slow) neutral velocity.
   EXPECT_EQ(store.velocity(0), Vec3(0, 0, 2e3));
   // Species identities unchanged (weight-consistent CEX).
@@ -543,9 +726,7 @@ TEST(Chemistry, ChargeExchangeNeedsMixedPair) {
     store.add(p);
   }
   Rng rng(4);
-  ChemistryStats stats;
-  EXPECT_FALSE(chem.try_charge_exchange(rng, store, 0, 1, stats));
-  EXPECT_EQ(stats.charge_exchanges, 0);
+  EXPECT_FALSE(chem.try_charge_exchange(rng, store, 0, 1));
 }
 
 TEST(Sampler, DensityMatchesPlacedParticles) {

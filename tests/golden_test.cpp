@@ -224,6 +224,59 @@ TEST(Golden, SortedCentralizedMatchesUnsortedGolden) {
       << "new digest: 0x" << std::hex << got << "ULL";
 }
 
+// ---- Counters no digest covers ---------------------------------------------
+// hash_run and fleet::RunDigest absorb neither the boundary exits of
+// DSMC_Move and PIC_Move nor the ions PIC_Move's fine locate loses. These
+// pin all three per step on the DC-with-rebalance run, at one and four
+// kernel lanes. The run is longer than the digests' eight steps: no
+// particle exits in the first twelve.
+
+struct ExitCounters {
+  std::uint64_t digest = 0;
+  std::int64_t exited_dsmc = 0, exited_pic = 0, pic_lost = 0;
+};
+
+ExitCounters run_exit_counters(int kernel_threads) {
+  ParallelConfig par;
+  par.nranks = 6;
+  par.strategy = exchange::Strategy::kDistributed;
+  par.balance.enabled = true;
+  par.balance.period = 3;
+  par.kernel_threads = kernel_threads;
+  CoupledSolver solver(tiny_config(), par);
+  solver.run(24);
+  ExitCounters out;
+  Fnv1a d;
+  for (const StepDiagnostics& s : solver.history()) {
+    d.i64(s.exited_dsmc);
+    d.i64(s.exited_pic);
+    d.i64(s.pic_lost);
+    out.exited_dsmc += s.exited_dsmc;
+    out.exited_pic += s.exited_pic;
+    out.pic_lost += s.pic_lost;
+  }
+  out.digest = d.value();
+  return out;
+}
+
+constexpr std::uint64_t kGoldenExitCounters = 0xdcf3fcd7b81f0515ULL;
+
+TEST(GoldenExitCounters, SerialKernels) {
+  const ExitCounters got = run_exit_counters(/*kernel_threads=*/1);
+  EXPECT_GT(got.exited_dsmc, 0);
+  EXPECT_GT(got.exited_pic, 0);
+  EXPECT_EQ(got.digest, kGoldenExitCounters)
+      << "new digest: 0x" << std::hex << got.digest << "ULL";
+}
+
+TEST(GoldenExitCounters, FourKernelLanes) {
+  const ExitCounters got = run_exit_counters(/*kernel_threads=*/4);
+  EXPECT_GT(got.exited_dsmc, 0);
+  EXPECT_GT(got.exited_pic, 0);
+  EXPECT_EQ(got.digest, kGoldenExitCounters)
+      << "new digest: 0x" << std::hex << got.digest << "ULL";
+}
+
 // ---- Timer cost model + look-ahead policy (DESIGN.md §2h) ------------------
 
 // The timer-augmented run has its own golden: measured corrections feed the

@@ -37,7 +37,6 @@ Vec3 random_point_near(Rng& rng, const TetMesh& m, std::int32_t t) {
 
 void expect_cache_matches_recompute(const TetMesh& m) {
   Rng rng(0x5eedULL);
-  ASSERT_TRUE(m.geometry_cache_enabled());
   for (std::int32_t t = 0; t < m.num_tets(); ++t) {
     // Face planes: bitwise identical unit normals.
     for (int f = 0; f < 4; ++f) {
@@ -86,20 +85,16 @@ TEST(GeometryCache, RefinedMeshMatchesRecompute) {
   expect_cache_matches_recompute(fine.mesh);
 }
 
-// locate must find the same containing tet whether it walks with the cached
-// barycentric or the recomputing one (centroids are deep inside their tets,
-// far from any rounding-sensitive boundary).
+// locate, walking with the cached barycentric, must find each centroid's
+// own tet, and the recomputing barycentric must agree that the centroid is
+// inside it (centroids are deep inside their tets, far from any
+// rounding-sensitive boundary).
 TEST(GeometryCache, LocateAgreesWithCacheDisabled) {
-  TetMesh m = make_cylinder_nozzle(small_spec());
+  const TetMesh m = make_cylinder_nozzle(small_spec());
   for (std::int32_t t = 0; t < m.num_tets(); ++t) {
     const Vec3 p = m.centroid(t);
-    m.set_geometry_cache_enabled(true);
-    const std::int32_t with_cache = m.locate(p, /*hint=*/0);
-    m.set_geometry_cache_enabled(false);
-    const std::int32_t without = m.locate(p, /*hint=*/0);
-    m.set_geometry_cache_enabled(true);
-    EXPECT_EQ(with_cache, t);
-    EXPECT_EQ(without, t);
+    EXPECT_EQ(m.locate(p, /*hint=*/0), t);
+    for (const double l : m.barycentric_recompute(t, p)) EXPECT_GT(l, 0.0);
   }
 }
 

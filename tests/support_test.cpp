@@ -308,5 +308,81 @@ TEST(KernelExec, ChunksExactlyCoverTheRange) {
   }
 }
 
+// sum_tasks / sum_chunks, the kernels' one chunk reduction. The Stats here
+// records every index its tasks visit, in task order, so the sum shows both
+// coverage and the order the per-task stats were combined in.
+struct Visits {
+  std::int64_t count = 0;
+  std::vector<std::int64_t> order;
+  Visits& operator+=(const Visits& o) {
+    count += o.count;
+    order.insert(order.end(), o.order.begin(), o.order.end());
+    return *this;
+  }
+};
+
+Visits serial_visits(std::int64_t n) {
+  Visits v;
+  for (std::int64_t i = 0; i < n; ++i) {
+    ++v.count;
+    v.order.push_back(i);
+  }
+  return v;
+}
+
+TEST(KernelExec, SumChunksEqualsTheSerialLoop) {
+  const support::KernelExec lane1(1), lane2(2), lane4(4);
+  for (const support::KernelExec* exec :
+       {static_cast<const support::KernelExec*>(nullptr), &lane1, &lane2,
+        &lane4}) {
+    for (const std::int64_t n : {0LL, 1LL, 63LL, 64LL, 65LL, 10000LL}) {
+      const Visits got = support::sum_chunks<Visits>(
+          exec, n, [](std::int64_t b, std::int64_t e, Visits& v) {
+            for (std::int64_t i = b; i < e; ++i) {
+              ++v.count;
+              v.order.push_back(i);
+            }
+          });
+      const Visits want = serial_visits(n);
+      EXPECT_EQ(got.count, want.count)
+          << "n=" << n << " lanes=" << (exec ? exec->threads() : 0);
+      EXPECT_EQ(got.order, want.order)
+          << "n=" << n << " lanes=" << (exec ? exec->threads() : 0);
+    }
+  }
+}
+
+TEST(KernelExec, SumTasksFollowsAPlannedTaskList) {
+  const support::KernelExec lane1(1), lane2(2), lane4(4);
+  // Uneven caller-planned bounds, as the collide's cost-balanced plan makes,
+  // and a list of 64 one-index tasks at the cap.
+  std::vector<std::int64_t> single(65);
+  std::iota(single.begin(), single.end(), 0);
+  const std::vector<std::vector<std::int64_t>> plans = {
+      {0, 0}, {0, 1}, {0, 5, 6, 40, 41, 100, 1000}, single};
+  for (const support::KernelExec* exec :
+       {static_cast<const support::KernelExec*>(nullptr), &lane1, &lane2,
+        &lane4}) {
+    for (const auto& bounds : plans) {
+      const int ntasks = static_cast<int>(bounds.size()) - 1;
+      const Visits got = support::sum_tasks<Visits>(
+          exec, ntasks, [&](int t, Visits& v) {
+            for (std::int64_t i = bounds[t]; i < bounds[t + 1]; ++i) {
+              ++v.count;
+              v.order.push_back(i);
+            }
+          });
+      const Visits want = serial_visits(bounds.back());
+      EXPECT_EQ(got.count, want.count) << ntasks << " tasks";
+      EXPECT_EQ(got.order, want.order) << ntasks << " tasks";
+    }
+  }
+  // More tasks than the per-task stats array holds is an error on a pool.
+  EXPECT_THROW(support::sum_tasks<Visits>(
+                   &lane4, support::KernelExec::kMaxChunks + 1,
+                   [](int, Visits&) {}),
+               Error);
+}
+
 }  // namespace
 }  // namespace dsmcpic
