@@ -115,8 +115,7 @@ void emit(std::FILE* f, const char* name, const KernelTimes& t,
                "      \"speedup_kt4_vs_serial_cached\": %.3f\n"
                "    }%s\n",
                name, t.serial, t.kt2, t.kt4, t.sorted_serial, t.sorted_kt2,
-               t.sorted_kt4, t.serial / t.sorted_serial,
-               t.serial / t.sorted_kt4,
+               t.sorted_kt4, t.serial / t.sorted_serial, t.serial / t.kt4,
                trailing_comma ? "," : "");
 }
 

@@ -21,8 +21,11 @@
 # the same files, and equal one restored in place, without reading the
 # layout it never built. A corrupt collide or inlet stream (NaN, infinite or
 # out-of-range majorants, carries, remainders and sequences) is refused at
-# load rather than cast to an integer. The build uses -DDSMCPIC_WERROR=ON,
-# so a new compiler warning fails the sweep too.
+# load rather than cast to an integer. The partitioner's indexed FM heap
+# (position arithmetic on every sift) and its dense coarsening and subgraph
+# maps (marker and reset discipline), and the one-pass Kuhn–Munkres scan
+# against its two-pass reference, run here too. The build uses
+# -DDSMCPIC_WERROR=ON, so a new compiler warning fails the sweep too.
 #
 #   scripts/run_asan.sh [build-dir]
 set -euo pipefail
@@ -37,7 +40,7 @@ cmake -B "$BUILD" -S . -G Ninja \
 cmake --build "$BUILD" --target particle_sort_test pic_test dsmc_test \
   determinism_test golden_test par_test linalg_test core_features_test \
   support_test fleet_test exchange_test balance_test balance_policy_test \
-  ensemble_test -j
+  ensemble_test partition_test -j
 
 # Any report fails the script: ASan aborts by default, and UBSan is built
 # with -fno-sanitize-recover.
@@ -72,10 +75,18 @@ export UBSAN_OPTIONS="print_stacktrace=1 ${UBSAN_OPTIONS:-}"
 # ensemble resizes through the solver. The policy and ensemble suites
 # include the field-by-field decision logs and their 0-or-1 bool bytes
 # (*.DecisionLogIsWrittenFieldByField, *.RejectsDecisionBoolOtherThanZeroOrOne).
+# The balance suite includes the Kuhn–Munkres scan against its two-pass
+# reference up to n = 1,024 (Hungarian.MatchesTwoPassReference*) and the
+# non-finite cost rejections (Hungarian.RejectsNonFiniteCosts).
 "$BUILD"/tests/exchange_test
 "$BUILD"/tests/balance_test
 "$BUILD"/tests/balance_policy_test
 "$BUILD"/tests/ensemble_test
+# The partitioner's pinned partitions (PartitionPins.*: the Dataset-2 and
+# wide-1024 duals, and a seeded battery with zero-weight edges, 0 to 10
+# FM passes and 1 or 8 initial tries), which drive the indexed FM heap and
+# the dense coarsening and subgraph maps.
+"$BUILD"/tests/partition_test
 # Message rounds, the runtime checkpoint's busy-row check
 # (Runtime.LoadRejectsBusyRowOfWrongLength), and the halo exchanger at 1,
 # 24 and 1,024 ranks.

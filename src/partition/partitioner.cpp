@@ -4,7 +4,6 @@
 #include <limits>
 #include <numeric>
 #include <queue>
-#include <unordered_map>
 
 #include "support/rng.hpp"
 
@@ -67,31 +66,38 @@ CoarseLevel coarsen_once(const Graph& g, Rng& rng) {
   for (std::int32_t v = 0; v < nv; ++v)
     cg.vwgt[lvl.fine_to_coarse[v]] += g.vertex_weight(v);
 
-  // Accumulate contracted edges per coarse vertex.
-  std::vector<std::unordered_map<std::int32_t, std::int64_t>> acc(nc);
-  for (std::int32_t v = 0; v < nv; ++v) {
-    const std::int32_t cv = lvl.fine_to_coarse[v];
+  // Accumulate contracted edges per coarse vertex into a dense sum over its
+  // coarse neighbours. `seen_by[cu] == c` marks cu as touched for c; a zero
+  // sum cannot, since an edge of weight 0 is valid and still contracts.
+  std::vector<std::int64_t> sum(nc, 0);
+  std::vector<std::int32_t> seen_by(nc, -1);
+  std::vector<std::int32_t> touched;
+  auto contract = [&](std::int32_t v, std::int32_t c) {
     for (std::int64_t e = g.xadj[v]; e < g.xadj[v + 1]; ++e) {
       const std::int32_t cu = lvl.fine_to_coarse[g.adjncy[static_cast<std::size_t>(e)]];
-      if (cu == cv) continue;
-      acc[cv][cu] += g.edge_weight(e);
+      if (cu == c) continue;
+      if (seen_by[cu] != c) {
+        seen_by[cu] = c;
+        sum[cu] = 0;
+        touched.push_back(cu);
+      }
+      sum[cu] += g.edge_weight(e);
     }
-  }
-  for (std::int32_t c = 0; c < nc; ++c)
-    cg.xadj[c + 1] = cg.xadj[c] + static_cast<std::int64_t>(acc[c].size());
-  cg.adjncy.resize(static_cast<std::size_t>(cg.xadj[nc]));
-  cg.ewgt.resize(cg.adjncy.size());
-  for (std::int32_t c = 0; c < nc; ++c) {
-    std::int64_t pos = cg.xadj[c];
+  };
+  // Coarse ids were handed out in order of each pair's smaller member.
+  for (std::int32_t v = 0; v < nv; ++v) {
+    if (match[v] < v) continue;  // contracted with match[v] already
+    const std::int32_t c = lvl.fine_to_coarse[v];
+    contract(v, c);
+    if (match[v] != v) contract(match[v], c);
     // Sorted neighbors keep the construction deterministic.
-    std::vector<std::pair<std::int32_t, std::int64_t>> nb(acc[c].begin(),
-                                                          acc[c].end());
-    std::sort(nb.begin(), nb.end());
-    for (const auto& [u, w] : nb) {
-      cg.adjncy[static_cast<std::size_t>(pos)] = u;
-      cg.ewgt[static_cast<std::size_t>(pos)] = w;
-      ++pos;
+    std::sort(touched.begin(), touched.end());
+    for (const std::int32_t cu : touched) {
+      cg.adjncy.push_back(cu);
+      cg.ewgt.push_back(sum[cu]);
     }
+    cg.xadj[c + 1] = static_cast<std::int64_t>(cg.adjncy.size());
+    touched.clear();
   }
   return lvl;
 }
@@ -109,12 +115,107 @@ std::int64_t cut_of_sides(const Graph& g, const std::vector<std::int8_t>& side) 
   return cut / 2;
 }
 
+/// Max-heap of vertices keyed by (gain, vertex id), both descending (a gain
+/// tie pops the larger id first), holding each vertex at most once, with
+/// its position for in-place key updates.
+class GainHeap {
+ public:
+  /// Holds every vertex of a graph keyed by `gain`, heapified bottom-up.
+  void fill(const std::vector<std::int64_t>& gain) {
+    gain_ = &gain;
+    heap_.resize(gain.size());
+    pos_.resize(gain.size());
+    std::iota(heap_.begin(), heap_.end(), 0);
+    std::iota(pos_.begin(), pos_.end(), 0);
+    for (auto i = static_cast<std::int32_t>(heap_.size()) / 2 - 1; i >= 0; --i)
+      sift_down(i);
+  }
+  bool empty() const { return heap_.empty(); }
+
+  std::int32_t pop() {
+    const std::int32_t top = heap_.front();
+    pos_[top] = -1;
+    const std::int32_t last = heap_.back();
+    heap_.pop_back();
+    if (!heap_.empty()) {
+      place(0, last);
+      sift_down(0);
+    }
+    return top;
+  }
+
+  /// After gain[v] changed by `delta`: moves v to its place, or inserts it
+  /// if it was popped before.
+  void changed(std::int32_t v, std::int64_t delta) {
+    if (pos_[v] < 0) {
+      heap_.push_back(v);
+      sift_up(static_cast<std::int32_t>(heap_.size()) - 1);
+    } else if (delta > 0) {
+      sift_up(pos_[v]);
+    } else if (delta < 0) {
+      sift_down(pos_[v]);
+    }
+  }
+
+ private:
+  bool above(std::int32_t a, std::int32_t b) const {
+    const std::int64_t ga = (*gain_)[a], gb = (*gain_)[b];
+    return ga > gb || (ga == gb && a > b);
+  }
+  void place(std::int32_t i, std::int32_t v) {
+    heap_[i] = v;
+    pos_[v] = i;
+  }
+  void sift_up(std::int32_t i) {
+    const std::int32_t v = heap_[i];
+    while (i > 0) {
+      const std::int32_t parent = (i - 1) / 2;
+      if (!above(v, heap_[parent])) break;
+      place(i, heap_[parent]);
+      i = parent;
+    }
+    place(i, v);
+  }
+  void sift_down(std::int32_t i) {
+    const std::int32_t v = heap_[i];
+    const auto n = static_cast<std::int32_t>(heap_.size());
+    while (true) {
+      std::int32_t child = 2 * i + 1;
+      if (child >= n) break;
+      if (child + 1 < n && above(heap_[child + 1], heap_[child])) ++child;
+      if (!above(heap_[child], v)) break;
+      place(i, heap_[child]);
+      i = child;
+    }
+    place(i, v);
+  }
+
+  const std::vector<std::int64_t>* gain_ = nullptr;
+  std::vector<std::int32_t> heap_;
+  std::vector<std::int32_t> pos_;  // index in heap_, -1 if absent
+};
+
+/// The buffers of one FM pass, reused across the passes of a bisection.
+struct FmBuffers {
+  std::vector<std::int64_t> gain;
+  std::vector<std::int8_t> locked;
+  std::vector<std::int32_t> moved;
+  GainHeap heap;
+};
+
 /// One FM pass with rollback. `target0` is the desired weight of side 0;
 /// side 1's target is total - target0. Balance-aware: the pass first drives
 /// the balance violation to zero, then minimizes cut among feasible states
-/// (best prefix ranked by (violation, cut)). Returns the cut after the pass.
+/// (best prefix ranked by (violation, cut)). `cut` is the cut of `side` on
+/// entry; returns the cut after the pass, which is exact: the pass tracks
+/// every move's gain and rolls back to the best prefix.
+///
+/// Each unlocked vertex sits in the heap once. A vertex the balance test
+/// rejects stays out until a neighbour's move updates its gain, even by a
+/// weight-0 edge; only then can it be popped again.
 std::int64_t fm_pass(const Graph& g, std::vector<std::int8_t>& side,
-                     std::int64_t target0, double tol) {
+                     std::int64_t target0, double tol, std::int64_t cut,
+                     FmBuffers& fm) {
   const std::int32_t nv = g.num_vertices();
   const std::int64_t total = g.total_vertex_weight();
   const std::int64_t target1 = total - target0;
@@ -132,30 +233,28 @@ std::int64_t fm_pass(const Graph& g, std::vector<std::int8_t>& side,
   };
 
   // gain[v] = external - internal edge weight.
-  std::vector<std::int64_t> gain(nv, 0);
+  std::vector<std::int64_t>& gain = fm.gain;
+  gain.assign(static_cast<std::size_t>(nv), 0);
   for (std::int32_t v = 0; v < nv; ++v)
     for (std::int64_t e = g.xadj[v]; e < g.xadj[v + 1]; ++e) {
       const std::int32_t u = g.adjncy[static_cast<std::size_t>(e)];
       gain[v] += (side[u] != side[v]) ? g.edge_weight(e) : -g.edge_weight(e);
     }
 
-  using Entry = std::pair<std::int64_t, std::int32_t>;  // (gain, vertex)
-  std::priority_queue<Entry> heap;
-  for (std::int32_t v = 0; v < nv; ++v) heap.emplace(gain[v], v);
+  GainHeap& heap = fm.heap;
+  heap.fill(gain);
 
-  std::vector<std::int8_t> locked(nv, 0);
-  std::vector<std::int32_t> moved;
-  moved.reserve(nv);
+  std::vector<std::int8_t>& locked = fm.locked;
+  locked.assign(static_cast<std::size_t>(nv), 0);
+  std::vector<std::int32_t>& moved = fm.moved;
+  moved.clear();
 
-  std::int64_t cut = cut_of_sides(g, side);
   std::int64_t best_cut = cut;
   std::int64_t best_viol = violation(w0);
   std::size_t best_prefix = 0;
 
   while (!heap.empty()) {
-    const auto [gv, v] = heap.top();
-    heap.pop();
-    if (locked[v] || gv != gain[v]) continue;  // stale entry
+    const std::int32_t v = heap.pop();
     const int from = side[v];
     const int to = 1 - from;
     const std::int64_t wv = g.vertex_weight(v);
@@ -176,8 +275,9 @@ std::int64_t fm_pass(const Graph& g, std::vector<std::int8_t>& side,
       const std::int32_t u = g.adjncy[static_cast<std::size_t>(e)];
       if (locked[u]) continue;
       const std::int64_t w = g.edge_weight(e);
-      gain[u] += (side[u] == from) ? 2 * w : -2 * w;
-      heap.emplace(gain[u], u);
+      const std::int64_t delta = (side[u] == from) ? 2 * w : -2 * w;
+      gain[u] += delta;
+      heap.changed(u, delta);
     }
     const std::int64_t viol = violation(w0);
     if (viol < best_viol || (viol == best_viol && cut < best_cut)) {
@@ -261,6 +361,18 @@ std::vector<std::int8_t> multilevel_bisect(const Graph& g, std::int64_t target0,
     cur = &levels.back().graph;
   }
 
+  // FM passes until one fails to lower the cut; returns the final cut.
+  FmBuffers fm;
+  auto refine = [&](const Graph& level, std::vector<std::int8_t>& side) {
+    std::int64_t cut = cut_of_sides(level, side);
+    for (int p = 0; p < opt.refine_passes; ++p) {
+      const std::int64_t before = cut;
+      cut = fm_pass(level, side, target0, opt.imbalance_tol, cut, fm);
+      if (cut >= before) break;
+    }
+    return cut;
+  };
+
   // Initial bisection on the coarsest graph, best of several tries.
   const Graph& coarsest = *cur;
   std::vector<std::int8_t> best_side(coarsest.num_vertices(), 1);
@@ -268,13 +380,7 @@ std::vector<std::int8_t> multilevel_bisect(const Graph& g, std::int64_t target0,
   for (int attempt = 0; attempt < opt.initial_tries; ++attempt) {
     std::vector<std::int8_t> side(coarsest.num_vertices(), 1);
     grow_initial(coarsest, side, target0, rng);
-    for (int p = 0; p < opt.refine_passes; ++p) {
-      const std::int64_t before = cut_of_sides(coarsest, side);
-      const std::int64_t after =
-          fm_pass(coarsest, side, target0, opt.imbalance_tol);
-      if (after >= before) break;
-    }
-    const std::int64_t cut = cut_of_sides(coarsest, side);
+    const std::int64_t cut = refine(coarsest, side);
     if (cut < best_cut) {
       best_cut = cut;
       best_side = side;
@@ -290,62 +396,47 @@ std::vector<std::int8_t> multilevel_bisect(const Graph& g, std::int64_t target0,
     std::vector<std::int8_t> fine_side(finer.num_vertices());
     for (std::int32_t v = 0; v < finer.num_vertices(); ++v)
       fine_side[v] = side[it->fine_to_coarse[v]];
-    for (int p = 0; p < opt.refine_passes; ++p) {
-      const std::int64_t before = cut_of_sides(finer, fine_side);
-      const std::int64_t after =
-          fm_pass(finer, fine_side, target0, opt.imbalance_tol);
-      if (after >= before) break;
-    }
+    refine(finer, fine_side);
     side = std::move(fine_side);
   }
   return side;
 }
 
-/// Extracts the subgraph induced by `vertices` (ids into `g`).
+/// Extracts the subgraph induced by `vertices` (ids into `g`). `local` maps
+/// every vertex of `g` to -1 on entry and on return.
 Graph subgraph(const Graph& g, const std::vector<std::int32_t>& vertices,
-               std::vector<std::int32_t>& local_to_global) {
-  std::unordered_map<std::int32_t, std::int32_t> global_to_local;
-  global_to_local.reserve(vertices.size());
-  for (std::size_t i = 0; i < vertices.size(); ++i)
-    global_to_local.emplace(vertices[i], static_cast<std::int32_t>(i));
-  local_to_global = vertices;
+               std::vector<std::int32_t>& local) {
+  const auto nv = static_cast<std::int32_t>(vertices.size());
+  for (std::int32_t i = 0; i < nv; ++i) local[vertices[i]] = i;
 
   Graph sg;
-  const auto nv = static_cast<std::int32_t>(vertices.size());
   sg.xadj.assign(nv + 1, 0);
   sg.vwgt.resize(nv);
   for (std::int32_t i = 0; i < nv; ++i) {
     sg.vwgt[i] = g.vertex_weight(vertices[i]);
-    for (std::int64_t e = g.xadj[vertices[i]]; e < g.xadj[vertices[i] + 1]; ++e)
-      if (global_to_local.count(g.adjncy[static_cast<std::size_t>(e)]))
-        ++sg.xadj[i + 1];
-  }
-  for (std::int32_t i = 0; i < nv; ++i) sg.xadj[i + 1] += sg.xadj[i];
-  sg.adjncy.resize(static_cast<std::size_t>(sg.xadj[nv]));
-  sg.ewgt.resize(sg.adjncy.size());
-  std::vector<std::int64_t> cursor(sg.xadj.begin(), sg.xadj.end() - 1);
-  for (std::int32_t i = 0; i < nv; ++i) {
     for (std::int64_t e = g.xadj[vertices[i]]; e < g.xadj[vertices[i] + 1]; ++e) {
-      auto it = global_to_local.find(g.adjncy[static_cast<std::size_t>(e)]);
-      if (it == global_to_local.end()) continue;
-      sg.adjncy[static_cast<std::size_t>(cursor[i])] = it->second;
-      sg.ewgt[static_cast<std::size_t>(cursor[i])] = g.edge_weight(e);
-      ++cursor[i];
+      const std::int32_t li = local[g.adjncy[static_cast<std::size_t>(e)]];
+      if (li < 0) continue;
+      sg.adjncy.push_back(li);
+      sg.ewgt.push_back(g.edge_weight(e));
     }
+    sg.xadj[i + 1] = static_cast<std::int64_t>(sg.adjncy.size());
   }
+  for (const std::int32_t v : vertices) local[v] = -1;
   return sg;
 }
 
+/// `local` is subgraph()'s global-to-local map, all -1 between calls.
 void part_recursive(const Graph& g, const std::vector<std::int32_t>& vertices,
                     int nparts, int part_offset,
                     const PartitionOptions& opt, std::uint64_t path,
+                    std::vector<std::int32_t>& local,
                     std::vector<std::int32_t>& out) {
   if (nparts == 1) {
     for (std::int32_t v : vertices) out[v] = part_offset;
     return;
   }
-  std::vector<std::int32_t> l2g;
-  Graph sg = subgraph(g, vertices, l2g);
+  Graph sg = subgraph(g, vertices, local);
 
   // Degenerate: fewer vertices than parts — spread by weight, heaviest first.
   if (sg.num_vertices() <= nparts) {
@@ -355,7 +446,7 @@ void part_recursive(const Graph& g, const std::vector<std::int32_t>& vertices,
       return sg.vertex_weight(a) > sg.vertex_weight(b);
     });
     for (std::size_t i = 0; i < order.size(); ++i)
-      out[l2g[order[i]]] = part_offset + static_cast<int>(i % nparts);
+      out[vertices[order[i]]] = part_offset + static_cast<int>(i % nparts);
     return;
   }
 
@@ -369,16 +460,17 @@ void part_recursive(const Graph& g, const std::vector<std::int32_t>& vertices,
 
   std::vector<std::int32_t> set0, set1;
   for (std::int32_t v = 0; v < sg.num_vertices(); ++v)
-    (side[v] == 0 ? set0 : set1).push_back(l2g[v]);
+    (side[v] == 0 ? set0 : set1).push_back(vertices[v]);
   // A pathological bisection (empty side) would loop forever; split evenly.
   if (set0.empty() || set1.empty()) {
     set0.clear();
     set1.clear();
-    for (std::size_t i = 0; i < l2g.size(); ++i)
-      (i % 2 == 0 ? set0 : set1).push_back(l2g[i]);
+    for (std::size_t i = 0; i < vertices.size(); ++i)
+      (i % 2 == 0 ? set0 : set1).push_back(vertices[i]);
   }
-  part_recursive(g, set0, k0, part_offset, opt, path * 2 + 1, out);
-  part_recursive(g, set1, k1, part_offset + k0, opt, path * 2 + 2, out);
+  part_recursive(g, set0, k0, part_offset, opt, path * 2 + 1, local, out);
+  part_recursive(g, set1, k1, part_offset + k0, opt, path * 2 + 2, local,
+                 out);
 }
 
 }  // namespace
@@ -396,7 +488,8 @@ PartitionResult part_graph_kway(const Graph& g, int nparts,
   }
   std::vector<std::int32_t> all(nv);
   std::iota(all.begin(), all.end(), 0);
-  part_recursive(g, all, nparts, 0, options, 1, result.part);
+  std::vector<std::int32_t> local(nv, -1);
+  part_recursive(g, all, nparts, 0, options, 1, local, result.part);
   if (options.kway_refine_passes > 0)
     kway_refine(g, result.part, nparts, options.imbalance_tol,
                 options.kway_refine_passes);

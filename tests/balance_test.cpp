@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cmath>
 #include <limits>
 #include <numeric>
 #include <vector>
@@ -9,6 +11,7 @@
 #include "balance/rebalancer.hpp"
 #include "par/machine.hpp"
 #include "par/runtime.hpp"
+#include "hungarian_reference.hpp"
 #include "support/rng.hpp"
 
 namespace dsmcpic::balance {
@@ -93,6 +96,93 @@ TEST(Hungarian, LargeInstanceRunsFast) {
   double identity = 0.0;
   for (int i = 0; i < n; ++i) identity += w[static_cast<std::size_t>(i) * n + i];
   EXPECT_GE(r.total, identity);
+}
+
+TEST(Hungarian, RejectsNonFiniteCosts) {
+  // A row of +inf leaves no column below delta; NaN and -inf poison the
+  // potentials. Each must be a typed error before the search starts.
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const std::vector<std::vector<double>> bad{
+      {inf, inf, 0, 0}, {1, 2, nan, 4}, {1, -inf, 3, 4}};
+  for (const auto& m : bad) {
+    EXPECT_THROW(hungarian_min(m, 2), Error);
+    EXPECT_THROW(hungarian_max(m, 2), Error);
+  }
+}
+
+enum class KmShape { kUniform, kTies, kSparseOverlap };
+
+/// An n x n instance of the given shape. kSparseOverlap is shaped like
+/// km_remap's overlap matrix: at most four nonzeros per row (the largest
+/// on a permuted diagonal), each a sum of integer cell weights plus the
+/// 1e-9 stickiness epsilon, accumulated the way km_remap does.
+std::vector<double> km_instance(KmShape shape, int n, Rng& rng) {
+  std::vector<double> m(static_cast<std::size_t>(n) * n, 0.0);
+  switch (shape) {
+    case KmShape::kUniform:
+      for (auto& x : m) x = rng.uniform(0, 1000);
+      break;
+    case KmShape::kTies:
+      for (auto& x : m) x = static_cast<double>(rng.uniform_index(4));
+      break;
+    case KmShape::kSparseOverlap: {
+      std::vector<int> perm(n);
+      std::iota(perm.begin(), perm.end(), 0);
+      for (int i = n - 1; i > 0; --i)
+        std::swap(perm[i], perm[rng.uniform_index(i + 1)]);
+      for (int r = 0; r < n; ++r) {
+        const int nonzeros = 1 + static_cast<int>(rng.uniform_index(4));
+        for (int k = 0; k < nonzeros; ++k) {
+          const int col =
+              k == 0 ? perm[r] : static_cast<int>(rng.uniform_index(n));
+          const int cells = 1 + static_cast<int>(rng.uniform_index(k == 0 ? 12 : 3));
+          for (int c = 0; c < cells; ++c)
+            m[static_cast<std::size_t>(r) * n + col] +=
+                static_cast<double>(16 + rng.uniform_index(400)) + 1e-9;
+        }
+      }
+      break;
+    }
+  }
+  return m;
+}
+
+/// Both objectives equal the two-pass reference: the same assignment, the
+/// same operation count and the same bytes of `total`.
+void expect_matches_reference(const std::vector<double>& m, int n) {
+  const AssignmentResult mn = hungarian_min(m, n);
+  const AssignmentResult ref_mn = reference::hungarian_min(m, n);
+  EXPECT_EQ(mn.row_to_col, ref_mn.row_to_col);
+  EXPECT_EQ(mn.operations, ref_mn.operations);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(mn.total),
+            std::bit_cast<std::uint64_t>(ref_mn.total));
+  const AssignmentResult mx = hungarian_max(m, n);
+  const AssignmentResult ref_mx = reference::hungarian_max(m, n);
+  EXPECT_EQ(mx.row_to_col, ref_mx.row_to_col);
+  EXPECT_EQ(mx.operations, ref_mx.operations);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(mx.total),
+            std::bit_cast<std::uint64_t>(ref_mx.total));
+}
+
+TEST(Hungarian, MatchesTwoPassReferenceBitForBit) {
+  for (const KmShape shape :
+       {KmShape::kUniform, KmShape::kTies, KmShape::kSparseOverlap})
+    for (const int n : {1, 2, 3, 8, 31, 64, 257}) {
+      Rng rng(7000 + 10 * n + static_cast<int>(shape));
+      for (int trial = 0; trial < (n <= 64 ? 4 : 1); ++trial) {
+        SCOPED_TRACE(::testing::Message() << "shape " << static_cast<int>(shape)
+                                          << " n " << n << " trial " << trial);
+        expect_matches_reference(km_instance(shape, n, rng), n);
+      }
+    }
+}
+
+TEST(Hungarian, MatchesTwoPassReferenceOnAWideRemap) {
+  // The wide-1024 workload's shape: 1,024 ranks, a few thousand nonzeros.
+  const int n = 1024;
+  Rng rng(1024);
+  expect_matches_reference(km_instance(KmShape::kSparseOverlap, n, rng), n);
 }
 
 TEST(Lii, FormulaMatchesEq6) {

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <numeric>
 #include <set>
 
@@ -185,6 +186,137 @@ INSTANTIATE_TEST_SUITE_P(
     PartCounts, KwayTest,
     ::testing::Combine(::testing::Values(2, 3, 4, 7, 8, 16, 24),
                        ::testing::Bool()));
+
+// ---------------------------------------------------------------------------
+// Pins: FNV-1a digests of the partitions of fixed inputs. Any change in
+// the FM pop order (ties included), the carried cut, the first-touch marker
+// of a zero-weight contracted edge or the subgraph's adjacency order moves
+// a digest, and with it the partitions every rebalance charges for.
+// ---------------------------------------------------------------------------
+
+/// FNV-1a 64 over every part id and cut of a sequence of partitions.
+class PartitionDigest {
+ public:
+  void add(const Graph& g, const PartitionResult& r) {
+    ASSERT_EQ(edge_cut(g, r.part), r.cut);
+    for (const std::int32_t p : r.part) mix(static_cast<std::uint32_t>(p), 4);
+    mix(static_cast<std::uint64_t>(r.cut), 8);
+  }
+  std::uint64_t value() const { return h_; }
+
+ private:
+  void mix(std::uint64_t x, int bytes) {
+    for (int i = 0; i < bytes; ++i) {
+      h_ ^= (x >> (8 * i)) & 0xffU;
+      h_ *= 0x100000001b3ULL;
+    }
+  }
+  std::uint64_t h_ = 0xcbf29ce484222325ULL;
+};
+
+Graph nozzle_dual(int radial, int axial) {
+  mesh::NozzleSpec s;
+  s.radial_divisions = radial;
+  s.axial_divisions = axial;
+  const mesh::TetMesh m = mesh::make_cylinder_nozzle(s);
+  Graph g;
+  m.dual_graph(g.xadj, g.adjncy);
+  return g;
+}
+
+/// Random vertex weights in [1, 20] and symmetric edge weights in [0, 3],
+/// about a quarter of them zero.
+void add_random_weights(Graph& g, Rng& rng) {
+  const std::int32_t nv = g.num_vertices();
+  g.vwgt.resize(static_cast<std::size_t>(nv));
+  for (auto& w : g.vwgt) w = 1 + static_cast<std::int64_t>(rng.uniform_index(20));
+  const std::uint64_t salt = rng.next_u64();
+  g.ewgt.resize(g.adjncy.size());
+  for (std::int32_t v = 0; v < nv; ++v)
+    for (std::int64_t e = g.xadj[v]; e < g.xadj[v + 1]; ++e) {
+      const std::uint64_t u = static_cast<std::uint64_t>(g.adjncy[e]);
+      const std::uint64_t lo = std::min<std::uint64_t>(u, v);
+      const std::uint64_t hi = std::max<std::uint64_t>(u, v);
+      const std::uint64_t key = (lo * 0x9e3779b97f4a7c15ULL) ^ (hi + salt);
+      g.ewgt[e] = static_cast<std::int64_t>((key >> 29) % 4);
+    }
+}
+
+/// Random geometric graph: n points in the unit square, an edge between
+/// every two closer than `radius`.
+Graph geometric_graph(int n, double radius, Rng& rng) {
+  std::vector<double> x(n), y(n);
+  for (int i = 0; i < n; ++i) {
+    x[i] = rng.uniform();
+    y[i] = rng.uniform();
+  }
+  std::vector<std::vector<std::int32_t>> adj(n);
+  for (int i = 0; i < n; ++i)
+    for (int j = i + 1; j < n; ++j)
+      if ((x[i] - x[j]) * (x[i] - x[j]) + (y[i] - y[j]) * (y[i] - y[j]) <
+          radius * radius) {
+        adj[i].push_back(j);
+        adj[j].push_back(i);
+      }
+  Graph g;
+  g.xadj.assign(n + 1, 0);
+  for (int v = 0; v < n; ++v) {
+    g.xadj[v + 1] = g.xadj[v] + static_cast<std::int64_t>(adj[v].size());
+    g.adjncy.insert(g.adjncy.end(), adj[v].begin(), adj[v].end());
+  }
+  return g;
+}
+
+TEST(PartitionPins, Dataset2DualAt24Parts) {
+  const Graph g = nozzle_dual(6, 18);
+  ASSERT_EQ(g.num_vertices(), 3888);
+  PartitionDigest d;
+  d.add(g, part_graph_kway(g, 24));
+  EXPECT_EQ(d.value(), 0xe235dff3a98dcdecULL) << std::hex << d.value();
+}
+
+TEST(PartitionPins, Wide1024DualAt1024Parts) {
+  Graph g = nozzle_dual(10, 20);
+  ASSERT_EQ(g.num_vertices(), 12000);
+  PartitionDigest plain;
+  plain.add(g, part_graph_kway(g, 1024));
+  EXPECT_EQ(plain.value(), 0x02f6cc57f4810589ULL) << std::hex << plain.value();
+
+  // A skewed load: the first 60 of every 600 cells ~50x heavier.
+  g.vwgt.resize(12000);
+  for (std::int32_t c = 0; c < 12000; ++c)
+    g.vwgt[c] = 16 + (c % 600 < 60 ? 800 : (c * 37) % 29);
+  PartitionDigest weighted;
+  weighted.add(g, part_graph_kway(g, 1024));
+  EXPECT_EQ(weighted.value(), 0x7f52f0a11e50ae05ULL) << std::hex << weighted.value();
+}
+
+TEST(PartitionPins, SeededBatteryOfGridsAndGeometricGraphs) {
+  Rng rng(2024);
+  std::vector<Graph> graphs{grid_graph(24, 18), grid_graph(9, 7),
+                            geometric_graph(700, 0.07, rng),
+                            geometric_graph(300, 0.1, rng)};
+  for (Graph& g : graphs) {
+    add_random_weights(g, rng);
+    g.validate();
+  }
+  const std::uint64_t expected[] = {0xb7fc22d7b288077cULL, 0x8a104529631ffe7aULL,
+                                    0x183b9c20858f4b16ULL, 0xc3ec028faa5d1cdfULL};
+  for (std::size_t i = 0; i < graphs.size(); ++i) {
+    PartitionDigest d;
+    for (const int k : {2, 3, 5, 24, 64})
+      for (const int passes : {0, 1, 10})
+        for (const int tries : {1, 8}) {
+          PartitionOptions opt;
+          opt.refine_passes = passes;
+          opt.initial_tries = tries;
+          opt.seed = 0x5eedULL + static_cast<std::uint64_t>(k * 100 + passes);
+          d.add(graphs[i], part_graph_kway(graphs[i], k, opt));
+        }
+    EXPECT_EQ(d.value(), expected[i]) << "graph " << i << ": " << std::hex
+                                      << d.value();
+  }
+}
 
 }  // namespace
 }  // namespace dsmcpic::partition
