@@ -11,7 +11,12 @@
 # through is checked against the binary search on a 24-rank Dataset-2
 # layout, including the search fallback for other ranks' tets. The runtime and
 # linalg suites cover the message rounds and the halo exchanger's
-# slot-range and halo-slot index arithmetic (DESIGN.md §2i). The exchange,
+# slot-range and halo-slot index arithmetic (DESIGN.md §2i), the prices a
+# round keeps from one routing to the next (indexed per message and per
+# node, re-priced across active-set resizes, hints and runtimes), the halo
+# exchange's and the preconditioner's checks on mis-sized vectors and
+# spans, and the CSR assembly's packed-key sort against its two-level
+# reference. The exchange,
 # balance, policy and ensemble suites cover the balancer's one migration
 # call, its shared delivery step and the redistribution tail of a
 # rebalance and an ensemble resize. The checkpoint- and lease-corruption
@@ -87,9 +92,12 @@ export UBSAN_OPTIONS="print_stacktrace=1 ${UBSAN_OPTIONS:-}"
 # FM passes and 1 or 8 initial tries), which drive the indexed FM heap and
 # the dense coarsening and subgraph maps.
 "$BUILD"/tests/partition_test
-# Message rounds, the runtime checkpoint's busy-row check
-# (Runtime.LoadRejectsBusyRowOfWrongLength), and the halo exchanger at 1,
-# 24 and 1,024 ranks.
+# Message rounds and the prices they keep (Runtime.Round*, including
+# Runtime.RoundReusesPricesBitForBit), the runtime checkpoint's busy-row
+# check (Runtime.LoadRejectsBusyRowOfWrongLength), the halo exchanger at 1,
+# 24 and 1,024 ranks with its size checks (Dist.HaloRejectsMissizedLocals,
+# Dist.PreconRejectsShortSpans), and the packed-key assembly sort
+# (Csr.FromTriplets*, up to 10^5 triplets and the Dataset-1 assembly).
 "$BUILD"/tests/par_test
 "$BUILD"/tests/linalg_test
 # Out-of-range owners, short load windows, a one-entry cost-model

@@ -30,7 +30,9 @@ export TSAN_OPTIONS="halt_on_error=1 ${TSAN_OPTIONS:-}"
 "$BUILD"/tests/support_test --gtest_filter='ThreadPool.*:KernelExec.*'
 "$BUILD"/tests/dsmc_test --gtest_filter='Mover.PushHook*'
 # Includes the message-round tests, whose threaded case routes a round
-# after concurrent bodies that may not send.
+# after concurrent bodies that may not send. The prices a round keeps
+# between routings are written only on the driver thread, after the
+# superstep's join, so no body ever sees them change.
 "$BUILD"/tests/par_test
 # The distributed CG's halo exchanger (DESIGN.md §2i) moves no payloads:
 # each rank packs into its own slots of one shared buffer in the send

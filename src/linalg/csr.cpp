@@ -11,27 +11,42 @@ CsrMatrix CsrMatrix::from_triplets(std::int32_t rows, std::int32_t cols,
   CsrMatrix m;
   m.rows_ = rows;
   m.cols_ = cols;
-  std::vector<Triplet> sorted(triplets.begin(), triplets.end());
-  for (const auto& t : sorted) {
+  for (const auto& t : triplets) {
     DSMCPIC_CHECK_MSG(t.row >= 0 && t.row < rows, "triplet row out of range");
     DSMCPIC_CHECK_MSG(t.col >= 0 && t.col < cols, "triplet col out of range");
   }
-  std::sort(sorted.begin(), sorted.end(), [](const Triplet& a, const Triplet& b) {
-    return a.row != b.row ? a.row < b.row : a.col < b.col;
-  });
+  // One 64-bit key per entry, (row << 32) | col: with row and col
+  // non-negative (checked above) it orders exactly as (row, col) does.
+  // std::sort's moves follow from comparison outcomes alone, so the entries
+  // end in the order a (row, col) sort gives and duplicates sum in that
+  // order. Strictly ascending keys (an assembly already in order) are their
+  // own sort.
+  struct Entry {
+    std::uint64_t key;
+    double value;
+  };
+  std::vector<Entry> sorted(triplets.size());
+  for (std::size_t i = 0; i < triplets.size(); ++i)
+    sorted[i] = {static_cast<std::uint64_t>(triplets[i].row) << 32 |
+                     static_cast<std::uint64_t>(triplets[i].col),
+                 triplets[i].value};
+  if (std::adjacent_find(sorted.begin(), sorted.end(),
+                         [](const Entry& a, const Entry& b) {
+                           return a.key >= b.key;
+                         }) != sorted.end())
+    std::sort(sorted.begin(), sorted.end(),
+              [](const Entry& a, const Entry& b) { return a.key < b.key; });
 
   m.row_ptr_.assign(rows + 1, 0);
   m.col_idx_.reserve(sorted.size());
   m.values_.reserve(sorted.size());
   for (std::size_t i = 0; i < sorted.size();) {
-    const std::int32_t r = sorted[i].row;
-    const std::int32_t c = sorted[i].col;
+    const std::uint64_t key = sorted[i].key;
     double v = 0.0;
-    while (i < sorted.size() && sorted[i].row == r && sorted[i].col == c)
-      v += sorted[i++].value;
-    m.col_idx_.push_back(c);
+    while (i < sorted.size() && sorted[i].key == key) v += sorted[i++].value;
+    m.col_idx_.push_back(static_cast<std::int32_t>(key & 0xffffffffu));
     m.values_.push_back(v);
-    ++m.row_ptr_[r + 1];
+    ++m.row_ptr_[(key >> 32) + 1];
   }
   for (std::int32_t r = 0; r < rows; ++r) m.row_ptr_[r + 1] += m.row_ptr_[r];
   return m;

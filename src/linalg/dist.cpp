@@ -267,6 +267,20 @@ class HaloExchanger {
 void halo_exchange(par::Runtime& rt, const std::string& phase,
                    const DistLayout& layout,
                    std::vector<std::vector<double>>& local) {
+  const int n = layout.nranks;
+  DSMCPIC_CHECK_MSG(static_cast<int>(local.size()) == n,
+                    "halo exchange given " << local.size()
+                                           << " rank vectors for " << n
+                                           << " ranks");
+  DSMCPIC_CHECK_MSG(rt.active_ranks() == n,
+                    "halo exchange of a " << n << "-rank layout on "
+                                          << rt.active_ranks()
+                                          << " active ranks");
+  for (int r = 0; r < n; ++r)
+    DSMCPIC_CHECK_MSG(
+        local[r].size() == static_cast<std::size_t>(layout.local_size(r)),
+        "rank " << r << " local vector holds " << local[r].size()
+                << " values, not " << layout.local_size(r));
   HaloExchanger halo(layout);
   rt.superstep(
       phase, [&](par::Comm& c) { halo.send(c, local[c.rank()]); },
@@ -278,8 +292,17 @@ void halo_exchange(par::Runtime& rt, const std::string& phase,
 void apply_precon(const DistMatrix& a, int rank, Precon kind,
                   std::span<const double> r, std::span<double> z,
                   std::span<double> scratch) {
+  DSMCPIC_CHECK_MSG(rank >= 0 && rank < static_cast<int>(a.factor.size()),
+                    "preconditioner of rank " << rank << " of "
+                                              << a.factor.size());
   const std::vector<DistMatrix::RowFactor>& f = a.factor[rank];
   const std::size_t nowned = f.size();
+  DSMCPIC_CHECK_MSG(r.size() >= nowned && z.size() >= nowned &&
+                        scratch.size() >= nowned,
+                    "rank " << rank << " owns " << nowned
+                            << " rows; preconditioner spans hold r "
+                            << r.size() << ", z " << z.size()
+                            << ", scratch " << scratch.size());
   switch (kind) {
     case Precon::kNone:
       for (std::size_t i = 0; i < nowned; ++i) z[i] = r[i];

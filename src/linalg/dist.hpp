@@ -95,8 +95,8 @@ std::vector<double> gather_vector(const DistLayout& layout, const DistVector& v)
 
 /// Applies rank `rank`'s local preconditioner z = M^-1 r over its owned
 /// rows. For kBlockSsor, M = (D+L) D^-1 (D+U) restricted to owned columns
-/// (block Jacobi across ranks); SPD, so CG-safe. `scratch` must be
-/// owned-sized.
+/// (block Jacobi across ranks); SPD, so CG-safe. `r`, `z` and `scratch`
+/// must each hold at least the rank's owned rows (else dsmcpic::Error).
 void apply_precon(const DistMatrix& a, int rank, Precon kind,
                   std::span<const double> r, std::span<double> z,
                   std::span<double> scratch);
@@ -113,7 +113,9 @@ SolveResult dist_cg(par::Runtime& rt, const std::string& phase,
 /// (owned then halo); the owned prefix must be filled on entry, the halo
 /// suffix is filled on return. The messages are one payload-free
 /// par::MessageRound built from the send plans; throws dsmcpic::Error when
-/// the send plans do not answer every receive plan in peer, slot and count.
+/// the send plans do not answer every receive plan in peer, slot and count,
+/// or when `local` or the runtime's active rank count does not fit the
+/// layout.
 void halo_exchange(par::Runtime& rt, const std::string& phase,
                    const DistLayout& layout,
                    std::vector<std::vector<double>>& local);

@@ -1,6 +1,7 @@
 #include "par/runtime.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 
 #include "support/serialize.hpp"
@@ -12,16 +13,9 @@ namespace dsmcpic::par {
 
 int Comm::size() const { return rt_->size(); }
 
-void Comm::charge(WorkKind kind, double units) {
-  DSMCPIC_CHECK_MSG(rt_->in_superstep_, "charge() outside a superstep");
-  const double cost =
-      units * rt_->topo_.profile().costs[static_cast<int>(kind)] *
-      rt_->scale_of(cost_class(kind));
-  rt_->clocks_[rank_] += cost;
-  rt_->charge_busy(rank_, rt_->current_phase_for_comm_, cost);
-  // Rank-private slot: safe under concurrent bodies, read after the join.
-  if (rt_->tracer_)
-    rt_->trace_work_[rank_][static_cast<int>(kind)] += units;
+void Comm::charge_outside_superstep() {
+  detail::throw_check_failure("rt_->in_superstep_", __FILE__, __LINE__,
+                              "charge() outside a superstep");
 }
 
 void Comm::send(int dst, int tag, std::span<const std::byte> payload,
@@ -83,13 +77,26 @@ void MessageRound::add(int src, int dst, std::size_t nbytes) {
                                     << sends_.back().src);
   sends_.push_back({src, dst, nbytes});
   ranks_ = std::max({ranks_, src + 1, dst + 1});
+  priced_by_ = 0;
 }
 
 // ---- Runtime ----------------------------------------------------------------
 
+namespace {
+
+// Names a runtime to the rounds it prices: unlike an address, a serial is
+// never reused by a later runtime.
+std::uint64_t next_runtime_serial() {
+  static std::atomic<std::uint64_t> last{0};
+  return ++last;
+}
+
+}  // namespace
+
 Runtime::Runtime(int nranks, Topology topology, double particle_scale,
                  double grid_scale, ExecOptions exec)
-    : nranks_(nranks),
+    : serial_(next_runtime_serial()),
+      nranks_(nranks),
       active_(nranks),
       topo_(std::move(topology)),
       particle_scale_(particle_scale),
@@ -184,10 +191,6 @@ int Runtime::phase_id(const std::string& phase) {
   return it->second;
 }
 
-void Runtime::charge_busy(int rank, int phase, double seconds) {
-  busy_[phase][rank] += seconds;
-}
-
 double Runtime::tree_stages() const {
   return std::ceil(std::log2(std::max(2, active_)));
 }
@@ -269,34 +272,85 @@ std::size_t Runtime::undelivered_messages() const {
 }
 
 template <typename Visit>
-void Runtime::route(int phase, std::size_t count, const Visit& visit) {
-  const std::uint64_t hint = congestion_hint_;
-  congestion_hint_ = 0;  // one-shot
-  apply_nic_serialization(phase, hint, visit);
-  if (count == 0) return;
+void Runtime::price_round(std::size_t count, std::uint64_t hint,
+                          const Visit& visit, MessageRound::Prices& out) {
   const MachineProfile& prof = topo_.profile();
+  const int ppn = prof.cores_per_node;
+  const int nodes = active_nodes();
+  // Per-node inter-node message load. Ranks on one physical node share a
+  // NIC, which processes messages serially (and slower under incast). A
+  // single node has no inter-node traffic unless a hint says otherwise.
+  // Member scratch: sized once, zeroed per pricing, no steady-state
+  // allocation.
+  const bool nic = prof.nic_overhead > 0.0 && (nodes > 1 || hint != 0);
+  if (nic) nic_load_.assign(static_cast<std::size_t>(nodes), 0.0);
+  if (nic && hint) {
+    // Logical all-pairs round (distributed exchange): assume the hinted
+    // transactions are spread uniformly over ordered rank pairs; only the
+    // inter-node share hits the NICs. Parked ranks send nothing, so the
+    // pair population is the active prefix.
+    const double inter_share =
+        active_ > 1
+            ? std::max(0.0, 1.0 - static_cast<double>(ppn - 1) / (active_ - 1))
+            : 0.0;
+    const double per_node = static_cast<double>(hint) * inter_share / nodes;
+    std::fill(nic_load_.begin(), nic_load_.end(), per_node);
+  }
+  const bool count_nic = nic && !hint;
+
   // Congestion: extra latency when a routing round carries many concurrent
   // transactions per node (switch/NIC pressure); this is what separates the
   // distributed N(N-1)-transaction strategy from the centralized 2N one at
   // scale (paper Sec. IV-B3, Fig. 11).
   const double round_transactions =
       hint ? static_cast<double>(hint) : static_cast<double>(count);
-  const double per_node = round_transactions / std::max(1, active_nodes());
+  const double per_node = round_transactions / std::max(1, nodes);
   const double congestion_mult = 1.0 + prof.congestion * per_node;
-
-  visit([&](int src, int dst, int tag, std::size_t nbytes, double scale) {
+  out.msgs.clear();
+  visit([&](int src, int dst, int, std::size_t nbytes, double scale) {
     const double bytes = static_cast<double>(nbytes) * scale;
-    const double cost =
-        topo_.alpha(src, dst) * congestion_mult + bytes * prof.beta;
+    out.msgs.push_back(
+        {topo_.alpha(src, dst) * congestion_mult + bytes * prof.beta, bytes});
+    if (!count_nic) return;
+    const int ns = src / ppn;
+    const int nd = dst / ppn;
+    if (ns == nd) return;
+    nic_load_[ns] += 1.0;
+    nic_load_[nd] += 1.0;
+  });
+
+  out.nic.clear();
+  if (!nic) return;
+  for (int node = 0; node < nodes; ++node) {
+    if (nic_load_[node] <= 0.0) continue;
+    const double t = nic_load_[node] * prof.nic_overhead *
+                     (1.0 + nic_load_[node] * prof.nic_contention);
+    const int lo = node * ppn;
+    out.nic.push_back({lo, std::min(active_, lo + ppn), t});
+  }
+}
+
+template <typename Visit>
+void Runtime::apply_round(int phase, const MessageRound::Prices& prices,
+                          const Visit& visit) {
+  std::vector<double>& busy = busy_[phase];
+  for (const MessageRound::Prices::Nic& n : prices.nic)
+    for (int r = n.lo; r < n.hi; ++r) {
+      clocks_[r] += n.seconds;
+      busy[r] += n.seconds;
+    }
+  const MessageRound::Prices::Msg* price = prices.msgs.data();
+  double phase_bytes = phase_bytes_[phase];
+  visit([&](int src, int dst, int tag, std::size_t nbytes, double) {
+    const auto [cost, bytes] = *price++;
     const double send_begin = clocks_[src];
     const double recv_begin = clocks_[dst];
     // Rendezvous: both endpoints are busy for the transfer.
     clocks_[src] += cost;
-    charge_busy(src, phase, cost);
+    busy[src] += cost;
     clocks_[dst] += cost;
-    charge_busy(dst, phase, cost);
-    phase_transactions_[phase] += 1;
-    phase_bytes_[phase] += bytes;
+    busy[dst] += cost;
+    phase_bytes += bytes;
     if (tracer_) {
       trace::MessageRec rec;
       rec.src = src;
@@ -313,53 +367,8 @@ void Runtime::route(int phase, std::size_t count, const Visit& visit) {
       tracer_->add_message(std::move(rec));
     }
   });
-}
-
-template <typename Visit>
-void Runtime::apply_nic_serialization(int phase, std::uint64_t hint,
-                                      const Visit& visit) {
-  const MachineProfile& prof = topo_.profile();
-  if (prof.nic_overhead <= 0.0) return;
-  const int ppn = prof.cores_per_node;
-  const int nodes = active_nodes();
-  if (nodes <= 1 && hint == 0) return;  // single node: no inter-node traffic
-
-  // Per-node inter-node message load. Ranks on one physical node share a
-  // NIC, which processes messages serially (and slower under incast).
-  // Member scratch: sized once, zeroed per round, no steady-state allocation.
-  nic_load_.assign(static_cast<std::size_t>(nodes), 0.0);
-  if (hint) {
-    // Logical all-pairs round (distributed exchange): assume the hinted
-    // transactions are spread uniformly over ordered rank pairs; only the
-    // inter-node share hits the NICs. Parked ranks send nothing, so the
-    // pair population is the active prefix.
-    const double inter_share =
-        active_ > 1
-            ? std::max(0.0, 1.0 - static_cast<double>(ppn - 1) / (active_ - 1))
-            : 0.0;
-    const double per_node = static_cast<double>(hint) * inter_share / nodes;
-    std::fill(nic_load_.begin(), nic_load_.end(), per_node);
-  } else {
-    visit([&](int src, int dst, int, std::size_t, double) {
-      const int ns = src / ppn;
-      const int nd = dst / ppn;
-      if (ns == nd) return;
-      nic_load_[ns] += 1.0;
-      nic_load_[nd] += 1.0;
-    });
-  }
-
-  for (int node = 0; node < nodes; ++node) {
-    if (nic_load_[node] <= 0.0) continue;
-    const double t = nic_load_[node] * prof.nic_overhead *
-                     (1.0 + nic_load_[node] * prof.nic_contention);
-    const int lo = node * ppn;
-    const int hi = std::min(active_, lo + ppn);
-    for (int r = lo; r < hi; ++r) {
-      clocks_[r] += t;
-      charge_busy(r, phase, t);
-    }
-  }
+  phase_bytes_[phase] = phase_bytes;
+  phase_transactions_[phase] += prices.msgs.size();
 }
 
 void Runtime::superstep(const std::string& phase,
@@ -422,12 +431,30 @@ void Runtime::run_superstep(const std::string& phase,
                       /*with_work=*/true);
     trace_mid_ = clocks_;
   }
+  const std::uint64_t hint = congestion_hint_;
+  congestion_hint_ = 0;  // one-shot
   if (round) {
     const double scale = scale_of(round->cls_);
-    route(pid, round->sends_.size(), [round, scale](auto&& f) {
+    const auto visit = [round, scale](auto&& f) {
       for (const MessageRound::Send& s : round->sends_)
         f(s.src, s.dst, round->tag_, s.nbytes, scale);
-    });
+    };
+    // The prices are a function of the round, this runtime's topology and
+    // scales (fixed at construction), the active count and the hint, so the
+    // round keeps them across unhinted routings by this runtime.
+    const std::size_t count = round->sends_.size();
+    const MessageRound::Prices* prices = &round->prices_;
+    if (hint) {
+      price_round(count, hint, visit, scratch_prices_);
+      prices = &scratch_prices_;
+    } else if (round->priced_by_ != serial_ ||
+               round->priced_active_ != active_) {
+      round->priced_by_ = 0;  // stale until the pricing completes
+      price_round(count, 0, visit, round->prices_);
+      round->priced_by_ = serial_;
+      round->priced_active_ = active_;
+    }
+    apply_round(pid, *prices, visit);
   } else {
     // Merge the per-sender buffers in (src rank, send order): each inbox
     // receives its messages sorted by source rank, ties broken by the order
@@ -435,11 +462,13 @@ void Runtime::run_superstep(const std::string& phase,
     // InboxOrderingIsSrcMajorSendOrder) and matches what the sequential
     // 0..N-1 execution produced before per-rank staging existed. Only the
     // active prefix can have staged sends.
-    route(pid, staged_count(), [this](auto&& f) {
+    const auto visit = [this](auto&& f) {
       for (int src = 0; src < active_; ++src)
         for (const Message& m : staged_[src])
           f(m.src, m.dst, m.tag, m.payload.size(), m.byte_scale);
-    });
+    };
+    price_round(staged_count(), hint, visit, scratch_prices_);
+    apply_round(pid, scratch_prices_, visit);
     for (int src = 0; src < active_; ++src) {
       for (Message& m : staged_[src]) pending_[m.dst].push_back(std::move(m));
       staged_[src].clear();

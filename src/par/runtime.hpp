@@ -101,6 +101,12 @@ class Runtime;
 /// bytes and trace records. Nothing is delivered — the data moves through
 /// caller-owned buffers (linalg's halo exchanger) — so a round creates,
 /// queues and recycles no Message.
+///
+/// A routing keeps the round's prices (NIC time per node, cost and scaled
+/// bytes per message) in the round, and the next routing by the same
+/// runtime at the same active rank count reuses them; a pending congestion
+/// hint prices afresh and keeps nothing. Routing therefore writes to the
+/// round: two runtimes must not route one round at the same time.
 class MessageRound {
  public:
   MessageRound(int tag, CostClass cls) : tag_(tag), cls_(cls) {}
@@ -116,10 +122,30 @@ class MessageRound {
     int dst;
     std::size_t nbytes;
   };
+  // One routing's prices: Runtime::price_round writes them and
+  // Runtime::apply_round charges them, for sent messages and rounds alike.
+  struct Prices {
+    struct Nic {
+      int lo, hi;      // the node's active ranks [lo, hi)
+      double seconds;  // NIC serialization charged to each of them
+    };
+    struct Msg {
+      double cost;   // α(src, dst) · congestion + bytes · β
+      double bytes;  // accounted bytes × the class's byte scale
+    };
+    std::vector<Nic> nic;  // nodes with inter-node load, ascending
+    std::vector<Msg> msgs;  // in (src, send order)
+  };
   int tag_;
   CostClass cls_;
   std::vector<Send> sends_;
   int ranks_ = 0;  // one past the highest rank named
+  // The last unhinted routing's prices, valid for the runtime whose serial
+  // is priced_by_ (0: none) at priced_active_ active ranks. Written only on
+  // the driver thread, after the superstep's join.
+  mutable Prices prices_;
+  mutable std::uint64_t priced_by_ = 0;
+  mutable int priced_active_ = 0;
 };
 
 /// Per-rank handle passed to superstep bodies.
@@ -186,6 +212,8 @@ class Comm {
  private:
   friend class Runtime;
   Comm(Runtime* rt, int rank) : rt_(rt), rank_(rank) {}
+  // Out of line, so the check leaves charge() small enough to inline.
+  [[noreturn]] static void charge_outside_superstep();
   Runtime* rt_;
   int rank_;
 };
@@ -378,26 +406,34 @@ class Runtime {
   friend class Comm;
 
   int phase_id(const std::string& phase);
-  void charge_busy(int rank, int phase, double seconds);
+  void charge_busy(int rank, int phase, double seconds) {
+    busy_[phase][rank] += seconds;
+  }
   void sync_clocks(double extra_cost_per_rank, int phase);
   void run_superstep(const std::string& phase,
                      const std::function<void(Comm&)>& fn,
                      const MessageRound* round);
-  /// Routes one round's messages, given as `visit(f)` calling
-  /// f(src, dst, tag, nbytes, byte_scale) in (src, send order).
+  // Every routed message, sent or in a round, goes through these two
+  // routines. The round's messages are given as `visit(f)` calling
+  // f(src, dst, tag, nbytes, byte_scale) in (src, send order).
+  /// Prices `count` messages: each node's NIC serialization (see
+  /// MachineProfile::nic_overhead) and each message's cost under the
+  /// congestion of `hint` transactions (0: the messages themselves).
   template <typename Visit>
-  void route(int phase, std::size_t count, const Visit& visit);
+  void price_round(std::size_t count, std::uint64_t hint, const Visit& visit,
+                   MessageRound::Prices& out);
+  /// Charges priced messages under `phase`: the NIC time first, then per
+  /// message both endpoints' clocks and busy rows, the phase's transaction
+  /// and byte counters and the trace records.
+  template <typename Visit>
+  void apply_round(int phase, const MessageRound::Prices& prices,
+                   const Visit& visit);
   /// Interns runtime phase `pid` into the attached recorder (cached).
   int trace_phase(int pid);
   /// Emits one span per rank for clock movement since `pre` (tracer only).
   void trace_spans_since(const std::vector<double>& pre, int pid,
                          trace::SpanKind kind, std::uint32_t seq,
                          bool with_work);
-  /// Charges the per-node NIC serialization of this routing round (see
-  /// MachineProfile::nic_overhead).
-  template <typename Visit>
-  void apply_nic_serialization(int phase, std::uint64_t hint,
-                               const Visit& visit);
   double tree_stages() const;
   std::size_t staged_count() const;
   /// Pops the best-fit buffer (smallest capacity >= nbytes) from `rank`'s
@@ -406,6 +442,7 @@ class Runtime {
   /// Returns a delivered payload to `rank`'s pool (capacity-sorted insert).
   void pool_recycle(int rank, std::vector<std::byte>&& buf);
 
+  std::uint64_t serial_;  // process-unique; keys the prices kept in rounds
   int nranks_;
   int active_;  // active prefix [0, active_); == nranks_ unless elastic
   Topology topo_;
@@ -440,7 +477,9 @@ class Runtime {
     std::uint64_t acquires = 0, misses = 0, recycles = 0;
   };
   std::vector<PayloadPool> pools_;
-  std::vector<double> nic_load_;  // per-node scratch (apply_nic_serialization)
+  std::vector<double> nic_load_;  // per-node scratch (price_round)
+  // Prices of sent messages and of hinted rounds, reused across supersteps.
+  MessageRound::Prices scratch_prices_;
   std::uint64_t supersteps_ = 0;
   bool in_superstep_ = false;
   const MessageRound* round_ = nullptr;  // the round superstep in flight
@@ -458,5 +497,17 @@ class Runtime {
   bool trace_work_keys_ready_ = false;
   std::uint32_t trace_seq_ = 0;  // seq of the superstep in flight
 };
+
+inline void Comm::charge(WorkKind kind, double units) {
+  if (!rt_->in_superstep_) charge_outside_superstep();
+  const double cost =
+      units * rt_->topo_.profile().costs[static_cast<int>(kind)] *
+      rt_->scale_of(cost_class(kind));
+  rt_->clocks_[rank_] += cost;
+  rt_->charge_busy(rank_, rt_->current_phase_for_comm_, cost);
+  // Rank-private slot: safe under concurrent bodies, read after the join.
+  if (rt_->tracer_)
+    rt_->trace_work_[rank_][static_cast<int>(kind)] += units;
+}
 
 }  // namespace dsmcpic::par

@@ -1,7 +1,9 @@
 #pragma once
-// Test-only reference implementations of the distributed CG's hot paths,
-// kept as the straightforward versions the optimized ones in
-// src/linalg/dist.cpp must match bit for bit:
+// Test-only reference implementations of the linear algebra's hot paths,
+// kept as the straightforward versions the optimized ones in src/linalg/
+// must match bit for bit:
+//   * from_triplets     — CSR assembly sorting the triplets themselves with
+//     the two-level (row, col) compare (csr.cpp sorts packed 64-bit keys);
 //   * block_ssor_sweep  — the branchy symmetric Gauss-Seidel sweep that
 //     walks every entry of every row, with the diagonal re-derived per solve;
 //   * PooledHalo        — the halo exchange with real pooled payloads and a
@@ -12,6 +14,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <span>
 #include <string>
 #include <vector>
@@ -20,6 +23,43 @@
 #include "support/error.hpp"
 
 namespace dsmcpic::linalg::reference {
+
+/// The arrays of a CsrMatrix (whose members are private).
+struct CsrArrays {
+  std::vector<std::int64_t> row_ptr;
+  std::vector<std::int32_t> col_idx;
+  std::vector<double> values;
+};
+
+/// CsrMatrix::from_triplets as it was before it sorted packed keys.
+inline CsrArrays from_triplets(std::int32_t rows, std::int32_t cols,
+                               std::span<const Triplet> triplets) {
+  CsrArrays m;
+  std::vector<Triplet> sorted(triplets.begin(), triplets.end());
+  for (const auto& t : sorted) {
+    DSMCPIC_CHECK_MSG(t.row >= 0 && t.row < rows, "triplet row out of range");
+    DSMCPIC_CHECK_MSG(t.col >= 0 && t.col < cols, "triplet col out of range");
+  }
+  std::sort(sorted.begin(), sorted.end(), [](const Triplet& a, const Triplet& b) {
+    return a.row != b.row ? a.row < b.row : a.col < b.col;
+  });
+
+  m.row_ptr.assign(rows + 1, 0);
+  m.col_idx.reserve(sorted.size());
+  m.values.reserve(sorted.size());
+  for (std::size_t i = 0; i < sorted.size();) {
+    const std::int32_t r = sorted[i].row;
+    const std::int32_t c = sorted[i].col;
+    double v = 0.0;
+    while (i < sorted.size() && sorted[i].row == r && sorted[i].col == c)
+      v += sorted[i++].value;
+    m.col_idx.push_back(c);
+    m.values.push_back(v);
+    ++m.row_ptr[r + 1];
+  }
+  for (std::int32_t r = 0; r < rows; ++r) m.row_ptr[r + 1] += m.row_ptr[r];
+  return m;
+}
 
 /// Owned-row diagonal with zeros replaced by 1, and its inverse.
 inline void guarded_diagonal(const CsrMatrix& a, std::size_t nowned,

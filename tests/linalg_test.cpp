@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -22,6 +24,7 @@
 #include "pic/poisson.hpp"
 #include "support/error.hpp"
 #include "support/rng.hpp"
+#include "support/vec3.hpp"
 
 namespace dsmcpic::linalg {
 namespace {
@@ -46,6 +49,148 @@ TEST(Csr, FromTripletsMergesDuplicates) {
   EXPECT_DOUBLE_EQ(m.at(0, 1), -1.0);
   EXPECT_DOUBLE_EQ(m.at(1, 0), 5.0);
   EXPECT_DOUBLE_EQ(m.at(1, 1), 0.0);
+}
+
+/// Index of the first element whose bits differ, or -1.
+std::ptrdiff_t first_bit_difference(std::span<const double> a,
+                                    std::span<const double> b) {
+  if (a.size() != b.size()) return 0;
+  for (std::size_t i = 0; i < a.size(); ++i)
+    if (std::bit_cast<std::uint64_t>(a[i]) != std::bit_cast<std::uint64_t>(b[i]))
+      return static_cast<std::ptrdiff_t>(i);
+  return -1;
+}
+
+/// Success when `m` holds exactly the reference arrays, bit for bit.
+::testing::AssertionResult same_csr_bits(const CsrMatrix& m,
+                                         const reference::CsrArrays& ref) {
+  if (m.row_ptr() != ref.row_ptr)
+    return ::testing::AssertionFailure() << "row_ptr differs";
+  if (m.col_idx() != ref.col_idx)
+    return ::testing::AssertionFailure() << "col_idx differs";
+  const std::ptrdiff_t d = first_bit_difference(m.values(), ref.values);
+  if (d >= 0)
+    return ::testing::AssertionFailure()
+           << "values differ first at entry " << d << " of "
+           << ref.values.size();
+  return ::testing::AssertionSuccess();
+}
+
+/// `n` shuffled triplets in a rows x cols matrix whose keys each repeat 2
+/// to 30 times, with values of both signs and magnitudes 1e-6 to 1e6, so
+/// the order in which duplicates are summed shows in the bits.
+std::vector<Triplet> repeated_triplets(std::size_t n, std::int32_t rows,
+                                       std::int32_t cols, std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<Triplet> t;
+  t.reserve(n);
+  while (t.size() < n) {
+    const auto row = static_cast<std::int32_t>(rng.uniform_index(rows));
+    const auto col = static_cast<std::int32_t>(rng.uniform_index(cols));
+    const auto repeats = 2 + rng.uniform_index(29);
+    for (std::uint64_t k = 0; k < repeats && t.size() < n; ++k) {
+      const double magnitude =
+          rng.uniform(1.0, 10.0) *
+          std::pow(10.0, static_cast<double>(rng.uniform_index(13)) - 6.0);
+      t.push_back({row, col, rng.uniform() < 0.5 ? -magnitude : magnitude});
+    }
+  }
+  for (std::size_t i = t.size(); i > 1; --i)
+    std::swap(t[i - 1], t[rng.uniform_index(i)]);
+  return t;
+}
+
+// The packed-key sort must give the two-level (row, col) sort's arrays bit
+// for bit, sums of duplicates included, on both sides of introsort's
+// 16-element insertion-sort threshold and up to 10^5 triplets.
+TEST(Csr, FromTripletsMatchesTwoLevelSortBitForBit) {
+  std::uint64_t seed = 11;
+  for (const std::size_t n : {0, 1, 2, 3, 15, 16, 17, 31, 32, 33, 100, 1000,
+                              10000, 100000})
+    for (int rep = 0; rep < (n <= 1000 ? 4 : 1); ++rep) {
+      const std::int32_t rows = 1 + static_cast<std::int32_t>(n % 97);
+      const std::int32_t cols = 4096;
+      const std::vector<Triplet> t = repeated_triplets(n, rows, cols, ++seed);
+      EXPECT_TRUE(same_csr_bits(CsrMatrix::from_triplets(rows, cols, t),
+                                reference::from_triplets(rows, cols, t)))
+          << n << " triplets, seed " << seed;
+    }
+}
+
+// Input already in order: strictly ascending keys skip the sort and must
+// still equal the reference; ascending keys with duplicates must not skip
+// it, since the sort permutes equal keys and so the order of their sums.
+TEST(Csr, FromTripletsOnSortedInputMatchesTwoLevelSort) {
+  const auto by_key = [](const Triplet& a, const Triplet& b) {
+    return a.row != b.row ? a.row < b.row : a.col < b.col;
+  };
+  const auto same_key = [](const Triplet& a, const Triplet& b) {
+    return a.row == b.row && a.col == b.col;
+  };
+  std::uint64_t seed = 101;
+  for (const std::size_t n : {1, 2, 16, 17, 33, 1000, 100000}) {
+    const std::int32_t rows = 64, cols = 4096;
+    std::vector<Triplet> dup = repeated_triplets(n, rows, cols, ++seed);
+    std::stable_sort(dup.begin(), dup.end(), by_key);
+    std::vector<Triplet> strict = dup;
+    strict.erase(std::unique(strict.begin(), strict.end(), same_key),
+                 strict.end());
+    EXPECT_TRUE(same_csr_bits(CsrMatrix::from_triplets(rows, cols, strict),
+                              reference::from_triplets(rows, cols, strict)))
+        << n << " strictly ascending triplets";
+    EXPECT_TRUE(same_csr_bits(CsrMatrix::from_triplets(rows, cols, dup),
+                              reference::from_triplets(rows, cols, dup)))
+        << n << " ascending triplets with duplicates";
+  }
+}
+
+// The Dataset-1 Poisson assembly through both sorts: the element-stiffness
+// triplets (16 per tet, an edge's key once per tet around it), then the
+// Dirichlet-reduced system, whose triplets arrive strictly ascending. The
+// solver's own assembly must equal the reference chain.
+TEST(Csr, FromTripletsMatchesTwoLevelSortOnDataset1Assembly) {
+  const core::Dataset ds = core::make_dataset(1);
+  const auto geom = core::CaseGeometry::build(ds.config.nozzle);
+  const mesh::TetMesh& fine = geom->refined.mesh;
+  const std::int32_t n = fine.num_nodes();
+  // Element stiffness exactly as pic::PoissonSystem computes it.
+  std::vector<Triplet> trips;
+  for (std::int32_t t = 0; t < fine.num_tets(); ++t) {
+    const auto& nd = fine.tet(t);
+    const double vol = fine.volume(t);
+    std::array<Vec3, 4> g;
+    for (int i = 0; i < 4; ++i) {
+      const Vec3& pi = fine.node(nd[i]);
+      const Vec3& p1 = fine.node(nd[(i + 1) & 3]);
+      const Vec3& p2 = fine.node(nd[(i + 2) & 3]);
+      const Vec3& p3 = fine.node(nd[(i + 3) & 3]);
+      const Vec3 raw = cross(p2 - p1, p3 - p1);
+      g[i] = raw / dot(raw, pi - p1);
+    }
+    for (int i = 0; i < 4; ++i)
+      for (int j = 0; j < 4; ++j)
+        trips.push_back({nd[i], nd[j], dot(g[i], g[j]) * vol});
+  }
+  const reference::CsrArrays full = reference::from_triplets(n, n, trips);
+  EXPECT_TRUE(same_csr_bits(CsrMatrix::from_triplets(n, n, trips), full));
+
+  const pic::PoissonSystem psys(fine, ds.config.poisson_bcs);
+  const auto dirichlet = psys.is_dirichlet();
+  std::vector<Triplet> reduced;
+  for (std::int32_t i = 0; i < n; ++i) {
+    if (dirichlet[i]) {
+      reduced.push_back({i, i, 1.0});
+      continue;
+    }
+    for (std::int64_t e = full.row_ptr[i]; e < full.row_ptr[i + 1]; ++e) {
+      const std::int32_t j = full.col_idx[static_cast<std::size_t>(e)];
+      if (!dirichlet[j])
+        reduced.push_back({i, j, full.values[static_cast<std::size_t>(e)]});
+    }
+  }
+  const reference::CsrArrays k = reference::from_triplets(n, n, reduced);
+  EXPECT_TRUE(same_csr_bits(CsrMatrix::from_triplets(n, n, reduced), k));
+  EXPECT_TRUE(same_csr_bits(psys.matrix(), k));
 }
 
 TEST(Csr, MatvecMatchesDense) {
@@ -237,6 +382,59 @@ TEST(Dist, HaloRejectsMisplacedSlots) {
                Error);
 }
 
+TEST(Dist, HaloRejectsMissizedLocals) {
+  const CsrMatrix a = laplace_1d(12);
+  const DistLayout l = DistLayout::build(3, round_robin_owner(12, 3), a);
+  // One exchange of the 3-rank layout on `nranks` ranks with `active` of
+  // them active, after `resize` mis-sizes the local vectors.
+  auto exchange = [&l](int nranks, int active, auto resize) {
+    par::Runtime rt(nranks,
+                    par::Topology(par::MachineProfile::tianhe2(), nranks));
+    rt.set_active_ranks(active);
+    std::vector<std::vector<double>> local(3);
+    for (int r = 0; r < 3; ++r) local[r].assign(l.local_size(r), 0.0);
+    resize(local);
+    halo_exchange(rt, "halo", l, local);
+  };
+  using Locals = std::vector<std::vector<double>>;
+  EXPECT_NO_THROW(exchange(3, 3, [](Locals&) {}));
+  // Each local vector one value short: the halo would land past its end.
+  EXPECT_THROW(exchange(3, 3,
+                        [](Locals& local) {
+                          for (auto& v : local) v.pop_back();
+                        }),
+               Error);
+  EXPECT_THROW(exchange(3, 3, [](Locals& local) { local[1].push_back(0.0); }),
+               Error);
+  EXPECT_THROW(exchange(3, 3, [](Locals& local) { local.pop_back(); }), Error);
+  EXPECT_THROW(exchange(3, 3, [](Locals& local) { local.emplace_back(); }),
+               Error);
+  // The runtime's active ranks must be the layout's ranks.
+  EXPECT_THROW(exchange(4, 4, [](Locals&) {}), Error);
+  EXPECT_THROW(exchange(4, 2, [](Locals&) {}), Error);
+}
+
+TEST(Dist, PreconRejectsShortSpans) {
+  const CsrMatrix a = laplace_1d(12);
+  const DistMatrix dm =
+      DistMatrix::build(a, DistLayout::build(3, round_robin_owner(12, 3), a));
+  const std::size_t n = dm.layout.owned[1].size();
+  ASSERT_GT(n, 1u);
+  std::vector<double> r(n, 1.0), z(n), scratch(n);
+  const std::span<const double> r_short = std::span(r).first(n - 1);
+  const std::span<double> z_short = std::span(z).first(n - 1);
+  const std::span<double> scratch_short = std::span(scratch).first(n - 1);
+  for (const Precon kind :
+       {Precon::kNone, Precon::kJacobi, Precon::kBlockSsor}) {
+    SCOPED_TRACE(static_cast<int>(kind));
+    EXPECT_NO_THROW(apply_precon(dm, 1, kind, r, z, scratch));
+    EXPECT_THROW(apply_precon(dm, 1, kind, r_short, z, scratch), Error);
+    EXPECT_THROW(apply_precon(dm, 1, kind, r, z_short, scratch), Error);
+    EXPECT_THROW(apply_precon(dm, 1, kind, r, z, scratch_short), Error);
+    EXPECT_THROW(apply_precon(dm, 3, kind, r, z, scratch), Error);
+  }
+}
+
 /// Distributed CG must match the serial solution for any rank count.
 class DistCgTest : public ::testing::TestWithParam<int> {};
 
@@ -361,16 +559,6 @@ const Dataset2System& dataset2(int nranks) {
   for (double& q : charge) q = rng.uniform(0.0, 1e-12);
   slot->b = scatter_vector(slot->dm.layout, psys.rhs(charge));
   return *slot;
-}
-
-/// Index of the first element whose bits differ, or -1.
-std::ptrdiff_t first_bit_difference(std::span<const double> a,
-                                    std::span<const double> b) {
-  if (a.size() != b.size()) return 0;
-  for (std::size_t i = 0; i < a.size(); ++i)
-    if (std::bit_cast<std::uint64_t>(a[i]) != std::bit_cast<std::uint64_t>(b[i]))
-      return static_cast<std::ptrdiff_t>(i);
-  return -1;
 }
 
 class Dataset2Reference : public ::testing::TestWithParam<int> {};

@@ -393,31 +393,70 @@ TEST(Runtime, PayloadPoolStopsAllocatingInSteadyState) {
   EXPECT_GT(steady.recycles, warm.recycles);
 }
 
+// Every number a routing accounts for: clocks, busy rows, phase stats and,
+// when a recorder is attached, its message records.
+struct Routed {
+  std::vector<double> clocks;
+  std::vector<PhaseStats> stats;
+  std::vector<std::vector<double>> busy;
+  std::vector<trace::MessageRec> msgs;
+};
+
+Routed routed(const Runtime& rt, const trace::TraceRecorder* rec) {
+  Routed o;
+  for (int r = 0; r < rt.size(); ++r) o.clocks.push_back(rt.clock(r));
+  for (const auto& p : rt.phases()) {
+    o.stats.push_back(rt.phase_stats(p));
+    o.busy.push_back(rt.phase_busy(p));
+  }
+  if (rec) o.msgs = rec->messages();
+  return o;
+}
+
+void expect_same_routing(const Routed& a, const Routed& b) {
+  EXPECT_EQ(a.clocks, b.clocks);
+  EXPECT_EQ(a.busy, b.busy);
+  ASSERT_EQ(a.stats.size(), b.stats.size());
+  for (std::size_t i = 0; i < a.stats.size(); ++i) {
+    EXPECT_EQ(a.stats[i].busy_max, b.stats[i].busy_max);
+    EXPECT_EQ(a.stats[i].busy_min, b.stats[i].busy_min);
+    EXPECT_EQ(a.stats[i].busy_sum, b.stats[i].busy_sum);
+    EXPECT_EQ(a.stats[i].transactions, b.stats[i].transactions);
+    EXPECT_EQ(a.stats[i].bytes, b.stats[i].bytes);
+  }
+  ASSERT_EQ(a.msgs.size(), b.msgs.size());
+  for (std::size_t i = 0; i < a.msgs.size(); ++i) {
+    const trace::MessageRec& x = a.msgs[i];
+    const trace::MessageRec& y = b.msgs[i];
+    EXPECT_EQ(std::tie(x.src, x.dst, x.tag, x.bytes, x.phase, x.seq),
+              std::tie(y.src, y.dst, y.tag, y.bytes, y.phase, y.seq));
+    EXPECT_EQ(std::tie(x.scaled_bytes, x.send_begin, x.send_end,
+                       x.recv_begin, x.recv_end),
+              std::tie(y.scaled_bytes, y.send_begin, y.send_end,
+                       y.recv_begin, y.recv_end));
+  }
+}
+
 // A MessageRound must be indistinguishable from the same messages sent as
 // pooled payloads in every accounted number — clocks, busy rows, phase
 // stats and trace message records — on the per-message NIC-serialization
-// path and on the hinted congestion path, under both exec modes. It queues
-// nothing for delivery and touches no payload pool.
+// path and on the hinted congestion path, under both exec modes, with and
+// without a recorder attached. It queues nothing for delivery and touches
+// no payload pool.
 TEST(Runtime, RoundMatchesPooledPayloadMessages) {
-  struct Outcome {
-    std::vector<double> clocks;
-    std::vector<PhaseStats> stats;
-    std::vector<std::vector<double>> busy;
-    std::vector<trace::MessageRec> msgs;
-    PoolStats pool;
-  };
   // Rank r's k-th message carries 24 r k bytes to rank r + k + 1 (mod 6).
   auto dst_of = [](int r, int k) { return (r + k + 1) % 6; };
   auto bytes_of = [](int r, int k) {
     return 24 * static_cast<std::size_t>(r * k);
   };
-  auto run = [&](bool as_round, bool hinted, ExecMode mode, bool nic = true) {
+  auto run = [&](bool as_round, bool hinted, ExecMode mode, bool nic,
+                 bool traced, PoolStats* pool = nullptr) {
     MachineProfile prof = MachineProfile::tianhe2();
     prof.cores_per_node = 2;  // 6 ranks on 3 nodes: inter-node NIC traffic
     if (!nic) prof.nic_overhead = 0.0;
     Runtime rt(6, Topology(prof, 6), 3.0, 2.0, ExecOptions{mode, 3});
     trace::TraceRecorder rec(6);
-    rt.set_tracer(&rec);
+    if (traced) rt.set_tracer(&rec);
     MessageRound round(/*tag=*/7, CostClass::kGrid);
     for (int r = 0; r < 6; ++r)
       for (int k = 0; k < 4; ++k) round.add(r, dst_of(r, k), bytes_of(r, k));
@@ -440,52 +479,136 @@ TEST(Runtime, RoundMatchesPooledPayloadMessages) {
       EXPECT_EQ(c.inbox().size(), as_round ? 0u : 4u);
     });
     rt.barrier("end");
-    Outcome o;
-    for (int r = 0; r < rt.size(); ++r) o.clocks.push_back(rt.clock(r));
-    for (const auto& p : rt.phases()) {
-      o.stats.push_back(rt.phase_stats(p));
-      o.busy.push_back(rt.phase_busy(p));
-    }
-    o.msgs = rec.messages();
-    o.pool = rt.pool_stats();
-    return o;
+    if (pool) *pool = rt.pool_stats();
+    return routed(rt, traced ? &rec : nullptr);
   };
   for (const bool hinted : {false, true}) {
     SCOPED_TRACE(hinted ? "hinted round" : "NIC-serialized round");
-    const Outcome b = run(/*as_round=*/false, hinted, ExecMode::kSequential);
-    EXPECT_EQ(b.pool.acquires, 24u);
-    for (const ExecMode mode : {ExecMode::kSequential, ExecMode::kThreaded}) {
-      SCOPED_TRACE(exec_mode_name(mode));
-      const Outcome a = run(/*as_round=*/true, hinted, mode);
-      EXPECT_EQ(a.pool.acquires, 0u);
-      EXPECT_EQ(a.pool.recycles, 0u);
-      EXPECT_EQ(a.clocks, b.clocks);
-      EXPECT_EQ(a.busy, b.busy);
-      ASSERT_EQ(a.stats.size(), b.stats.size());
-      for (std::size_t i = 0; i < a.stats.size(); ++i) {
-        EXPECT_EQ(a.stats[i].busy_max, b.stats[i].busy_max);
-        EXPECT_EQ(a.stats[i].busy_min, b.stats[i].busy_min);
-        EXPECT_EQ(a.stats[i].busy_sum, b.stats[i].busy_sum);
-        EXPECT_EQ(a.stats[i].transactions, b.stats[i].transactions);
-        EXPECT_EQ(a.stats[i].bytes, b.stats[i].bytes);
+    PoolStats pool;
+    const Routed b = run(/*as_round=*/false, hinted, ExecMode::kSequential,
+                         /*nic=*/true, /*traced=*/true, &pool);
+    EXPECT_EQ(pool.acquires, 24u);
+    ASSERT_EQ(b.msgs.size(), 24u);
+    for (const ExecMode mode : {ExecMode::kSequential, ExecMode::kThreaded})
+      for (const bool traced : {true, false}) {
+        SCOPED_TRACE(std::string(exec_mode_name(mode)) +
+                     (traced ? ", traced" : ", untraced"));
+        const Routed a = run(/*as_round=*/true, hinted, mode, /*nic=*/true,
+                             traced, &pool);
+        EXPECT_EQ(pool.acquires, 0u);
+        EXPECT_EQ(pool.recycles, 0u);
+        Routed want = b;
+        if (!traced) want.msgs.clear();
+        expect_same_routing(a, want);
       }
-      ASSERT_EQ(a.msgs.size(), 24u);
-      ASSERT_EQ(a.msgs.size(), b.msgs.size());
-      for (std::size_t i = 0; i < a.msgs.size(); ++i) {
-        const trace::MessageRec& x = a.msgs[i];
-        const trace::MessageRec& y = b.msgs[i];
-        EXPECT_EQ(std::tie(x.src, x.dst, x.tag, x.bytes, x.phase, x.seq),
-                  std::tie(y.src, y.dst, y.tag, y.bytes, y.phase, y.seq));
-        EXPECT_EQ(std::tie(x.scaled_bytes, x.send_begin, x.send_end,
-                           x.recv_begin, x.recv_end),
-                  std::tie(y.scaled_bytes, y.send_begin, y.send_end,
-                           y.recv_begin, y.recv_end));
-      }
-    }
     // The NIC term is live on this path: without it the clocks differ.
-    EXPECT_NE(run(true, hinted, ExecMode::kSequential, /*nic=*/false).clocks,
+    EXPECT_NE(run(true, hinted, ExecMode::kSequential, /*nic=*/false,
+                  /*traced=*/false)
+                  .clocks,
               b.clocks);
   }
+}
+
+// A round keeps its prices from one routing to the next only while the
+// routing runtime and its active rank count stay the same and no congestion
+// hint is pending. Whatever it reuses, each routing must equal the same
+// messages sent as pooled payloads: one round routed four times across a
+// shrink and a grow of the active set, with a pending hint on each routing
+// in turn or on none, and one round routed alternately on two runtimes with
+// different profiles; under both exec modes, with the NIC term on and off,
+// with and without a recorder.
+TEST(Runtime, RoundReusesPricesBitForBit) {
+  // Ranks 0-5 of 8 (2 per node) each send 3 messages among themselves, so
+  // the round stays routable with 6 active ranks, on 3 nodes instead of 4.
+  auto dst_of = [](int r, int k) { return (r + 2 * k + 1) % 6; };
+  auto bytes_of = [](int r, int k) {
+    return 16 * static_cast<std::size_t>(1 + r + 3 * k);
+  };
+  MessageRound round(/*tag=*/5, CostClass::kGrid);
+  for (int r = 0; r < 6; ++r)
+    for (int k = 0; k < 3; ++k) round.add(r, dst_of(r, k), bytes_of(r, k));
+
+  struct Side {
+    Runtime rt;
+    trace::TraceRecorder rec;
+    Side(const MachineProfile& prof, ExecMode mode, bool traced)
+        : rt(8, Topology(prof, 8), 3.0, 2.0, ExecOptions{mode, 3}), rec(8) {
+      if (traced) rt.set_tracer(&rec);
+    }
+  };
+  // One routing on `s`: the round itself, or its messages as pooled sends
+  // (rank 5 sending `rank5_sends`). The body charges rank-dependent work,
+  // so every clock differs.
+  auto route = [&](Side& s, bool as_round, bool hinted, int rank5_sends = 3) {
+    if (hinted) s.rt.hint_round_transactions(40);
+    const auto body = [&](Comm& c) {
+      c.charge(WorkKind::kVecFlop, 1000.0 * (c.rank() + 1));
+      if (as_round || c.rank() >= 6) return;
+      for (int k = 0; k < (c.rank() == 5 ? rank5_sends : 3); ++k)
+        c.send_owned(dst_of(c.rank(), k), 5,
+                     c.acquire_payload(bytes_of(c.rank(), k)),
+                     CostClass::kGrid);
+    };
+    if (as_round)
+      s.rt.superstep("halo", body, round);
+    else
+      s.rt.superstep("halo", body);
+    s.rt.superstep("drain", [](Comm&) {});
+  };
+  auto profile = [](MachineProfile prof, bool nic) {
+    prof.cores_per_node = 2;
+    if (!nic) prof.nic_overhead = 0.0;
+    return prof;
+  };
+
+  for (const ExecMode mode : {ExecMode::kSequential, ExecMode::kThreaded})
+    for (const bool nic : {true, false})
+      for (const bool traced : {false, true}) {
+        SCOPED_TRACE(std::string(exec_mode_name(mode)) +
+                     (nic ? ", NIC on" : ", NIC off") +
+                     (traced ? ", traced" : ", untraced"));
+        const MachineProfile t2 = profile(MachineProfile::tianhe2(), nic);
+        for (const int hinted_at : {-1, 0, 1, 2, 3}) {
+          SCOPED_TRACE("hint on routing " + std::to_string(hinted_at));
+          Side a(t2, mode, traced), b(t2, mode, traced);
+          for (int i = 0; i < 4; ++i) {
+            SCOPED_TRACE("routing " + std::to_string(i));
+            const int active = i == 1 ? 6 : 8;  // shrink, then grow back
+            a.rt.set_active_ranks(active);
+            b.rt.set_active_ranks(active);
+            route(a, /*as_round=*/true, i == hinted_at);
+            route(b, /*as_round=*/false, i == hinted_at);
+            expect_same_routing(routed(a.rt, traced ? &a.rec : nullptr),
+                                routed(b.rt, traced ? &b.rec : nullptr));
+          }
+        }
+        // Two runtimes of different profiles take turns with one round.
+        const MachineProfile t3 = profile(MachineProfile::tianhe3(), nic);
+        Side a2(t2, mode, traced), b2(t2, mode, traced);
+        Side a3(t3, mode, traced), b3(t3, mode, traced);
+        for (int i = 0; i < 3; ++i) {
+          SCOPED_TRACE("turn " + std::to_string(i));
+          route(a2, true, false);
+          route(b2, false, false);
+          route(a3, true, false);
+          route(b3, false, false);
+          expect_same_routing(routed(a2.rt, traced ? &a2.rec : nullptr),
+                              routed(b2.rt, traced ? &b2.rec : nullptr));
+          expect_same_routing(routed(a3.rt, traced ? &a3.rec : nullptr),
+                              routed(b3.rt, traced ? &b3.rec : nullptr));
+        }
+      }
+
+  // A message added after a routing drops the kept prices: the next
+  // routing prices the longer round.
+  const MachineProfile t2 = profile(MachineProfile::tianhe2(), true);
+  Side a(t2, ExecMode::kSequential, false), b(t2, ExecMode::kSequential, false);
+  route(a, true, false);
+  route(b, false, false);
+  round.add(5, dst_of(5, 3), bytes_of(5, 3));
+  route(a, true, false, 4);
+  route(b, false, false, 4);
+  expect_same_routing(routed(a.rt, nullptr), routed(b.rt, nullptr));
 }
 
 TEST(Runtime, RoundSuperstepRejectsSendsAndBadRanks) {
