@@ -6,6 +6,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <utility>
 
 #include "common.hpp"
 #include "dsmc/sampling.hpp"
@@ -47,21 +48,23 @@ ProfileSeries run_profiles(const core::Dataset& ds, int nranks,
 int main(int argc, char** argv) {
   Cli cli("Fig. 8/9 — serial vs parallel validation on Dataset 1");
   bench::CommonFlags common(cli, "bench_fig09_validation", "4", 80);
-  const auto* npoints = cli.add_int("points", 12, "axis sample points");
+  const auto* points = cli.add_int("points", 12, "axis sample points");
   const auto* repeats = cli.add_int("repeats", 3, "repeated runs for RSD");
   if (!bench::parse_or_usage(cli, argc, argv)) return 0;
   const BenchOptions opt = bench::finish_or_usage([&] { return common.finish(); });
+  const auto [npoints, nrepeats] = bench::finish_or_usage([&] {
+    return std::pair{bench::int_flag("points", *points),
+                     bench::int_flag("repeats", *repeats)};
+  });
 
   const core::Dataset ds = core::make_dataset(1, opt.particle_scale);
   // Four evenly spaced time points, like the paper's 3/6/9/12 us.
   std::vector<int> sample_steps;
   for (int k = 1; k <= 4; ++k) sample_steps.push_back(opt.steps * k / 4);
 
-  const auto serial = run_profiles(ds, 1, sample_steps,
-                                   static_cast<int>(*npoints), opt.seed);
+  const auto serial = run_profiles(ds, 1, sample_steps, npoints, opt.seed);
   const auto parallel =
-      run_profiles(ds, opt.ranks.front(), sample_steps,
-                   static_cast<int>(*npoints), opt.seed);
+      run_profiles(ds, opt.ranks.front(), sample_steps, npoints, opt.seed);
 
   for (std::size_t tp = 0; tp < sample_steps.size(); ++tp) {
     const double t_us =
@@ -131,15 +134,13 @@ int main(int argc, char** argv) {
   // Relative standard deviation across repeated parallel runs (Fig. 9b
   // caption: RSD of 5 runs < 5%).
   std::vector<double> peak_density;
-  for (int rep = 0; rep < static_cast<int>(*repeats); ++rep) {
-    const auto p = run_profiles(ds, opt.ranks.front(), {opt.steps},
-                                static_cast<int>(*npoints),
+  for (int rep = 0; rep < nrepeats; ++rep) {
+    const auto p = run_profiles(ds, opt.ranks.front(), {opt.steps}, npoints,
                                 opt.seed + 1000 + rep);
     peak_density.push_back(max_of(p.at_time[0]));
   }
   std::printf("relative standard deviation of %d runs (peak axis density): "
               "%.2f%%  (paper: < 5%%)\n",
-              static_cast<int>(*repeats),
-              100.0 * relative_stddev(peak_density));
+              nrepeats, 100.0 * relative_stddev(peak_density));
   return 0;
 }

@@ -15,6 +15,7 @@
 #include <numeric>
 #include <sstream>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "common.hpp"
@@ -137,11 +138,15 @@ int main(int argc, char** argv) {
       "also write a run_report.json (host-profile section carries the "
       "per-lane kernel timings)");
   if (!bench::parse_or_usage(cli, argc, argv)) return 0;
+  const auto [nradial, naxial, nreps] = bench::finish_or_usage([&] {
+    return std::tuple{bench::int_flag("radial", *radial),
+                      bench::int_flag("axial", *axial),
+                      bench::int_flag("reps", *reps)};
+  });
 
-  const int nreps = static_cast<int>(*reps);
   mesh::NozzleSpec spec;
-  spec.radial_divisions = static_cast<int>(*radial);
-  spec.axial_divisions = static_cast<int>(*axial);
+  spec.radial_divisions = nradial;
+  spec.axial_divisions = naxial;
   const mesh::TetMesh coarse = mesh::make_cylinder_nozzle(spec);
   const mesh::RefinedMesh refined =
       mesh::red_refine(coarse, nozzle_classifier(spec));

@@ -21,6 +21,7 @@
 #include <chrono>
 #include <cstdio>
 #include <fstream>
+#include <tuple>
 #include <vector>
 
 #include "common.hpp"
@@ -72,6 +73,11 @@ int main(int argc, char** argv) {
       cli.add_string("out", "", "write the lane timings as JSON to this path");
   if (!bench::parse_or_usage(cli, argc, argv)) return 0;
   BenchOptions opt = bench::finish_or_usage([&] { return common.finish(); });
+  const auto [active, inr, imb_nsteps] = bench::finish_or_usage([&] {
+    return std::tuple{bench::int_flag("sparse-active", *sparse_active),
+                      bench::int_flag("imb-ranks", *imb_ranks),
+                      bench::int_flag("imb-steps", *imb_steps)};
+  });
   if (opt.machine == "tianhe2") opt.machine = "tianhe3";  // paper's target
 
   const exchange::Strategy strategy = exchange::parse_strategy(
@@ -113,7 +119,6 @@ int main(int argc, char** argv) {
 
   // ---- lane group 2: parked ranks must be ~free --------------------------
   const int nominal = opt.ranks.back();
-  const int active = static_cast<int>(*sparse_active);
   TimedCase dense, sparse;
   {
     auto par = bench::make_parallel(ds, active, strategy, false, opt);
@@ -138,8 +143,7 @@ int main(int argc, char** argv) {
   // Few particles per rank on a mid-size machine: synchronization swamps
   // compute, so the elastic policy should park ranks hard.
   BenchOptions iopt = opt;
-  iopt.steps = static_cast<int>(*imb_steps);
-  const int inr = static_cast<int>(*imb_ranks);
+  iopt.steps = imb_nsteps;
   TimedCase fixed, elastic;
   {
     auto par = bench::make_parallel(ds, inr, strategy, false, iopt);

@@ -105,18 +105,16 @@ CommonFlags::CommonFlags(Cli& cli, std::string bench_name,
 BenchOptions CommonFlags::finish() const {
   BenchOptions o;
   o.ranks = parse_rank_list(*ranks_);
-  o.steps = static_cast<int>(*steps_);
-  DSMCPIC_CHECK_MSG(*steps_ >= 1, "--steps must be >= 1");
+  o.steps = int_flag("steps", *steps_, 1);
   o.particle_scale = *particles_;
   DSMCPIC_CHECK_MSG(std::isfinite(o.particle_scale) && o.particle_scale > 0.0,
                     "--particles must be finite and > 0");
   o.machine = *machine_;
   o.seed = static_cast<std::uint64_t>(*seed_);
   o.exec_mode = par::parse_exec_mode(*exec_mode_);
-  o.exec_threads = static_cast<int>(*threads_);
-  o.kernel_threads = static_cast<int>(*kernel_threads_);
-  o.sort_every = static_cast<int>(*sort_every_);
-  DSMCPIC_CHECK_MSG(*sort_every_ >= 0, "--sort-every must be >= 0");
+  o.exec_threads = int_flag("threads", *threads_);
+  o.kernel_threads = int_flag("kernel-threads", *kernel_threads_);
+  o.sort_every = int_flag("sort-every", *sort_every_, 0);
   o.trace_path = *trace_;
   o.bench_name = bench_name_;
   o.report_path = *report_;
@@ -126,21 +124,15 @@ BenchOptions CommonFlags::finish() const {
   balance::parse_cost_model(o.cost_model);  // validate early
   o.policy = *policy_;
   balance::parse_policy(o.policy);
-  o.horizon = static_cast<int>(*horizon_);
-  DSMCPIC_CHECK_MSG(o.horizon >= 0, "--horizon must be >= 0");
+  o.horizon = int_flag("horizon", *horizon_, 0);
   o.ensemble = *ensemble_;
   balance::parse_ensemble(o.ensemble);  // validate early
-  o.ranks_min = static_cast<int>(*ranks_min_);
-  o.ranks_max = static_cast<int>(*ranks_max_);
-  o.ranks_initial = static_cast<int>(*ranks_initial_);
-  DSMCPIC_CHECK_MSG(o.ranks_min >= 1, "--ranks-min must be >= 1");
-  DSMCPIC_CHECK_MSG(o.ranks_max >= 0, "--ranks-max must be >= 0");
-  DSMCPIC_CHECK_MSG(o.ranks_initial >= 0, "--ranks-initial must be >= 0");
+  o.ranks_min = int_flag("ranks-min", *ranks_min_, 1);
+  o.ranks_max = int_flag("ranks-max", *ranks_max_, 0);
+  o.ranks_initial = int_flag("ranks-initial", *ranks_initial_, 0);
   o.metrics_dir = *metrics_dir_;
-  o.metrics_interval = static_cast<int>(*metrics_interval_);
-  o.flight_recorder = static_cast<int>(*flight_recorder_);
-  DSMCPIC_CHECK_MSG(o.metrics_interval >= 1, "--metrics-interval must be >= 1");
-  DSMCPIC_CHECK_MSG(o.flight_recorder >= 1, "--flight-recorder must be >= 1");
+  o.metrics_interval = int_flag("metrics-interval", *metrics_interval_, 1);
+  o.flight_recorder = int_flag("flight-recorder", *flight_recorder_, 1);
   return o;
 }
 
@@ -172,19 +164,15 @@ FleetFlags::FleetFlags(Cli& cli) {
 
 FleetBenchOptions FleetFlags::finish() const {
   FleetBenchOptions o;
-  o.slots = static_cast<int>(*slots_);
-  o.runs = static_cast<int>(*runs_);
+  o.slots = int_flag("fleet-slots", *slots_, 1);
+  o.runs = int_flag("fleet-runs", *runs_, 1);
   o.scenarios = *scenarios_;
-  o.lease = static_cast<int>(*lease_);
-  o.park = static_cast<int>(*park_);
+  o.lease = int_flag("fleet-lease", *lease_, 0);
+  o.park = int_flag("fleet-park", *park_, 0);
   o.results_dir = *results_dir_;
   o.out = *out_;
-  DSMCPIC_CHECK_MSG(o.slots >= 1, "--fleet-slots must be >= 1");
-  DSMCPIC_CHECK_MSG(o.runs >= 1, "--fleet-runs must be >= 1");
-  DSMCPIC_CHECK_MSG(o.lease >= 0, "--fleet-lease must be >= 0");
   DSMCPIC_CHECK_MSG(o.lease == 0 || !o.results_dir.empty(),
                     "--fleet-lease requires --results-dir");
-  DSMCPIC_CHECK_MSG(o.park >= 0, "--fleet-park must be >= 0");
   DSMCPIC_CHECK_MSG(o.park == 0 || !o.results_dir.empty(),
                     "--fleet-park requires --results-dir");
   return o;
@@ -201,6 +189,14 @@ bool parse_or_usage(Cli& cli, int argc, const char* const* argv) {
     std::fprintf(stderr, "%s\n", e.what());
     std::exit(2);
   }
+}
+
+int int_flag(const std::string& name, std::int64_t value, int lo) {
+  constexpr int kMax = std::numeric_limits<int>::max();
+  DSMCPIC_CHECK_MSG(value >= lo && value <= kMax,
+                    "--" << name << " must be >= " << lo << " and <= " << kMax
+                         << ", got " << value);
+  return static_cast<int>(value);
 }
 
 std::vector<int> parse_rank_list(const std::string& csv,

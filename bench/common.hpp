@@ -4,8 +4,10 @@
 // settings, and prints the same rows the paper's table or figure reports.
 // Times are virtual seconds from the runtime's cost model (see DESIGN.md §1).
 
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -163,6 +165,12 @@ auto finish_or_usage(Fn&& fn) -> decltype(fn()) {
     std::exit(2);
   }
 }
+
+/// Narrows int flag --`name` to an int in [`lo`, INT_MAX]. A value past
+/// either end throws dsmcpic::Error (exit 2 under finish_or_usage) instead
+/// of wrapping in the cast.
+int int_flag(const std::string& name, std::int64_t value,
+             int lo = std::numeric_limits<int>::min());
 
 /// Parses "24,48,96" into {24, 48, 96}. Each item must be a whole positive
 /// int; errors name --`flag`.

@@ -66,11 +66,9 @@ int main(int argc, char** argv) {
   const core::RunSummary sum = solver.summary();
   Table t("Phase breakdown (virtual seconds, max over ranks)");
   t.header({"phase", "busy_max", "busy_min", "transactions"});
-  for (std::size_t i = 0; i < sum.phase_names.size(); ++i) {
-    const auto& st = sum.phase_stats[i];
-    t.row({sum.phase_names[i], Table::num(st.busy_max, 3),
-           Table::num(st.busy_min, 3), std::to_string(st.transactions)});
-  }
+  for (const auto& p : sum.phases)
+    t.row({p.name, Table::num(p.busy_max, 3), Table::num(p.busy_min, 3),
+           std::to_string(p.transactions)});
   t.print();
   std::printf("total virtual time: %.3f s, final particles: %lld\n",
               sum.total_time, static_cast<long long>(sum.final_particles));

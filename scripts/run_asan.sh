@@ -29,7 +29,9 @@
 # load rather than cast to an integer. The partitioner's indexed FM heap
 # (position arithmetic on every sift) and its dense coarsening and subgraph
 # maps (marker and reset discipline), and the one-pass Kuhn–Munkres scan
-# against its two-pass reference, run here too. The build uses
+# against its two-pass reference, run here too, as do the bench flags'
+# checked narrowing to int and the auditor's fixed bounds with the exact
+# texts that print them. The build uses
 # -DDSMCPIC_WERROR=ON, so a new compiler warning fails the sweep too.
 #
 #   scripts/run_asan.sh [build-dir]
@@ -45,7 +47,7 @@ cmake -B "$BUILD" -S . -G Ninja \
 cmake --build "$BUILD" --target particle_sort_test pic_test dsmc_test \
   determinism_test golden_test par_test linalg_test core_features_test \
   support_test fleet_test exchange_test balance_test balance_policy_test \
-  ensemble_test partition_test -j
+  ensemble_test partition_test bench_cli_test obs_test -j
 
 # Any report fails the script: ASan aborts by default, and UBSan is built
 # with -fno-sanitize-recover.
@@ -88,9 +90,10 @@ export UBSAN_OPTIONS="print_stacktrace=1 ${UBSAN_OPTIONS:-}"
 "$BUILD"/tests/balance_policy_test
 "$BUILD"/tests/ensemble_test
 # The partitioner's pinned partitions (PartitionPins.*: the Dataset-2 and
-# wide-1024 duals, and a seeded battery with zero-weight edges, 0 to 10
-# FM passes and 1 or 8 initial tries), which drive the indexed FM heap and
-# the dense coarsening and subgraph maps.
+# wide-1024 duals, and a seeded battery of 24 grids and geometric graphs
+# with zero-weight edges at 5 part counts, 120 partitions at the
+# partitioner's fixed tolerance, passes, tries and seed), which drive the
+# indexed FM heap and the dense coarsening and subgraph maps.
 "$BUILD"/tests/partition_test
 # Message rounds and the prices they keep (Runtime.Round*, including
 # Runtime.RoundReusesPricesBitForBit), the runtime checkpoint's busy-row
@@ -117,5 +120,11 @@ export UBSAN_OPTIONS="print_stacktrace=1 ${UBSAN_OPTIONS:-}"
 # (Fleet.ResumeRejectsOutOfRangeLeaseFields).
 "$BUILD"/tests/support_test --gtest_filter='Serialize.*'
 "$BUILD"/tests/fleet_test --gtest_filter='Fleet.ResumeRejects*'
+# Every int bench flag past INT_MAX or 2^32 + 1 exits 2 instead of
+# wrapping (BenchCli.IntFlagsPastIntMaxExitTwo, one death test per flag),
+# and the auditor's bounds and violation texts
+# (HealthAuditor.BoundsAndViolationTextsArePinned).
+"$BUILD"/tests/bench_cli_test
+"$BUILD"/tests/obs_test --gtest_filter='HealthAuditor.*'
 
 echo "ASan/UBSan sweep clean."

@@ -34,6 +34,8 @@
 #include <string>
 #include <vector>
 
+#include "obs/step_record.hpp"
+
 namespace dsmcpic::balance {
 
 enum class PolicyKind { kThreshold, kLookahead };
@@ -48,18 +50,9 @@ struct PolicyConfig {
   int horizon = 20;
 };
 
-/// One periodic decision, recorded for run_report.json and the benches.
-struct PolicyDecision {
-  int step = 0;
-  double lii = 0.0;
-  /// EWMA of the per-step imbalance cost (max - mean rank compute time).
-  double imbalance_per_step = 0.0;
-  /// Branch A: projected cumulative imbalance cost over the horizon.
-  double projected_imbalance_cost = 0.0;
-  /// Branch B: the learned cost of a rebalance event.
-  double rebalance_cost_estimate = 0.0;
-  bool rebalance = false;
-};
+/// One periodic decision, recorded for run_report.json and the benches;
+/// defined with the step record that carries it.
+using PolicyDecision = obs::DecisionRecord;
 
 class RebalancePolicy {
  public:

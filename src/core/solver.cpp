@@ -16,15 +16,30 @@
 
 namespace dsmcpic::core {
 
+namespace {
+
+/// Every phase the runtime has run, with its cumulative accounting.
+std::vector<obs::PhaseRecord> phase_records(const par::Runtime& rt) {
+  std::vector<obs::PhaseRecord> out;
+  for (const std::string& name : rt.phases()) {
+    const par::PhaseStats ps = rt.phase_stats(name);
+    out.push_back({name, ps.busy_max, ps.busy_min, ps.busy_sum,
+                   ps.transactions, ps.bytes});
+  }
+  return out;
+}
+
+}  // namespace
+
 double RunSummary::phase_max(const std::string& name) const {
-  for (std::size_t i = 0; i < phase_names.size(); ++i)
-    if (phase_names[i] == name) return phase_stats[i].busy_max;
+  for (const obs::PhaseRecord& p : phases)
+    if (p.name == name) return p.busy_max;
   return 0.0;
 }
 
 double RunSummary::busy_sum_total() const {
   double s = 0.0;
-  for (const par::PhaseStats& p : phase_stats) s += p.busy_sum;
+  for (const obs::PhaseRecord& p : phases) s += p.busy_sum;
   return s;
 }
 
@@ -707,11 +722,7 @@ void CoupledSolver::record_step(const StepDiagnostics& diag,
   rec.active_ranks = active_;
   rec.particles = total_particles();
 
-  for (const std::string& name : rt_->phases()) {
-    const par::PhaseStats ps = rt_->phase_stats(name);
-    rec.phases.push_back({name, ps.busy_max, ps.busy_min, ps.busy_sum,
-                          ps.transactions, ps.bytes});
-  }
+  rec.phases = phase_records(*rt_);
   const ExchangeVolume end = exchange_volume();
   rec.exchange_bytes = end.bytes - start.bytes;
   rec.exchange_messages = end.messages - start.messages;
@@ -733,10 +744,7 @@ void CoupledSolver::record_step(const StepDiagnostics& diag,
   auto first = decisions.end();
   while (first != decisions.begin() && (first - 1)->step == diag.dsmc_step)
     --first;
-  for (auto it = first; it != decisions.end(); ++it)
-    rec.decisions.push_back({it->step, it->lii, it->imbalance_per_step,
-                             it->projected_imbalance_cost,
-                             it->rebalance_cost_estimate, it->rebalance});
+  rec.decisions.assign(first, decisions.end());
 
   if (auditor_) {
     rec.audit_checks = auditor_->report().checks();
@@ -842,8 +850,7 @@ std::int64_t CoupledSolver::total_particles() const {
 RunSummary CoupledSolver::summary() const {
   RunSummary s;
   s.total_time = rt_->total_time();
-  s.phase_names = rt_->phases();
-  for (const auto& p : s.phase_names) s.phase_stats.push_back(rt_->phase_stats(p));
+  s.phases = phase_records(*rt_);
   s.rebalance = lb_stats_;
   s.decisions = policy_.decisions();
   s.ensemble_decisions = ensemble_.decisions();

@@ -49,8 +49,7 @@ using StepDiagnostics = obs::StepDiagnostics;
 /// End-of-run accounting used by the bench harness.
 struct RunSummary {
   double total_time = 0.0;  // end-to-end virtual seconds
-  std::vector<std::string> phase_names;
-  std::vector<par::PhaseStats> phase_stats;  // parallel to phase_names
+  std::vector<obs::PhaseRecord> phases;  // every phase run, in first-run order
   balance::RebalanceStats rebalance;
   /// Every periodic when-to-rebalance decision the policy made.
   std::vector<balance::PolicyDecision> decisions;

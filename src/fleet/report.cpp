@@ -34,17 +34,10 @@ void fill_run_report(obs::RunReport& rep, const core::CoupledSolver& solver,
   rep.ensemble.active_final = solver.active_ranks();
   rep.ensemble.resizes = solver.ensemble().resizes();
   rep.total_virtual_time = summary.total_time;
-  for (std::size_t i = 0; i < summary.phase_names.size(); ++i) {
-    const par::PhaseStats& st = summary.phase_stats[i];
-    rep.phases.push_back({summary.phase_names[i], st.busy_max, st.busy_min,
-                          st.busy_sum, st.transactions, st.bytes});
-  }
+  rep.phases = summary.phases;
   rep.final_particles = summary.final_particles;
   for (const core::StepDiagnostics& d : history) rep.steps.add(d);
-  for (const balance::PolicyDecision& d : summary.decisions)
-    rep.rebalance_decisions.push_back({d.step, d.lii, d.imbalance_per_step,
-                                       d.projected_imbalance_cost,
-                                       d.rebalance_cost_estimate, d.rebalance});
+  rep.rebalance_decisions = summary.decisions;
 }
 
 }  // namespace dsmcpic::fleet

@@ -2,12 +2,29 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
 #include <sstream>
 
 #include "support/error.hpp"
-#include "support/log.hpp"
 
 namespace dsmcpic::obs {
+
+namespace {
+
+/// Relative tolerance for the charge balance (the deposit's serial scatter
+/// order differs from the audit's particle-order resum).
+constexpr double kChargeRelTol = 1e-9;
+/// Residual bound applied when the CG did NOT converge (a converged solve
+/// is checked against its own rel_tol).
+constexpr double kPoissonResidualBound = 1e-3;
+/// The policy's rebalance-cost estimate must lie within this factor of the
+/// measured rebalance span (either direction). Generous by design: the
+/// estimate is an EWMA of *past* rebalances and migration volume varies
+/// between events; the invariant catches estimates that are off by orders
+/// of magnitude (a broken feedback loop), not EWMA lag.
+constexpr double kRebalanceCostFactor = 16.0;
+
+}  // namespace
 
 const char* invariant_name(Invariant inv) {
   switch (inv) {
@@ -65,9 +82,13 @@ void HealthAuditor::check(Invariant inv, bool ok, const std::string& detail) {
     report_.first_violation_step = step_;
   }
   switch (cfg_.severity) {
-    case AuditSeverity::kWarnOnly:
-      LOG_WARN_C("audit", msg);
+    case AuditSeverity::kWarnOnly: {
+      // One write per line, so violations from concurrent runs never
+      // interleave fragments.
+      const std::string line = "[audit] " + msg + "\n";
+      std::fwrite(line.data(), 1, line.size(), stderr);
       break;
+    }
     case AuditSeverity::kAbort:
       throw Error("audit: " + msg);
     case AuditSeverity::kCountOnly:
@@ -124,19 +145,19 @@ void HealthAuditor::check_charge(double particle_charge,
       std::max({std::abs(particle_charge), std::abs(deposited_charge), 1e-300});
   const double rel = std::abs(particle_charge - deposited_charge) / scale;
   check(Invariant::kChargeBalance,
-        std::isfinite(deposited_charge) && rel <= cfg_.charge_rel_tol, [&] {
+        std::isfinite(deposited_charge) && rel <= kChargeRelTol, [&] {
           std::ostringstream os;
           os.precision(17);
           os << "deposited=" << deposited_charge
              << " vs particle=" << particle_charge << " (rel err " << rel
-             << ", tol " << cfg_.charge_rel_tol << ")";
+             << ", tol " << kChargeRelTol << ")";
           return os.str();
         }());
 }
 
 void HealthAuditor::check_poisson(int iterations, double residual,
                                   double rel_tol, bool converged) {
-  const double bound = converged ? rel_tol : cfg_.poisson_residual_bound;
+  const double bound = converged ? rel_tol : kPoissonResidualBound;
   check(Invariant::kPoissonResidual,
         std::isfinite(residual) && residual <= bound, [&] {
           std::ostringstream os;
@@ -199,7 +220,7 @@ void HealthAuditor::check_ownership(
 void HealthAuditor::check_rebalance_cost(double estimated, double measured) {
   // Either direction: a wildly over-estimating policy never rebalances, a
   // wildly under-estimating one thrashes. Both are feedback-loop breaks.
-  const double f = cfg_.rebalance_cost_factor;
+  const double f = kRebalanceCostFactor;
   const bool ok = std::isfinite(estimated) && std::isfinite(measured) &&
                   estimated >= 0.0 && measured >= 0.0 &&
                   estimated <= f * measured && measured <= f * estimated;

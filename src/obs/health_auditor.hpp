@@ -29,10 +29,10 @@
 // draw randomness — golden digests and trace bytes are bit-identical with
 // audits on or off (tests/obs_test.cpp, tests/golden_test.cpp).
 //
-// Violations are routed by severity: kWarnOnly logs through support/log
-// (component "audit", with step and phase in the message), kAbort throws
-// dsmcpic::Error, kCountOnly only tallies. All severities tally, and the
-// tallies land in run_report.json.
+// Violations are routed by severity: kWarnOnly writes one stderr line per
+// violation, "[audit] step N: <invariant> violated: <detail>", in a single
+// write; kAbort throws dsmcpic::Error; kCountOnly only tallies. All
+// severities tally, and the tallies land in run_report.json.
 
 #include <array>
 #include <cstdint>
@@ -53,7 +53,7 @@ enum class Invariant {
 };
 inline constexpr int kNumInvariants = 7;
 
-/// Stable snake_case names used in logs and run_report.json.
+/// Stable snake_case names used in violation texts and run_report.json.
 const char* invariant_name(Invariant inv);
 
 enum class AuditSeverity { kWarnOnly, kAbort, kCountOnly };
@@ -61,20 +61,11 @@ enum class AuditSeverity { kWarnOnly, kAbort, kCountOnly };
 /// Parses "warn" / "abort" / "count" (throws on anything else).
 AuditSeverity parse_audit_severity(const std::string& name);
 
+/// The one setting a run chooses (`--audit`). The charge tolerance (1e-9
+/// relative), the unconverged-Poisson bound (1e-3) and the rebalance-cost
+/// factor (16x) are constants in health_auditor.cpp.
 struct AuditConfig {
   AuditSeverity severity = AuditSeverity::kWarnOnly;
-  /// Relative tolerance for the charge balance (the deposit's serial
-  /// scatter order differs from the audit's particle-order resum).
-  double charge_rel_tol = 1e-9;
-  /// Residual bound applied when the CG did NOT converge (a converged
-  /// solve is checked against its own rel_tol).
-  double poisson_residual_bound = 1e-3;
-  /// The policy's rebalance-cost estimate must lie within this factor of
-  /// the measured rebalance span (either direction). Generous by design:
-  /// the estimate is an EWMA of *past* rebalances and migration volume
-  /// varies between events; the invariant catches estimates that are off
-  /// by orders of magnitude (a broken feedback loop), not EWMA lag.
-  double rebalance_cost_factor = 16.0;
 };
 
 struct InvariantTally {
@@ -132,7 +123,7 @@ class HealthAuditor {
   void check_rebalance_cost(double estimated, double measured);
 
  private:
-  /// Tallies, logs or throws per cfg_.severity.
+  /// Tallies, writes to stderr or throws per cfg_.severity.
   void check(Invariant inv, bool ok, const std::string& detail);
 
   AuditConfig cfg_;

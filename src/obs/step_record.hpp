@@ -5,8 +5,9 @@
 // is attached — and every observability sink reads that record and nothing
 // else: the trace counter tracks and rebalance instants
 // (record_trace_counters below), and the TelemetryHub's series, totals,
-// flight recorder and exposition. The end-of-run report and the fleet's
-// lease carry share its PhaseRecord / DecisionRecord / StepTotals types.
+// flight recorder and exposition. The end-of-run report, core::RunSummary,
+// the rebalance policy's decision log and the fleet's lease carry share its
+// PhaseRecord / DecisionRecord / StepTotals types.
 //
 // Plain values, so obs stays below core and balance in the layer graph. The
 // per-step exchange volume is the difference to a snapshot taken at the
@@ -54,12 +55,16 @@ struct PhaseRecord {
   double bytes = 0.0;
 };
 
-/// One when-to-rebalance decision (plain copy of balance::PolicyDecision).
+/// One periodic when-to-rebalance decision; the policy records it
+/// (balance::PolicyDecision is an alias) and the sinks read it as is.
 struct DecisionRecord {
   int step = 0;
   double lii = 0.0;
+  /// EWMA of the per-step imbalance cost (max - mean rank compute time).
   double imbalance_per_step = 0.0;
+  /// Branch A: projected cumulative imbalance cost over the horizon.
   double projected_imbalance_cost = 0.0;
+  /// Branch B: the learned cost of a rebalance event.
   double rebalance_cost_estimate = 0.0;
   bool rebalance = false;
 };

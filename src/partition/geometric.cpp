@@ -10,6 +10,11 @@ namespace dsmcpic::partition {
 
 namespace {
 
+/// An octree node splits while its weight exceeds total/(nparts * this).
+constexpr double kLeavesPerPart = 8.0;
+/// A node this deep is a leaf whatever its weight.
+constexpr int kMaxDepth = 12;
+
 /// Spreads the low 21 bits of v so consecutive bits are 3 apart.
 std::uint64_t spread_bits_3(std::uint64_t v) {
   v &= 0x1fffff;  // 21 bits
@@ -104,17 +109,15 @@ GeometricResult morton_partition(std::span<const Vec3> centroids,
 }
 
 GeometricResult octree_partition(std::span<const Vec3> centroids,
-                                 std::span<const double> weights, int nparts,
-                                 const OctreeOptions& options) {
+                                 std::span<const double> weights, int nparts) {
   DSMCPIC_CHECK(centroids.size() == weights.size());
   DSMCPIC_CHECK(nparts >= 1);
   DSMCPIC_CHECK(!centroids.empty());
-  DSMCPIC_CHECK(options.resolution > 0.0);
 
   double total = 0.0;
   for (const double w : weights) total += w;
   const double leaf_target =
-      total / (static_cast<double>(nparts) * options.resolution);
+      total / (static_cast<double>(nparts) * kLeavesPerPart);
 
   Vec3 root_lo, root_hi;
   bounding_box(centroids, root_lo, root_hi);
@@ -145,7 +148,7 @@ GeometricResult octree_partition(std::span<const Vec3> centroids,
     stack.pop_back();
     double w = 0.0;
     for (const auto c : f.cells) w += weights[c];
-    if (w <= leaf_target || f.depth >= options.max_depth ||
+    if (w <= leaf_target || f.depth >= kMaxDepth ||
         f.cells.size() <= 1) {
       // Leaf: emit cells (deterministic order by index).
       std::sort(f.cells.begin(), f.cells.end());

@@ -11,7 +11,8 @@
 //    chunks. The classic cheap decomposition with decent locality.
 //
 // Both take the same inputs as the weighted graph partitioner (cell
-// centroids + weights) so the ablation bench can swap them in directly.
+// centroids + weights) and nothing else, so the ablation bench and the
+// rebalancer can swap them in directly.
 
 #include <cstdint>
 #include <span>
@@ -31,17 +32,11 @@ struct GeometricResult {
 GeometricResult morton_partition(std::span<const Vec3> centroids,
                                  std::span<const double> weights, int nparts);
 
-struct OctreeOptions {
-  /// Split a node while its weight exceeds total/(nparts * resolution).
-  double resolution = 8.0;
-  int max_depth = 12;
-};
-
-/// Octree decomposition in the style of CHAOS: leaves are visited in octant
-/// (Morton) order and greedily packed into ranks by weight.
+/// Octree decomposition in the style of CHAOS: a node splits while its
+/// weight exceeds total/(8 nparts), down to depth 12; leaves are visited in
+/// octant (Morton) order and greedily packed into ranks by weight.
 GeometricResult octree_partition(std::span<const Vec3> centroids,
-                                 std::span<const double> weights, int nparts,
-                                 const OctreeOptions& options = {});
+                                 std::span<const double> weights, int nparts);
 
 /// 63-bit Morton code of a point inside the given bounding box (21 bits per
 /// axis). Exposed for tests.

@@ -11,6 +11,17 @@ namespace dsmcpic::partition {
 
 namespace {
 
+/// Allowed max-part weight as a multiple of the ideal part weight.
+constexpr double kImbalanceTol = 1.05;
+/// Stop coarsening when the graph has at most this many vertices.
+constexpr std::int32_t kCoarsenTo = 80;
+/// Maximum FM refinement passes per level.
+constexpr int kRefinePasses = 10;
+/// Random restarts for the initial bisection.
+constexpr int kInitialTries = 8;
+/// Seed of every bisection's stream (split by its path in the recursion).
+constexpr std::uint64_t kSeed = 0x5eedULL;
+
 // ---------------------------------------------------------------------------
 // Coarsening: heavy-edge matching + contraction.
 // ---------------------------------------------------------------------------
@@ -348,12 +359,11 @@ void grow_initial(const Graph& g, std::vector<std::int8_t>& side,
 
 /// Multilevel bisection of `g` targeting `target0` weight on side 0.
 std::vector<std::int8_t> multilevel_bisect(const Graph& g, std::int64_t target0,
-                                           const PartitionOptions& opt,
                                            Rng& rng) {
   // Coarsening phase.
   std::vector<CoarseLevel> levels;
   const Graph* cur = &g;
-  while (cur->num_vertices() > opt.coarsen_to) {
+  while (cur->num_vertices() > kCoarsenTo) {
     CoarseLevel lvl = coarsen_once(*cur, rng);
     // Stop if matching stagnates (e.g. star graphs).
     if (lvl.graph.num_vertices() > cur->num_vertices() * 9 / 10) break;
@@ -365,9 +375,9 @@ std::vector<std::int8_t> multilevel_bisect(const Graph& g, std::int64_t target0,
   FmBuffers fm;
   auto refine = [&](const Graph& level, std::vector<std::int8_t>& side) {
     std::int64_t cut = cut_of_sides(level, side);
-    for (int p = 0; p < opt.refine_passes; ++p) {
+    for (int p = 0; p < kRefinePasses; ++p) {
       const std::int64_t before = cut;
-      cut = fm_pass(level, side, target0, opt.imbalance_tol, cut, fm);
+      cut = fm_pass(level, side, target0, kImbalanceTol, cut, fm);
       if (cut >= before) break;
     }
     return cut;
@@ -377,7 +387,7 @@ std::vector<std::int8_t> multilevel_bisect(const Graph& g, std::int64_t target0,
   const Graph& coarsest = *cur;
   std::vector<std::int8_t> best_side(coarsest.num_vertices(), 1);
   std::int64_t best_cut = std::numeric_limits<std::int64_t>::max();
-  for (int attempt = 0; attempt < opt.initial_tries; ++attempt) {
+  for (int attempt = 0; attempt < kInitialTries; ++attempt) {
     std::vector<std::int8_t> side(coarsest.num_vertices(), 1);
     grow_initial(coarsest, side, target0, rng);
     const std::int64_t cut = refine(coarsest, side);
@@ -428,8 +438,7 @@ Graph subgraph(const Graph& g, const std::vector<std::int32_t>& vertices,
 
 /// `local` is subgraph()'s global-to-local map, all -1 between calls.
 void part_recursive(const Graph& g, const std::vector<std::int32_t>& vertices,
-                    int nparts, int part_offset,
-                    const PartitionOptions& opt, std::uint64_t path,
+                    int nparts, int part_offset, std::uint64_t path,
                     std::vector<std::int32_t>& local,
                     std::vector<std::int32_t>& out) {
   if (nparts == 1) {
@@ -455,8 +464,8 @@ void part_recursive(const Graph& g, const std::vector<std::int32_t>& vertices,
   const std::int64_t total = sg.total_vertex_weight();
   const std::int64_t target0 = total * k0 / nparts;
 
-  Rng rng(opt.seed, path);
-  const std::vector<std::int8_t> side = multilevel_bisect(sg, target0, opt, rng);
+  Rng rng(kSeed, path);
+  const std::vector<std::int8_t> side = multilevel_bisect(sg, target0, rng);
 
   std::vector<std::int32_t> set0, set1;
   for (std::int32_t v = 0; v < sg.num_vertices(); ++v)
@@ -468,9 +477,8 @@ void part_recursive(const Graph& g, const std::vector<std::int32_t>& vertices,
     for (std::size_t i = 0; i < vertices.size(); ++i)
       (i % 2 == 0 ? set0 : set1).push_back(vertices[i]);
   }
-  part_recursive(g, set0, k0, part_offset, opt, path * 2 + 1, local, out);
-  part_recursive(g, set1, k1, part_offset + k0, opt, path * 2 + 2, local,
-                 out);
+  part_recursive(g, set0, k0, part_offset, path * 2 + 1, local, out);
+  part_recursive(g, set1, k1, part_offset + k0, path * 2 + 2, local, out);
 }
 
 }  // namespace
@@ -489,9 +497,9 @@ PartitionResult part_graph_kway(const Graph& g, int nparts,
   std::vector<std::int32_t> all(nv);
   std::iota(all.begin(), all.end(), 0);
   std::vector<std::int32_t> local(nv, -1);
-  part_recursive(g, all, nparts, 0, options, 1, local, result.part);
+  part_recursive(g, all, nparts, 0, 1, local, result.part);
   if (options.kway_refine_passes > 0)
-    kway_refine(g, result.part, nparts, options.imbalance_tol,
+    kway_refine(g, result.part, nparts, kImbalanceTol,
                 options.kway_refine_passes);
   result.cut = edge_cut(g, result.part);
   result.imbalance = imbalance(g, result.part, nparts);

@@ -11,6 +11,12 @@
 //
 // Vertex weights are the paper's weighted load model wlm_i (Eq. 7); edge
 // weights default to 1 (dual-graph faces).
+//
+// As the paper calls METIS_PartGraphKway (Sec. IV-A), a caller passes only
+// the graph, its weights and k. The balance tolerance (1.05), coarsening
+// floor, FM passes, initial tries and seed are constants in partitioner.cpp;
+// the one option left switches off the final k-way refinement, for the
+// ablation bench's raw-bisection lane.
 
 #include <cstdint>
 #include <vector>
@@ -20,19 +26,10 @@
 namespace dsmcpic::partition {
 
 struct PartitionOptions {
-  /// Allowed max-part weight as a multiple of the ideal part weight.
-  double imbalance_tol = 1.05;
-  /// Stop coarsening when the graph has at most this many vertices.
-  std::int32_t coarsen_to = 80;
-  /// Maximum FM refinement passes per level.
-  int refine_passes = 10;
-  /// Random restarts for the initial bisection.
-  int initial_tries = 8;
   /// Greedy k-way boundary refinement passes applied to the final
   /// partition (0 disables; recursive bisection alone cannot move vertices
   /// between non-sibling parts, this pass can).
   int kway_refine_passes = 2;
-  std::uint64_t seed = 0x5eedULL;
 };
 
 struct PartitionResult {
@@ -42,7 +39,8 @@ struct PartitionResult {
 };
 
 /// Partitions `g` into `nparts` parts minimizing edge cut subject to the
-/// balance tolerance. Deterministic for a fixed seed.
+/// balance tolerance (max part within 1.05x of ideal). Deterministic: the
+/// random visit orders and initial seeds come from one fixed seed.
 PartitionResult part_graph_kway(const Graph& g, int nparts,
                                 const PartitionOptions& options = {});
 

@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
+#include <string>
 #include <vector>
 
 #include "common.hpp"
@@ -313,6 +316,55 @@ TEST(BenchCli, FleetParkFlagReachesOptionsAndValidates) {
     ASSERT_TRUE(bench::parse_or_usage(cli, 3, argv));
     EXPECT_THROW(fleet.finish(), Error);
   }
+}
+
+// An int flag past INT_MAX must fail, not wrap: --steps 4294967297 used to
+// run one step and --steps 2147483648 none.
+TEST(BenchCli, IntFlagsPastIntMaxExitTwo) {
+  for (const char* value : {"2147483648", "4294967297"}) {
+    for (const char* flag :
+         {"--steps", "--threads", "--kernel-threads", "--sort-every",
+          "--horizon", "--ranks-min", "--ranks-max", "--ranks-initial",
+          "--metrics-interval", "--flight-recorder"}) {
+      Cli cli("bench under test");
+      bench::CommonFlags flags(cli, "bench_under_test", "4", 3);
+      const char* argv[] = {"prog", flag, value};
+      ASSERT_TRUE(bench::parse_or_usage(cli, 3, argv));
+      EXPECT_EXIT(bench::finish_or_usage([&] { return flags.finish(); }),
+                  testing::ExitedWithCode(2),
+                  std::string(flag) + " must be >= ")
+          << flag << " " << value;
+    }
+    for (const char* flag :
+         {"--fleet-slots", "--fleet-runs", "--fleet-lease", "--fleet-park"}) {
+      Cli cli("bench under test");
+      bench::FleetFlags fleet(cli);
+      const char* argv[] = {"prog", flag, value, "--results-dir",
+                            "/tmp/fleet_out"};
+      ASSERT_TRUE(bench::parse_or_usage(cli, 5, argv));
+      EXPECT_EXIT(bench::finish_or_usage([&] { return fleet.finish(); }),
+                  testing::ExitedWithCode(2),
+                  std::string(flag) + " must be >= ")
+          << flag << " " << value;
+    }
+  }
+}
+
+// The flags bench_scale_ranks, bench_fig09_validation and bench_kernels
+// register themselves narrow through the same helper.
+TEST(BenchCli, IntFlagHelperRejectsValuesPastAnInt) {
+  constexpr std::int64_t kMax = std::numeric_limits<int>::max();
+  constexpr std::int64_t kMin = std::numeric_limits<int>::min();
+  for (const char* flag : {"sparse-active", "imb-ranks", "imb-steps", "points",
+                           "repeats", "radial", "axial", "reps"}) {
+    EXPECT_EQ(bench::int_flag(flag, kMax), kMax) << flag;
+    EXPECT_EQ(bench::int_flag(flag, kMin), kMin) << flag;
+    for (const std::int64_t v : {kMax + 1, (std::int64_t{1} << 32) + 1,
+                                 kMin - 1})
+      EXPECT_THROW(bench::int_flag(flag, v), Error) << flag << " " << v;
+  }
+  EXPECT_EQ(bench::int_flag("steps", 1, 1), 1);
+  EXPECT_THROW(bench::int_flag("steps", 0, 1), Error);
 }
 
 TEST(BenchCli, TraceCasePathInsertsBeforeExtension) {

@@ -25,8 +25,7 @@ SolverConfig tiny_config() {
 
 struct RunResult {
   std::vector<double> clocks;
-  std::vector<std::string> phase_names;
-  std::vector<par::PhaseStats> phase_stats;
+  std::vector<obs::PhaseRecord> phases;
   std::vector<std::int64_t> particles_per_rank;
   std::vector<double> potential;
   std::vector<StepDiagnostics> history;
@@ -60,8 +59,7 @@ RunResult run_solver(par::ExecMode mode, int nranks, int threads,
   for (int i = 0; i < solver.runtime().size(); ++i)
     r.clocks.push_back(solver.runtime().clock(i));
   const RunSummary summary = solver.summary();
-  r.phase_names = summary.phase_names;
-  r.phase_stats = summary.phase_stats;
+  r.phases = summary.phases;
   r.particles_per_rank = solver.particles_per_rank();
   r.potential = solver.potential();
   r.history = solver.history();
@@ -91,16 +89,16 @@ void expect_identical(const RunResult& a, const RunResult& b) {
     EXPECT_EQ(da.rebalance, db.rebalance) << "decision " << i;
   }
 
-  ASSERT_EQ(a.phase_names, b.phase_names);
-  ASSERT_EQ(a.phase_stats.size(), b.phase_stats.size());
-  for (std::size_t i = 0; i < a.phase_stats.size(); ++i) {
-    const par::PhaseStats& sa = a.phase_stats[i];
-    const par::PhaseStats& sb = b.phase_stats[i];
-    EXPECT_EQ(sa.busy_max, sb.busy_max) << a.phase_names[i];
-    EXPECT_EQ(sa.busy_min, sb.busy_min) << a.phase_names[i];
-    EXPECT_EQ(sa.busy_sum, sb.busy_sum) << a.phase_names[i];
-    EXPECT_EQ(sa.transactions, sb.transactions) << a.phase_names[i];
-    EXPECT_EQ(sa.bytes, sb.bytes) << a.phase_names[i];
+  ASSERT_EQ(a.phases.size(), b.phases.size());
+  for (std::size_t i = 0; i < a.phases.size(); ++i) {
+    const obs::PhaseRecord& sa = a.phases[i];
+    const obs::PhaseRecord& sb = b.phases[i];
+    ASSERT_EQ(sa.name, sb.name);
+    EXPECT_EQ(sa.busy_max, sb.busy_max) << sa.name;
+    EXPECT_EQ(sa.busy_min, sb.busy_min) << sa.name;
+    EXPECT_EQ(sa.busy_sum, sb.busy_sum) << sa.name;
+    EXPECT_EQ(sa.transactions, sb.transactions) << sa.name;
+    EXPECT_EQ(sa.bytes, sb.bytes) << sa.name;
   }
 
   EXPECT_EQ(a.particles_per_rank, b.particles_per_rank);

@@ -20,14 +20,14 @@ namespace dsmcpic {
 namespace {
 
 TEST(PartitionEdgeWeights, HeavyEdgesAreNotCut) {
-  // Path of 6 with one very heavy edge in the middle-left: the 2-way cut
-  // must avoid it even though cutting there would balance node counts.
+  // Path of 6 with one very heavy edge at its left end: the 2-way cut, held
+  // to 3 + 3 vertices by the 1.05 balance tolerance, must keep it internal.
   partition::Graph g;
   g.xadj = {0, 1, 3, 5, 7, 9, 10};
   g.adjncy = {1, 0, 2, 1, 3, 2, 4, 3, 5, 4};
   g.ewgt = {100, 100, 1, 1, 1, 1, 1, 1, 1, 1};  // edge 0-1 heavy
   g.validate();
-  const auto r = partition::part_graph_kway(g, 2, {.imbalance_tol = 1.4});
+  const auto r = partition::part_graph_kway(g, 2);
   EXPECT_EQ(r.part[0], r.part[1]);  // heavy edge kept internal
   EXPECT_LE(r.cut, 1);
 }
@@ -150,9 +150,7 @@ TEST(Sampler, TemperatureOfDriftingEnsembleIsThermal) {
 
 TEST(RunSummary, UnknownPhaseIsZero) {
   core::RunSummary s;
-  s.phase_names = {"A"};
-  s.phase_stats.resize(1);
-  s.phase_stats[0].busy_max = 3.0;
+  s.phases.push_back({.name = "A", .busy_max = 3.0});
   EXPECT_DOUBLE_EQ(s.phase_max("A"), 3.0);
   EXPECT_DOUBLE_EQ(s.phase_max("B"), 0.0);
 }

@@ -9,8 +9,10 @@
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <cmath>
 #include <cstdint>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -22,7 +24,6 @@
 #include "obs/host_profiler.hpp"
 #include "obs/run_report.hpp"
 #include "support/error.hpp"
-#include "support/log.hpp"
 #include "trace/json_writer.hpp"
 
 namespace dsmcpic::core {
@@ -228,23 +229,20 @@ TEST(HealthAuditor, AbortSeverityThrows) {
 }
 
 TEST(HealthAuditor, WarnSeverityLogsThroughAuditComponent) {
-  const LogLevel saved = log_level();
-  set_log_level(LogLevel::kWarn);
   obs::HealthAuditor a({obs::AuditSeverity::kWarnOnly});
   a.begin_step(0, 10);
   testing::internal::CaptureStderr();
   a.end_step(10, /*undelivered_messages=*/2);  // no throw
   const std::string err = testing::internal::GetCapturedStderr();
-  set_log_level(saved);
-  EXPECT_NE(err.find("[audit]"), std::string::npos) << err;
-  EXPECT_NE(err.find("mailbox_drained"), std::string::npos) << err;
+  EXPECT_EQ(err,
+            "[audit] step 0: mailbox_drained violated: 2 undelivered "
+            "message(s) in the runtime\n");
   EXPECT_EQ(a.report().violations(), 1);
 }
 
 TEST(HealthAuditor, ChargeBalanceUsesRelativeTolerance) {
   obs::AuditConfig cfg;
   cfg.severity = obs::AuditSeverity::kCountOnly;
-  cfg.charge_rel_tol = 1e-9;
   obs::HealthAuditor a(cfg);
   a.begin_step(0, 0);
   a.check_charge(1e-12, 1e-12 * (1.0 + 1e-10));  // within tol
@@ -280,6 +278,69 @@ TEST(HealthAuditor, OwnershipPartitionMustBeExact) {
                 .by_invariant[static_cast<int>(obs::Invariant::kOwnership)]
                 .violations,
             2);
+}
+
+// The auditor's three fixed bounds, at and just past each edge, and the
+// exact texts that reach run_report.json as `first_violation`.
+TEST(HealthAuditor, BoundsAndViolationTextsArePinned) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const auto violations = [](const obs::HealthAuditor& a, obs::Invariant inv) {
+    return a.report().by_invariant[static_cast<int>(inv)].violations;
+  };
+
+  // Rebalance cost: estimate and measurement within 16x of each other,
+  // either way round, both finite and non-negative.
+  obs::HealthAuditor cost({obs::AuditSeverity::kCountOnly});
+  cost.begin_step(9, 0);
+  cost.check_rebalance_cost(16.0, 1.0);
+  cost.check_rebalance_cost(1.0, 16.0);
+  cost.check_rebalance_cost(0.0, 0.0);
+  EXPECT_EQ(violations(cost, obs::Invariant::kRebalanceCost), 0);
+  const double past16 = std::nextafter(16.0, 17.0);
+  cost.check_rebalance_cost(past16, 1.0);
+  cost.check_rebalance_cost(1.0, past16);
+  cost.check_rebalance_cost(inf, 1.0);
+  cost.check_rebalance_cost(1.0, inf);
+  cost.check_rebalance_cost(nan, 1.0);
+  cost.check_rebalance_cost(1.0, nan);
+  cost.check_rebalance_cost(-1.0, 1.0);
+  cost.check_rebalance_cost(1.0, -1.0);
+  EXPECT_EQ(violations(cost, obs::Invariant::kRebalanceCost), 8);
+  EXPECT_EQ(cost.report().first_violation,
+            "step 9: rebalance_cost violated: policy estimated "
+            "16.000000000000004 vs measured 1 (allowed factor 16)");
+
+  // Poisson: a converged solve is held to its own rel_tol, an unconverged
+  // one to 1e-3; a non-finite residual never passes.
+  obs::HealthAuditor poisson({obs::AuditSeverity::kCountOnly});
+  poisson.begin_step(4, 0);
+  poisson.check_poisson(30, 1e-8, /*rel_tol=*/1e-8, /*converged=*/true);
+  poisson.check_poisson(200, 1e-3, /*rel_tol=*/1e-8, /*converged=*/false);
+  EXPECT_EQ(violations(poisson, obs::Invariant::kPoissonResidual), 0);
+  poisson.check_poisson(200, std::nextafter(1e-3, 1.0), 1e-8, false);
+  poisson.check_poisson(30, std::nextafter(1e-8, 1.0), 1e-8, true);
+  poisson.check_poisson(200, nan, 1e-8, false);
+  poisson.check_poisson(200, inf, 1e-8, false);
+  EXPECT_EQ(violations(poisson, obs::Invariant::kPoissonResidual), 4);
+  EXPECT_EQ(poisson.report().first_violation,
+            "step 4: poisson_residual violated: cg NOT converged after 200 "
+            "iterations, residual 0.0010000000000000002 exceeds bound 0.001");
+
+  // Charge: relative error within 1e-9; a non-finite deposit never passes.
+  obs::HealthAuditor charge({obs::AuditSeverity::kCountOnly});
+  charge.begin_step(2, 0);
+  charge.check_charge(-3.0, -3.0 * (1.0 + 5e-10));
+  charge.check_charge(0.0, 0.0);
+  EXPECT_EQ(violations(charge, obs::Invariant::kChargeBalance), 0);
+  charge.check_charge(-3.0, -3.0 * (1.0 + 2e-9));
+  charge.check_charge(1.0, inf);
+  charge.check_charge(1.0, nan);
+  EXPECT_EQ(violations(charge, obs::Invariant::kChargeBalance), 3);
+  EXPECT_EQ(charge.report().first_violation,
+            "step 2: charge_balance violated: deposited=-3.0000000059999996 "
+            "vs particle=-3 (rel err 1.9999998654212693e-09, tol "
+            "1.0000000000000001e-09)");
 }
 
 // ---- end-to-end: fault injection & zero perturbation ------------------------
