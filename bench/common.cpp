@@ -24,8 +24,8 @@ par::MachineProfile BenchOptions::profile() const {
   if (machine == "tianhe2") return par::MachineProfile::tianhe2();
   if (machine == "bscc") return par::MachineProfile::bscc();
   if (machine == "tianhe3") return par::MachineProfile::tianhe3();
-  DSMCPIC_CHECK_MSG(false, "unknown machine '" << machine
-                                               << "' (tianhe2|bscc|tianhe3)");
+  DSMCPIC_CHECK_USAGE(false, "unknown machine '" << machine
+                                                 << "' (tianhe2|bscc|tianhe3)");
   return par::MachineProfile::tianhe2();
 }
 
@@ -107,8 +107,8 @@ BenchOptions CommonFlags::finish() const {
   o.ranks = parse_rank_list(*ranks_);
   o.steps = int_flag("steps", *steps_, 1);
   o.particle_scale = *particles_;
-  DSMCPIC_CHECK_MSG(std::isfinite(o.particle_scale) && o.particle_scale > 0.0,
-                    "--particles must be finite and > 0");
+  DSMCPIC_CHECK_USAGE(std::isfinite(o.particle_scale) && o.particle_scale > 0.0,
+                      "--particles must be finite and > 0");
   o.machine = *machine_;
   o.seed = static_cast<std::uint64_t>(*seed_);
   o.exec_mode = par::parse_exec_mode(*exec_mode_);
@@ -171,19 +171,19 @@ FleetBenchOptions FleetFlags::finish() const {
   o.park = int_flag("fleet-park", *park_, 0);
   o.results_dir = *results_dir_;
   o.out = *out_;
-  DSMCPIC_CHECK_MSG(o.lease == 0 || !o.results_dir.empty(),
-                    "--fleet-lease requires --results-dir");
-  DSMCPIC_CHECK_MSG(o.park == 0 || !o.results_dir.empty(),
-                    "--fleet-park requires --results-dir");
+  DSMCPIC_CHECK_USAGE(o.lease == 0 || !o.results_dir.empty(),
+                      "--fleet-lease requires --results-dir");
+  DSMCPIC_CHECK_USAGE(o.park == 0 || !o.results_dir.empty(),
+                      "--fleet-park requires --results-dir");
   return o;
 }
 
 bool parse_or_usage(Cli& cli, int argc, const char* const* argv) {
   try {
     if (!cli.parse(argc, argv)) return false;
-    DSMCPIC_CHECK_MSG(cli.positional().empty(),
-                      "unexpected argument '" << cli.positional().front()
-                                              << "'\n" << cli.help_text());
+    DSMCPIC_CHECK_USAGE(cli.positional().empty(),
+                        "unexpected argument '" << cli.positional().front()
+                                                << "'\n" << cli.help_text());
     return true;
   } catch (const Error& e) {
     std::fprintf(stderr, "%s\n", e.what());
@@ -193,9 +193,9 @@ bool parse_or_usage(Cli& cli, int argc, const char* const* argv) {
 
 int int_flag(const std::string& name, std::int64_t value, int lo) {
   constexpr int kMax = std::numeric_limits<int>::max();
-  DSMCPIC_CHECK_MSG(value >= lo && value <= kMax,
-                    "--" << name << " must be >= " << lo << " and <= " << kMax
-                         << ", got " << value);
+  DSMCPIC_CHECK_USAGE(value >= lo && value <= kMax,
+                      "--" << name << " must be >= " << lo << " and <= " << kMax
+                           << ", got " << value);
   return static_cast<int>(value);
 }
 
@@ -207,12 +207,12 @@ std::vector<int> parse_rank_list(const std::string& csv,
   while (std::getline(ss, item, ',')) {
     if (item.empty()) continue;
     const std::int64_t v = parse_int(flag, item);
-    DSMCPIC_CHECK_MSG(v >= 1 && v <= std::numeric_limits<int>::max(),
-                      "flag --" << flag << ": '" << item
-                                << "' is not in [1, 2^31 - 1]");
+    DSMCPIC_CHECK_USAGE(v >= 1 && v <= std::numeric_limits<int>::max(),
+                        "flag --" << flag << ": '" << item
+                                  << "' is not in [1, 2^31 - 1]");
     out.push_back(static_cast<int>(v));
   }
-  DSMCPIC_CHECK_MSG(!out.empty(), "empty rank list");
+  DSMCPIC_CHECK_USAGE(!out.empty(), "empty rank list");
   return out;
 }
 

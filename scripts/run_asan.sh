@@ -28,9 +28,11 @@
 # out-of-range majorants, carries, remainders and sequences) is refused at
 # load rather than cast to an integer. The partitioner's indexed FM heap
 # (position arithmetic on every sift) and its dense coarsening and subgraph
-# maps (marker and reset discipline), and the one-pass Kuhn–Munkres scan
-# against its two-pass reference, run here too, as do the bench flags'
-# checked narrowing to int and the auditor's fixed bounds with the exact
+# maps (marker and reset discipline), and the grouped Kuhn–Munkres scan
+# (an indexed min-heap and per-group split-off max-heaps in flat arrays,
+# position arithmetic on every sift) against its two-pass reference, run
+# here too, as do the bench flags' checked narrowing to int, their
+# message-only usage errors, and the auditor's fixed bounds with the exact
 # texts that print them. The build uses
 # -DDSMCPIC_WERROR=ON, so a new compiler warning fails the sweep too.
 #
@@ -82,8 +84,12 @@ export UBSAN_OPTIONS="print_stacktrace=1 ${UBSAN_OPTIONS:-}"
 # ensemble resizes through the solver. The policy and ensemble suites
 # include the field-by-field decision logs and their 0-or-1 bool bytes
 # (*.DecisionLogIsWrittenFieldByField, *.RejectsDecisionBoolOtherThanZeroOrOne).
-# The balance suite includes the Kuhn–Munkres scan against its two-pass
-# reference up to n = 1,024 (Hungarian.MatchesTwoPassReference*) and the
+# The balance suite includes the grouped Kuhn–Munkres scan against its
+# two-pass reference (Hungarian.MatchesTwoPassReference*): seven shapes up
+# to n = 257 (all-zero, one nonzero, tied split-off columns, +0.0 zeros),
+# a synthetic 1,024-rank remap, and a real 1,024-part remap of the
+# wide-1024 dual with ~2.6e8 Dijkstra ops
+# (Hungarian.MatchesTwoPassReferenceOnARealWide1024Remap); and the
 # non-finite cost rejections (Hungarian.RejectsNonFiniteCosts).
 "$BUILD"/tests/exchange_test
 "$BUILD"/tests/balance_test
@@ -122,9 +128,13 @@ export UBSAN_OPTIONS="print_stacktrace=1 ${UBSAN_OPTIONS:-}"
 "$BUILD"/tests/fleet_test --gtest_filter='Fleet.ResumeRejects*'
 # Every int bench flag past INT_MAX or 2^32 + 1 exits 2 instead of
 # wrapping (BenchCli.IntFlagsPastIntMaxExitTwo, one death test per flag),
-# and the auditor's bounds and violation texts
-# (HealthAuditor.BoundsAndViolationTextsArePinned).
+# a usage error prints its message alone
+# (BenchCli.UsageErrorsPrintTheMessageAlone), the auditor's bounds and
+# violation texts (HealthAuditor.BoundsAndViolationTextsArePinned), and a
+# profiled rebalance's partition and KM scopes
+# (AuditPerturbation.RebalanceTimesItsPartitionAndKmOnTheHost).
 "$BUILD"/tests/bench_cli_test
-"$BUILD"/tests/obs_test --gtest_filter='HealthAuditor.*'
+"$BUILD"/tests/obs_test \
+  --gtest_filter='HealthAuditor.*:AuditPerturbation.RebalanceTimes*'
 
 echo "ASan/UBSan sweep clean."

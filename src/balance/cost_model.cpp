@@ -31,7 +31,7 @@ const char* cost_model_name(CostModelKind k) {
 CostModelKind parse_cost_model(const std::string& name) {
   if (name == "static") return CostModelKind::kStatic;
   if (name == "timer") return CostModelKind::kTimer;
-  throw Error("unknown cost model '" + name + "' (expected static|timer)");
+  throw UsageError("unknown cost model '" + name + "' (expected static|timer)");
 }
 
 CostModel::CostModel(CostModelConfig cfg, int nranks) : cfg_(cfg) {

@@ -28,7 +28,8 @@ const char* ensemble_name(EnsembleKind k) {
 EnsembleKind parse_ensemble(const std::string& name) {
   if (name == "fixed") return EnsembleKind::kFixed;
   if (name == "elastic") return EnsembleKind::kElastic;
-  throw Error("unknown ensemble kind '" + name + "' (expected fixed|elastic)");
+  throw UsageError("unknown ensemble kind '" + name +
+                   "' (expected fixed|elastic)");
 }
 
 EnsemblePolicy::EnsemblePolicy(EnsembleConfig cfg, int nominal_ranks)

@@ -2,7 +2,9 @@
 // Kuhn–Munkres (Hungarian) algorithm for the assignment problem, used to
 // remap re-decomposed grid parts onto ranks with maximum overlap — i.e.
 // minimum particle migration (paper Sec. V-C, Fig. 6). O(n^3) potentials
-// formulation (Jonker–Volgenant style), fast enough for n = 1536 ranks.
+// formulation (Jonker–Volgenant style). Each Dijkstra iteration touches
+// only the column states that can change, so a sparse overlap matrix (a
+// few nonzeros per row) costs far less than its n^3 operation count.
 
 #include <cstdint>
 #include <span>
@@ -13,7 +15,8 @@ namespace dsmcpic::balance {
 struct AssignmentResult {
   std::vector<int> row_to_col;  // size n; row i assigned to column row_to_col[i]
   double total = 0.0;           // total weight/cost of the assignment
-  std::int64_t operations = 0;  // inner-loop operations (work accounting)
+  std::int64_t operations = 0;  // free columns per Dijkstra iteration, summed
+                                // (the classic loop's inner operations)
 };
 
 /// Minimum-cost perfect assignment on an n x n row-major cost matrix.

@@ -29,8 +29,8 @@ const char* policy_name(PolicyKind k) {
 PolicyKind parse_policy(const std::string& name) {
   if (name == "threshold") return PolicyKind::kThreshold;
   if (name == "lookahead") return PolicyKind::kLookahead;
-  throw Error("unknown rebalance policy '" + name +
-              "' (expected threshold|lookahead)");
+  throw UsageError("unknown rebalance policy '" + name +
+                   "' (expected threshold|lookahead)");
 }
 
 RebalancePolicy::RebalancePolicy(PolicyConfig cfg, double threshold,

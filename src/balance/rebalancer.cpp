@@ -4,6 +4,7 @@
 #include <cmath>
 #include <limits>
 
+#include "obs/host_profiler.hpp"
 #include "support/error.hpp"
 
 namespace dsmcpic::balance {
@@ -70,7 +71,7 @@ std::vector<std::int32_t> redecompose(
     par::Runtime& rt, const std::string& phase, const partition::Graph& dual,
     std::span<const Vec3> cell_centroids, std::span<const double> cell_weights,
     std::span<const std::int32_t> current_owner, const RebalanceConfig& cfg,
-    RebalanceStats& stats, int nparts) {
+    RebalanceStats& stats, int nparts, obs::HostProfiler* prof) {
   const auto ncells = static_cast<std::int32_t>(current_owner.size());
   DSMCPIC_CHECK(dual.num_vertices() == ncells);
   DSMCPIC_CHECK_MSG(static_cast<std::int32_t>(cell_weights.size()) == ncells,
@@ -94,35 +95,38 @@ std::vector<std::int32_t> redecompose(
   // Re-decomposition on the root: the paper's weighted graph partitioner,
   // or one of the geometric baselines (octree/Morton) for ablations.
   std::vector<std::int32_t> new_part;
-  switch (cfg.repartitioner) {
-    case Repartitioner::kGraph: {
-      new_part =
-          partition::part_graph_kway(weighted, nranks, cfg.partition_options)
-              .part;
-      rt.charge_rank(
-          phase, root, par::WorkKind::kPartitionEdge,
-          static_cast<double>(dual.num_edges()) *
-              std::ceil(std::log2(std::max(2, nranks))));
-      break;
-    }
-    case Repartitioner::kOctree:
-    case Repartitioner::kMorton: {
-      DSMCPIC_CHECK_MSG(static_cast<std::int32_t>(cell_centroids.size()) ==
-                            ncells,
-                        "geometric repartitioner needs cell centroids");
-      std::vector<double> w(static_cast<std::size_t>(ncells));
-      for (std::int32_t c = 0; c < ncells; ++c)
-        w[c] = static_cast<double>(weighted.vwgt[c]);
-      const partition::GeometricResult gr =
-          cfg.repartitioner == Repartitioner::kOctree
-              ? partition::octree_partition(cell_centroids, w, nranks)
-              : partition::morton_partition(cell_centroids, w, nranks);
-      new_part = gr.part;
-      // Sort-dominated cost: ~n log n.
-      rt.charge_rank(phase, root, par::WorkKind::kPartitionEdge,
-                     static_cast<double>(ncells) *
-                         std::ceil(std::log2(std::max(2, ncells))) / 4.0);
-      break;
+  {
+    const obs::HostProfiler::Scope prof_partition(prof, "partition");
+    switch (cfg.repartitioner) {
+      case Repartitioner::kGraph: {
+        new_part =
+            partition::part_graph_kway(weighted, nranks, cfg.partition_options)
+                .part;
+        rt.charge_rank(
+            phase, root, par::WorkKind::kPartitionEdge,
+            static_cast<double>(dual.num_edges()) *
+                std::ceil(std::log2(std::max(2, nranks))));
+        break;
+      }
+      case Repartitioner::kOctree:
+      case Repartitioner::kMorton: {
+        DSMCPIC_CHECK_MSG(static_cast<std::int32_t>(cell_centroids.size()) ==
+                              ncells,
+                          "geometric repartitioner needs cell centroids");
+        std::vector<double> w(static_cast<std::size_t>(ncells));
+        for (std::int32_t c = 0; c < ncells; ++c)
+          w[c] = static_cast<double>(weighted.vwgt[c]);
+        const partition::GeometricResult gr =
+            cfg.repartitioner == Repartitioner::kOctree
+                ? partition::octree_partition(cell_centroids, w, nranks)
+                : partition::morton_partition(cell_centroids, w, nranks);
+        new_part = gr.part;
+        // Sort-dominated cost: ~n log n.
+        rt.charge_rank(phase, root, par::WorkKind::kPartitionEdge,
+                       static_cast<double>(ncells) *
+                           std::ceil(std::log2(std::max(2, ncells))) / 4.0);
+        break;
+      }
     }
   }
 
@@ -138,7 +142,10 @@ std::vector<std::int32_t> redecompose(
     for (std::int32_t c = 0; c < ncells; ++c)
       keep[c] = static_cast<double>(weighted.vwgt[c]);
     std::int64_t ops = 0;
-    new_owner = km_remap(current_owner, new_part, keep, nranks, &ops);
+    {
+      const obs::HostProfiler::Scope prof_km(prof, "km");
+      new_owner = km_remap(current_owner, new_part, keep, nranks, &ops);
+    }
     stats.matching_operations += ops;
     rt.charge_rank(phase, root, par::WorkKind::kMatchingOp,
                    static_cast<double>(ops));

@@ -26,6 +26,10 @@
 #include "partition/graph.hpp"
 #include "partition/partitioner.hpp"
 
+namespace dsmcpic::obs {
+class HostProfiler;
+}
+
 namespace dsmcpic::balance {
 
 /// Which decomposition algorithm the rebalancer uses. kGraph is the
@@ -91,10 +95,14 @@ std::vector<std::int32_t> km_remap(std::span<const std::int32_t> old_owner,
 /// ensemble passes its target count when resizing. A resize that shrinks
 /// the part count below an existing owner label skips the KM remap (the
 /// matching is non-square — old owners cannot all keep a part).
+///
+/// `prof`, when set, times the partitioner and the KM remap on the host in
+/// "partition" and "km" scopes, nested under the scope the caller has open
+/// (the solver's "rebalance"); null opens none.
 std::vector<std::int32_t> redecompose(
     par::Runtime& rt, const std::string& phase, const partition::Graph& dual,
     std::span<const Vec3> cell_centroids, std::span<const double> cell_weights,
     std::span<const std::int32_t> current_owner, const RebalanceConfig& cfg,
-    RebalanceStats& stats, int nparts = 0);
+    RebalanceStats& stats, int nparts = 0, obs::HostProfiler* prof = nullptr);
 
 }  // namespace dsmcpic::balance

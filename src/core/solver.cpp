@@ -600,7 +600,7 @@ void CoupledSolver::maybe_rebalance(StepDiagnostics& diag) {
   const obs::HostProfiler::Scope prof_rb(prof_, "rebalance");
   redistribute(balance::redecompose(*rt_, phases::kRebalance, dual_,
                                     coarse_.centroids(), weights, owner_, lb,
-                                    lb_stats_),
+                                    lb_stats_, /*nparts=*/0, prof_),
                active_);
 
   const double rb_measured = std::max(
@@ -651,7 +651,7 @@ void CoupledSolver::resize_active(int target) {
   }
   redistribute(balance::redecompose(*rt_, phases::kRebalance, dual_,
                                     coarse_.centroids(), weights, owner_, lb,
-                                    lb_stats_, /*nparts=*/target),
+                                    lb_stats_, /*nparts=*/target, prof_),
                target);
 }
 

@@ -350,9 +350,7 @@ Strategy parse_strategy(const std::string& name) {
   if (name == "DC") return Strategy::kDistributed;
   if (name == "HC") return Strategy::kHierarchical;
   if (name == "NC") return Strategy::kNeighbor;
-  DSMCPIC_CHECK_MSG(false, "unknown exchange strategy '" << name
-                                                         << "' (CC|DC|HC|NC)");
-  return Strategy::kDistributed;
+  throw UsageError("unknown exchange strategy '" + name + "' (CC|DC|HC|NC)");
 }
 
 ExchangeStats exchange_particles(

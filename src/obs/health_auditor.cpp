@@ -50,8 +50,8 @@ AuditSeverity parse_audit_severity(const std::string& name) {
   if (name == "warn") return AuditSeverity::kWarnOnly;
   if (name == "abort") return AuditSeverity::kAbort;
   if (name == "count") return AuditSeverity::kCountOnly;
-  throw Error("unknown audit severity '" + name +
-              "' (expected warn|abort|count)");
+  throw UsageError("unknown audit severity '" + name +
+                   "' (expected warn|abort|count)");
 }
 
 std::int64_t AuditReport::checks() const {

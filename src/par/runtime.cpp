@@ -121,9 +121,7 @@ int Runtime::exec_threads() const { return pool_ ? pool_->num_threads() : 1; }
 ExecMode parse_exec_mode(const std::string& name) {
   if (name == "seq" || name == "sequential") return ExecMode::kSequential;
   if (name == "threaded") return ExecMode::kThreaded;
-  DSMCPIC_CHECK_MSG(false,
-                    "unknown exec mode '" << name << "' (seq | threaded)");
-  return ExecMode::kSequential;
+  throw UsageError("unknown exec mode '" + name + "' (seq | threaded)");
 }
 
 const char* exec_mode_name(ExecMode mode) {

@@ -13,8 +13,9 @@ namespace dsmcpic {
 std::int64_t parse_int(const std::string& name, const std::string& value) {
   std::int64_t out = 0;
   auto [ptr, ec] = std::from_chars(value.data(), value.data() + value.size(), out);
-  DSMCPIC_CHECK_MSG(ec == std::errc{} && ptr == value.data() + value.size(),
-                    "flag --" << name << ": not an integer: '" << value << "'");
+  DSMCPIC_CHECK_USAGE(
+      ec == std::errc{} && ptr == value.data() + value.size(),
+      "flag --" << name << ": not an integer: '" << value << "'");
   return out;
 }
 
@@ -24,13 +25,13 @@ double parse_double(const std::string& name, const std::string& value) {
   try {
     std::size_t pos = 0;
     double out = std::stod(value, &pos);
-    DSMCPIC_CHECK_MSG(pos == value.size(), "flag --" << name
-                                                     << ": trailing characters in '"
-                                                     << value << "'");
+    DSMCPIC_CHECK_USAGE(pos == value.size(),
+                        "flag --" << name << ": trailing characters in '"
+                                  << value << "'");
     return out;
   } catch (const std::logic_error&) {
-    DSMCPIC_CHECK_MSG(false,
-                      "flag --" << name << ": not a number: '" << value << "'");
+    DSMCPIC_CHECK_USAGE(
+        false, "flag --" << name << ": not a number: '" << value << "'");
   }
   return 0.0;  // unreachable
 }
@@ -40,8 +41,8 @@ bool parse_bool(const std::string& name, const std::string& value) {
     return true;
   if (value == "false" || value == "0" || value == "off" || value == "no")
     return false;
-  DSMCPIC_CHECK_MSG(false, "flag --" << name << ": not a boolean: '" << value
-                                     << "'");
+  DSMCPIC_CHECK_USAGE(false, "flag --" << name << ": not a boolean: '" << value
+                                       << "'");
   return false;  // unreachable
 }
 
@@ -115,7 +116,7 @@ bool Cli::parse(int argc, const char* const* argv) {
       // "-x" style tokens are almost always mistyped flags; treating them
       // as positionals made them silently ignored. Negative numbers stay
       // positional.
-      DSMCPIC_CHECK_MSG(
+      DSMCPIC_CHECK_USAGE(
           arg.size() < 2 || arg[0] != '-' ||
               (std::isdigit(static_cast<unsigned char>(arg[1])) ||
                arg[1] == '.'),
@@ -133,11 +134,12 @@ bool Cli::parse(int argc, const char* const* argv) {
       has_value = true;
     }
     auto it = options_.find(name);
-    DSMCPIC_CHECK_MSG(it != options_.end(),
-                      "unknown flag --" << name << "\n" << help_text());
+    DSMCPIC_CHECK_USAGE(it != options_.end(),
+                        "unknown flag --" << name << "\n" << help_text());
     Option& opt = it->second;
     if (!has_value && !opt.is_bool) {
-      DSMCPIC_CHECK_MSG(i + 1 < argc, "flag --" << name << " expects a value");
+      DSMCPIC_CHECK_USAGE(i + 1 < argc,
+                          "flag --" << name << " expects a value");
       value = argv[++i];
       has_value = true;
     }

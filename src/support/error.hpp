@@ -17,6 +17,14 @@ class Error : public std::runtime_error {
   explicit Error(const std::string& what) : std::runtime_error(what) {}
 };
 
+/// A malformed user input: a command-line flag or a mode name. Its text is
+/// the message alone, with no source location or condition, since the user
+/// who reads it did not write the check.
+class UsageError : public Error {
+ public:
+  using Error::Error;
+};
+
 namespace detail {
 
 [[noreturn]] inline void throw_check_failure(const char* cond, const char* file,
@@ -47,5 +55,17 @@ namespace detail {
       os_ << msg_expr;                                                      \
       ::dsmcpic::detail::throw_check_failure(#cond, __FILE__, __LINE__,     \
                                              os_.str());                    \
+    }                                                                       \
+  } while (0)
+
+/// Throws dsmcpic::UsageError with the streamed message alone when `cond`
+/// is false, e.g.
+///   DSMCPIC_CHECK_USAGE(n >= 1, "--steps must be >= 1, got " << n);
+#define DSMCPIC_CHECK_USAGE(cond, msg_expr)                                 \
+  do {                                                                      \
+    if (!(cond)) {                                                          \
+      std::ostringstream os_;                                               \
+      os_ << msg_expr;                                                      \
+      throw ::dsmcpic::UsageError(os_.str());                               \
     }                                                                       \
   } while (0)

@@ -9,9 +9,11 @@
 
 #include "balance/hungarian.hpp"
 #include "balance/rebalancer.hpp"
+#include "mesh/nozzle.hpp"
 #include "par/machine.hpp"
 #include "par/runtime.hpp"
 #include "hungarian_reference.hpp"
+#include "partition/partitioner.hpp"
 #include "support/rng.hpp"
 
 namespace dsmcpic::balance {
@@ -111,15 +113,44 @@ TEST(Hungarian, RejectsNonFiniteCosts) {
   }
 }
 
-enum class KmShape { kUniform, kTies, kSparseOverlap };
+enum class KmShape {
+  kUniform,
+  kTies,
+  kSparseOverlap,
+  kAllZero,
+  kSingleNonzero,
+  kEqualNonzerosInARow,
+  kNegatedOverlapWithPlusZeros
+};
 
 /// An n x n instance of the given shape. kSparseOverlap is shaped like
 /// km_remap's overlap matrix: at most four nonzeros per row (the largest
 /// on a permuted diagonal), each a sum of integer cell weights plus the
-/// 1e-9 stickiness epsilon, accumulated the way km_remap does.
+/// 1e-9 stickiness epsilon, accumulated the way km_remap does. The other
+/// shapes hold the grouped scan's edge cases: no nonzero at all (one group
+/// lives through every search), one nonzero, rows whose nonzeros are equal
+/// (split-off columns tie), and the negated overlap with +0.0 zeros, which
+/// hungarian_min sees where hungarian_max's negation would give -0.0.
 std::vector<double> km_instance(KmShape shape, int n, Rng& rng) {
   std::vector<double> m(static_cast<std::size_t>(n) * n, 0.0);
   switch (shape) {
+    case KmShape::kAllZero:
+      break;
+    case KmShape::kSingleNonzero:
+      m[rng.uniform_index(m.size())] = static_cast<double>(1 + rng.uniform_index(9));
+      break;
+    case KmShape::kEqualNonzerosInARow:
+      for (int r = 0; r < n; r += 2) {
+        const double w = static_cast<double>(1 + rng.uniform_index(3));
+        const int nonzeros = 2 + static_cast<int>(rng.uniform_index(4));
+        for (int k = 0; k < nonzeros; ++k)
+          m[static_cast<std::size_t>(r) * n + rng.uniform_index(n)] = w;
+      }
+      break;
+    case KmShape::kNegatedOverlapWithPlusZeros:
+      m = km_instance(KmShape::kSparseOverlap, n, rng);
+      for (auto& x : m) x = x == 0.0 ? 0.0 : -x;
+      break;
     case KmShape::kUniform:
       for (auto& x : m) x = rng.uniform(0, 1000);
       break;
@@ -167,7 +198,9 @@ void expect_matches_reference(const std::vector<double>& m, int n) {
 
 TEST(Hungarian, MatchesTwoPassReferenceBitForBit) {
   for (const KmShape shape :
-       {KmShape::kUniform, KmShape::kTies, KmShape::kSparseOverlap})
+       {KmShape::kUniform, KmShape::kTies, KmShape::kSparseOverlap,
+        KmShape::kAllZero, KmShape::kSingleNonzero,
+        KmShape::kEqualNonzerosInARow, KmShape::kNegatedOverlapWithPlusZeros})
     for (const int n : {1, 2, 3, 8, 31, 64, 257}) {
       Rng rng(7000 + 10 * n + static_cast<int>(shape));
       for (int trial = 0; trial < (n <= 64 ? 4 : 1); ++trial) {
@@ -183,6 +216,63 @@ TEST(Hungarian, MatchesTwoPassReferenceOnAWideRemap) {
   const int n = 1024;
   Rng rng(1024);
   expect_matches_reference(km_instance(KmShape::kSparseOverlap, n, rng), n);
+}
+
+TEST(Hungarian, MatchesTwoPassReferenceOnARealWide1024Remap) {
+  // The regime of the wide-1024 step-9 remap: the 12,000-cell nozzle
+  // dual's unweighted partition into 1,024 parts (the initial owners)
+  // against one by inlet-heavy Eq.-7 weights, ~3k nonzeros among 1,024^2
+  // overlaps, ~2.6e8 Dijkstra ops, nearly all of them at a zero delta.
+  mesh::NozzleSpec spec;
+  spec.radial_divisions = 10;
+  spec.axial_divisions = 20;
+  const mesh::TetMesh mesh = mesh::make_cylinder_nozzle(spec);
+  partition::Graph dual;
+  mesh.dual_graph(dual.xadj, dual.adjncy);
+  const std::int32_t ncells = dual.num_vertices();
+  ASSERT_EQ(ncells, 12000);
+  const int n = 1024;
+  const std::vector<std::int32_t> old_owner =
+      partition::part_graph_kway(dual, n).part;
+
+  // Particles fill the first 30 % of the nozzle, thinning downstream and
+  // off the inlet disc; one in ten is charged. Weights are scaled by 16
+  // and rounded, as redecompose does.
+  partition::Graph weighted = dual;
+  weighted.vwgt.resize(static_cast<std::size_t>(ncells));
+  for (std::int32_t c = 0; c < ncells; ++c) {
+    const Vec3& x = mesh.centroid(c);
+    const double z = x.z / spec.length;
+    const double r = std::hypot(x.x, x.y) / spec.radius;
+    const auto neutrals = static_cast<std::int64_t>(
+        z < 0.3 ? 300.0 * (1.0 - z / 0.3) *
+                      (r < spec.inlet_radius_frac ? 1.0 : 0.3)
+                : 0.0);
+    weighted.vwgt[c] = std::max<std::int64_t>(
+        1, std::llround(16.0 * wlm_per_cell(neutrals, neutrals / 10, 2.0, 1.0)));
+  }
+  const std::vector<std::int32_t> new_part =
+      partition::part_graph_kway(weighted, n).part;
+
+  // The overlap as km_remap builds it.
+  std::vector<double> keep(static_cast<std::size_t>(ncells));
+  std::vector<double> overlap(static_cast<std::size_t>(n) * n, 0.0);
+  for (std::int32_t c = 0; c < ncells; ++c) {
+    keep[c] = static_cast<double>(weighted.vwgt[c]);
+    overlap[static_cast<std::size_t>(old_owner[c]) * n + new_part[c]] +=
+        keep[c] + 1e-9;
+  }
+
+  const AssignmentResult got = hungarian_max(overlap, n);
+  const AssignmentResult want = reference::hungarian_max(overlap, n);
+  EXPECT_GE(want.operations, 100'000'000);
+  EXPECT_EQ(got.row_to_col, want.row_to_col);
+  EXPECT_EQ(got.operations, want.operations);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(got.total),
+            std::bit_cast<std::uint64_t>(want.total));
+  std::int64_t remap_ops = 0;
+  km_remap(old_owner, new_part, keep, n, &remap_ops);
+  EXPECT_EQ(remap_ops, want.operations);
 }
 
 TEST(Lii, FormulaMatchesEq6) {

@@ -10,7 +10,13 @@
 #include <string>
 #include <vector>
 
+#include "balance/cost_model.hpp"
+#include "balance/ensemble.hpp"
+#include "balance/policy.hpp"
 #include "common.hpp"
+#include "exchange/exchange.hpp"
+#include "obs/health_auditor.hpp"
+#include "par/runtime.hpp"
 #include "support/cli.hpp"
 #include "support/error.hpp"
 
@@ -365,6 +371,53 @@ TEST(BenchCli, IntFlagHelperRejectsValuesPastAnInt) {
   }
   EXPECT_EQ(bench::int_flag("steps", 1, 1), 1);
   EXPECT_THROW(bench::int_flag("steps", 0, 1), Error);
+}
+
+// A usage error prints its message alone and exits 2: no source path, line
+// or C++ condition ("check failed") before it. Each pattern pins all of
+// stderr, from its first byte to the message's newline.
+TEST(BenchCli, UsageErrorsPrintTheMessageAlone) {
+  expect_finish_usage_exit(
+      {"--steps", "4294967297"},
+      "^--steps must be >= 1 and <= 2147483647, got 4294967297\n$");
+  expect_finish_usage_exit(
+      {"--exec-mode", "bogus"},
+      "^unknown exec mode 'bogus' \\(seq \\| threaded\\)\n$");
+  expect_finish_usage_exit(
+      {"--cost-model", "bogus"},
+      "^unknown cost model 'bogus' \\(expected static\\|timer\\)\n$");
+  expect_finish_usage_exit(
+      {"--ranks", "0"}, "^flag --ranks: '0' is not in \\[1, 2\\^31 - 1\\]\n$");
+  Cli cli("bench under test");
+  bench::CommonFlags flags(cli, "bench_under_test", "4", 3);
+  const char* argv[] = {"prog", "--steps", "abc"};
+  EXPECT_EXIT(bench::parse_or_usage(cli, 3, argv), testing::ExitedWithCode(2),
+              "^flag --steps: not an integer: 'abc'\n$");
+}
+
+// The mode parsers' errors are usage errors too, still caught as Error.
+TEST(BenchCli, ModeParsersThrowUsageErrors) {
+  const auto message = [](const auto& parse) -> std::string {
+    try {
+      parse();
+    } catch (const UsageError& e) {
+      return e.what();
+    }
+    return "no UsageError";
+  };
+  EXPECT_EQ(message([] { par::parse_exec_mode("x"); }),
+            "unknown exec mode 'x' (seq | threaded)");
+  EXPECT_EQ(message([] { exchange::parse_strategy("x"); }),
+            "unknown exchange strategy 'x' (CC|DC|HC|NC)");
+  EXPECT_EQ(message([] { balance::parse_policy("x"); }),
+            "unknown rebalance policy 'x' (expected threshold|lookahead)");
+  EXPECT_EQ(message([] { balance::parse_cost_model("x"); }),
+            "unknown cost model 'x' (expected static|timer)");
+  EXPECT_EQ(message([] { balance::parse_ensemble("x"); }),
+            "unknown ensemble kind 'x' (expected fixed|elastic)");
+  EXPECT_EQ(message([] { obs::parse_audit_severity("x"); }),
+            "unknown audit severity 'x' (expected warn|abort|count)");
+  EXPECT_THROW(par::parse_exec_mode("x"), Error);
 }
 
 TEST(BenchCli, TraceCasePathInsertsBeforeExtension) {

@@ -1,11 +1,12 @@
 #pragma once
 // Test-only reference Kuhn–Munkres solver, kept as the straightforward
-// two-pass loop the one-pass scan in src/balance/hungarian.cpp must match
-// bit for bit: every iteration of a row's search scans all free columns,
-// then walks all n + 1 columns again to shift the potentials and subtract
-// delta from each free column's minv. Same assignment, same operation
-// count, same bytes of `total`: any divergence is a bug in the optimized
-// solver.
+// two-pass loop the grouped scan in src/balance/hungarian.cpp must match:
+// every iteration of a row's search scans all free columns, then walks all
+// n + 1 columns again to shift the potentials and subtract delta from each
+// free column's minv. Same delta and j1 in every iteration, so the same
+// assignment, the same operation count and the same bytes of `total`
+// (internal values may differ only in the sign of a zero): any divergence
+// is a bug in the optimized solver.
 
 #include <cstdint>
 #include <limits>

@@ -13,6 +13,7 @@
 #include <cstdint>
 #include <fstream>
 #include <limits>
+#include <map>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -356,6 +357,8 @@ struct RunOutcome {
   std::uint64_t digest = 0;
   obs::AuditReport audit;
   std::int64_t profile_samples = 0;
+  std::map<std::string, obs::HostProfiler::KernelStats> profile;
+  int rebalances = 0;
 };
 
 std::uint64_t history_digest(const CoupledSolver& solver) {
@@ -420,6 +423,8 @@ RunOutcome run_solver(bool audited, obs::AuditSeverity severity,
   out.digest = history_digest(solver);
   out.audit = auditor.report();
   out.profile_samples = prof.sample_count();
+  out.profile = prof.stats();
+  out.rebalances = solver.rebalance_stats().rebalances;
   return out;
 }
 
@@ -533,6 +538,27 @@ TEST(AuditPerturbation, HoldsUnderThreadedExecAndKernelThreads) {
   EXPECT_EQ(audited.digest, plain.digest);
   EXPECT_EQ(audited.audit.violations(), 0);
   EXPECT_GT(audited.profile_samples, 0);
+}
+
+TEST(AuditPerturbation, RebalanceTimesItsPartitionAndKmOnTheHost) {
+  // Each rebalance records one sample under the solver's "rebalance" scope
+  // and one each under its partition and KM sub-scopes.
+  const auto run = [](bool profiled) {
+    return run_solver(profiled, obs::AuditSeverity::kAbort,
+                      FaultInjection::kNone, par::ExecMode::kSequential,
+                      /*exec_threads=*/0, /*kernel_threads=*/1, /*steps=*/9,
+                      /*threshold=*/1.01);
+  };
+  const RunOutcome plain = run(false);
+  const RunOutcome profiled = run(true);
+  EXPECT_EQ(profiled.digest, plain.digest);
+  ASSERT_GT(profiled.rebalances, 0);
+  for (const char* scope :
+       {"rebalance", "rebalance/partition", "rebalance/km"}) {
+    ASSERT_EQ(profiled.profile.count(scope), 1u) << scope;
+    EXPECT_EQ(profiled.profile.at(scope).count, profiled.rebalances) << scope;
+  }
+  EXPECT_TRUE(plain.profile.empty());
 }
 
 // ---- RunReport --------------------------------------------------------------
