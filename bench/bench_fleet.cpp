@@ -20,33 +20,6 @@
 using namespace dsmcpic;
 using bench::BenchOptions;
 
-namespace {
-
-std::vector<std::string> parse_scenarios(const std::string& csv,
-                                         const fleet::ScenarioCorpus& corpus) {
-  std::vector<std::string> names;
-  if (csv.empty()) {
-    for (const fleet::Scenario& sc : corpus.all()) names.push_back(sc.name);
-    return names;
-  }
-  std::string item;
-  for (std::size_t i = 0; i <= csv.size(); ++i) {
-    if (i == csv.size() || csv[i] == ',') {
-      if (!item.empty()) {
-        corpus.by_name(item);  // validate early, lists the corpus on error
-        names.push_back(item);
-        item.clear();
-      }
-    } else {
-      item.push_back(csv[i]);
-    }
-  }
-  DSMCPIC_CHECK_MSG(!names.empty(), "empty --fleet-scenarios list");
-  return names;
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
   Cli cli(
       "Simulation-fleet service — many concurrent solver runs in one "
@@ -72,8 +45,8 @@ int main(int argc, char** argv) {
   fo.flight_recorder = opt.flight_recorder;
   fleet::FleetRunner runner(fo);
 
-  const std::vector<std::string> names =
-      parse_scenarios(fopt.scenarios, runner.corpus());
+  const std::vector<std::string> names = bench::finish_or_usage(
+      [&] { return bench::parse_scenarios(fopt.scenarios, runner.corpus()); });
   for (int i = 0; i < fopt.runs; ++i) {
     fleet::FleetJob job;
     job.scenario = names[static_cast<std::size_t>(i) % names.size()];

@@ -216,6 +216,29 @@ std::vector<int> parse_rank_list(const std::string& csv,
   return out;
 }
 
+std::vector<std::string> parse_scenarios(const std::string& csv,
+                                         const fleet::ScenarioCorpus& corpus) {
+  std::vector<std::string> names;
+  if (csv.empty()) {
+    for (const fleet::Scenario& sc : corpus.all()) names.push_back(sc.name);
+    return names;
+  }
+  std::stringstream ss(csv);
+  std::string item;
+  while (std::getline(ss, item, ',')) {
+    if (item.empty()) continue;
+    if (!corpus.find(item)) {
+      std::string known;
+      for (const fleet::Scenario& sc : corpus.all()) known += " " + sc.name;
+      throw UsageError("--fleet-scenarios: unknown scenario '" + item +
+                       "' (corpus:" + known + ")");
+    }
+    names.push_back(item);
+  }
+  DSMCPIC_CHECK_USAGE(!names.empty(), "empty --fleet-scenarios list");
+  return names;
+}
+
 core::ParallelConfig make_parallel(const core::Dataset& ds, int nranks,
                                    exchange::Strategy strategy,
                                    bool balance_enabled,

@@ -13,6 +13,7 @@
 
 #include "core/datasets.hpp"
 #include "core/solver.hpp"
+#include "fleet/scenario.hpp"
 #include "support/cli.hpp"
 #include "support/error.hpp"
 #include "support/table.hpp"
@@ -176,6 +177,12 @@ int int_flag(const std::string& name, std::int64_t value,
 /// int; errors name --`flag`.
 std::vector<int> parse_rank_list(const std::string& csv,
                                  const std::string& flag = "ranks");
+
+/// Splits --fleet-scenarios' comma list into scenario names of `corpus`;
+/// an empty list means the whole corpus. An unknown name, or a list that
+/// names none, throws UsageError (exit 2 under finish_or_usage).
+std::vector<std::string> parse_scenarios(const std::string& csv,
+                                         const fleet::ScenarioCorpus& corpus);
 
 /// Output path for case `index` of a multi-case bench: index 0 maps to
 /// `base`, case N > 0 gets ".caseN" inserted before the extension.

@@ -70,14 +70,21 @@ export UBSAN_OPTIONS="print_stacktrace=1 ${UBSAN_OPTIONS:-}"
 # Includes move_all's push hook at lanes 1, 2 and 4
 # (Mover.PushHookDropsFlagsAndAdvancesLikeMoveOne), the collide and inlet
 # streams patched with NaN, infinity and out-of-range values
-# (*.LoadRejectsStreamsARunCannotWrite), and a finite majorant whose
-# candidate count does not fit an int64 (Collide.CandidateCountPastInt64*).
+# (*.LoadRejectsStreamsARunCannotWrite), a finite majorant whose
+# candidate count does not fit an int64 (Collide.CandidateCountPastInt64*),
+# the collide's sigma bound against the exact candidate loop in
+# tests/collide_reference.hpp over four dense steps at lanes 1, 2 and 4
+# (Collide.MatchesReferenceLoopBitForBit), and the bound at its edges:
+# |g|^2 of 0, subnormal, NaN and +-inf, majorants and draws within 64 ulp
+# of sigma * c_r (Collide.SigmaBoundDecidesLikeTheExactTest).
 "$BUILD"/tests/dsmc_test
 # Whole solves: the periodic sort composed with the reused Reindex index,
 # and kernel-lane chunking over it.
 "$BUILD"/tests/determinism_test --gtest_filter='SortDeterminism.*:KernelThreads.*'
 # Includes the pinned elastic grow, elastic shrink and NC rebalance
-# (GoldenRedistribution.*), which run the redistribution tail.
+# (GoldenRedistribution.*), which run the redistribution tail, and a dense
+# nozzle that accepts 4,815 collisions, hashed with every final particle
+# (GoldenDense.*).
 "$BUILD"/tests/golden_test
 # Every exchange strategy ending in the shared delivery step, redecompose
 # on caller-supplied Eq.-7 weights, the policy and cost-model battery, and
@@ -129,8 +136,10 @@ export UBSAN_OPTIONS="print_stacktrace=1 ${UBSAN_OPTIONS:-}"
 # Every int bench flag past INT_MAX or 2^32 + 1 exits 2 instead of
 # wrapping (BenchCli.IntFlagsPastIntMaxExitTwo, one death test per flag),
 # a usage error prints its message alone
-# (BenchCli.UsageErrorsPrintTheMessageAlone), the auditor's bounds and
-# violation texts (HealthAuditor.BoundsAndViolationTextsArePinned), and a
+# (BenchCli.UsageErrorsPrintTheMessageAlone), and so does an unknown or
+# empty --fleet-scenarios list (BenchCli.FleetScenarioErrorsExitTwo). Then
+# the auditor's bounds and violation texts
+# (HealthAuditor.BoundsAndViolationTextsArePinned), and a
 # profiled rebalance's partition and KM scopes
 # (AuditPerturbation.RebalanceTimesItsPartitionAndKmOnTheHost).
 "$BUILD"/tests/bench_cli_test

@@ -55,6 +55,19 @@ CollisionKernel::CollisionKernel(const mesh::TetMesh& grid,
       p.two_kb_tref = 2.0 * constants::kBoltzmann * t_ref;
       p.m_r = sa.mass * sb.mass / (sa.mass + sb.mass);
       p.gamma = std::tgamma(2.5 - omega);
+      // sigma c_r = K c_r^(1/2) for omega = 3/4, so (sigma c_r)^4 = K^4 g2
+      // with K^4 = pi_d2^4 (2 kB T_ref / m_r) / gamma^4. Constants in
+      // [1e-40, 1e40] keep K^4, k4 g2 and every intermediate of vhs_sigma
+      // normal for g2 in [kBoundMinG2, kBoundMaxG2]; any other pair gets no
+      // bound and takes the exact path.
+      p.k4 = 0.0;
+      const auto moderate = [](double x) { return x >= 1e-40 && x <= 1e40; };
+      if (omega == 0.75 && moderate(p.pi_d2) && moderate(p.two_kb_tref) &&
+          moderate(p.m_r)) {
+        const double pd2 = p.pi_d2 * p.pi_d2;
+        const double gg = p.gamma * p.gamma;
+        p.k4 = pd2 * pd2 * (p.two_kb_tref / p.m_r) / (gg * gg);
+      }
     }
   }
 }
@@ -187,14 +200,13 @@ CollisionStats CollisionKernel::collide_cells(
         const Vec3 vi{vx[pi], vy[pi], vz[pi]};
         const Vec3 vj{vx[pj], vy[pj], vz[pj]};
         const Vec3 rel = vi - vj;
-        const double c_r = rel.norm();
-        if (c_r <= 0.0) continue;
-
-        const double sigma_cr = vhs_sigma(si, sj, c_r) * c_r;
-        if (sigma_cr > majorant) majorant = sigma_cr;  // adapt the majorant
-        if (rng.uniform() * majorant > sigma_cr) continue;  // rejected
+        const double g2 = rel.norm2();  // a sum of squares: never negative
+        if (g2 <= 0.0) continue;
+        if (!ntc_accepts(si, sj, g2, rng.uniform(), majorant, stats))
+          continue;  // rejected
 
         ++stats.collisions;
+        const double c_r = std::sqrt(g2);
         const double ma = (*table_)[si].mass;
         const double mb = (*table_)[sj].mass;
         const double m_r = ma * mb / (ma + mb);

@@ -31,12 +31,14 @@ struct CollisionStats {
   std::int64_t collisions = 0;  // accepted (elastic or reactive)
   std::int64_t ionizations = 0;
   std::int64_t charge_exchanges = 0;  // CEX events (H+/H identity swaps)
+  std::int64_t exact_sigmas = 0;  // decisions the sigma bound left to vhs_sigma
 
   CollisionStats& operator+=(const CollisionStats& o) {
     candidates += o.candidates;
     collisions += o.collisions;
     ionizations += o.ionizations;
     charge_exchanges += o.charge_exchanges;
+    exact_sigmas += o.exact_sigmas;
     return *this;
   }
 };
@@ -81,11 +83,43 @@ class CollisionKernel {
   /// vhs_cross_section but with the pair-averaged reference values, reduced
   /// mass and Gamma(5/2 - omega) precomputed per pair at construction.
   double vhs_sigma(std::int32_t si, std::int32_t sj, double c_r) const {
-    const VhsPair& p = vhs_pairs_[static_cast<std::size_t>(si) * num_species_ +
-                                  static_cast<std::size_t>(sj)];
+    const VhsPair& p = pair(si, sj);
     const double c2 = std::max(c_r * c_r, 1e-30);
     const double ratio = p.two_kb_tref / (p.m_r * c2);
     return p.pi_d2 * std::pow(ratio, p.omega_mhalf) / p.gamma;
+  }
+
+  /// One NTC candidate's test for species pair (si, sj) with squared
+  /// relative speed g2 = |v_i - v_j|^2 and uniform draw u: raises
+  /// `majorant` to sigma * c_r if that exceeds it, then accepts unless
+  /// u * majorant > sigma * c_r, with c_r = sqrt(g2) and sigma = vhs_sigma.
+  /// For a pair with omega = 3/4, (sigma c_r)^4 = k4 g2 in real arithmetic,
+  /// and the fourth powers decide both comparisons whenever they differ by
+  /// more than the relative margin kSigmaBoundTol, which exceeds the
+  /// rounding of either side (DESIGN.md §2d). Only the rest evaluate
+  /// vhs_sigma (counted in stats.exact_sigmas), so the decision and every
+  /// majorant bit equal the exact test's for any g2, u and majorant.
+  bool ntc_accepts(std::int32_t si, std::int32_t sj, double g2, double u,
+                   double& majorant, CollisionStats& stats) const {
+    const VhsPair& p = pair(si, sj);
+    // In range, t and its margins are normal doubles and c_r^2 clears
+    // vhs_sigma's 1e-30 clamp; a NaN is out of range.
+    if (p.k4 > 0.0 && g2 >= kBoundMinG2 && g2 <= kBoundMaxG2) {
+      const double t = p.k4 * g2;
+      const double t_hi = t * (1.0 + kSigmaBoundTol);
+      const double mm = majorant * majorant;
+      if (t_hi < mm * mm) {  // sigma * c_r < majorant: no update
+        const double m = u * majorant;
+        const double m4 = (m * m) * (m * m);
+        if (m4 > t_hi) return false;
+        if (m4 < t * (1.0 - kSigmaBoundTol)) return true;
+      }
+    }
+    ++stats.exact_sigmas;
+    const double c_r = std::sqrt(g2);
+    const double sigma_cr = vhs_sigma(si, sj, c_r) * c_r;
+    if (sigma_cr > majorant) majorant = sigma_cr;  // adapt the majorant
+    return !(u * majorant > sigma_cr);
   }
 
   /// Binary checkpoint of the adaptive per-cell state. load refuses, with
@@ -116,7 +150,19 @@ class CollisionKernel {
     double two_kb_tref;  // 2 kB * t_ref
     double m_r;          // reduced mass
     double gamma;        // tgamma(2.5 - omega)
+    double k4;  // (sigma c_r)^4 / c_r^2 when omega = 3/4, else 0 (no bound)
   };
+
+  // ntc_accepts' bound: a power of two, so 1 +- kSigmaBoundTol is exact,
+  // and the |g|^2 range it applies in.
+  static constexpr double kSigmaBoundTol = 0x1p-40;
+  static constexpr double kBoundMinG2 = 1e-20;
+  static constexpr double kBoundMaxG2 = 1e20;
+
+  const VhsPair& pair(std::int32_t si, std::int32_t sj) const {
+    return vhs_pairs_[static_cast<std::size_t>(si) * num_species_ +
+                      static_cast<std::size_t>(sj)];
+  }
 
   const mesh::TetMesh* grid_;
   const SpeciesTable* table_;

@@ -15,6 +15,7 @@
 #include "balance/policy.hpp"
 #include "common.hpp"
 #include "exchange/exchange.hpp"
+#include "fleet/scenario.hpp"
 #include "obs/health_auditor.hpp"
 #include "par/runtime.hpp"
 #include "support/cli.hpp"
@@ -393,6 +394,28 @@ TEST(BenchCli, UsageErrorsPrintTheMessageAlone) {
   const char* argv[] = {"prog", "--steps", "abc"};
   EXPECT_EXIT(bench::parse_or_usage(cli, 3, argv), testing::ExitedWithCode(2),
               "^flag --steps: not an integer: 'abc'\n$");
+}
+
+// bench_fleet resolves --fleet-scenarios under finish_or_usage: an unknown
+// name or a list naming none exits 2 with the message alone (it used to
+// escape as a dsmcpic::Error into std::terminate, exit 134).
+TEST(BenchCli, FleetScenarioErrorsExitTwo) {
+  const fleet::ScenarioCorpus corpus;
+  const auto parse = [&](const char* csv) {
+    return bench::finish_or_usage(
+        [&] { return bench::parse_scenarios(csv, corpus); });
+  };
+  const char* unknown =
+      "^--fleet-scenarios: unknown scenario 'bogus' \\(corpus: nozzle reentry "
+      "twin-plume pulsed-inlet\\)\n$";
+  EXPECT_EXIT(parse("bogus"), testing::ExitedWithCode(2), unknown);
+  EXPECT_EXIT(parse("nozzle,bogus"), testing::ExitedWithCode(2), unknown);
+  EXPECT_EXIT(parse(","), testing::ExitedWithCode(2),
+              "^empty --fleet-scenarios list\n$");
+  EXPECT_EQ(parse("nozzle,,reentry,"),
+            (std::vector<std::string>{"nozzle", "reentry"}));
+  EXPECT_EQ(parse("").size(), corpus.all().size());
+  EXPECT_THROW(corpus.by_name("bogus"), Error);
 }
 
 // The mode parsers' errors are usage errors too, still caught as Error.

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <cstring>
 #include <limits>
@@ -7,6 +8,7 @@
 #include <numeric>
 #include <sstream>
 #include <string>
+#include <utility>
 
 #include "dsmc/chemistry.hpp"
 #include "dsmc/collide.hpp"
@@ -19,6 +21,9 @@
 #include "mesh/nozzle.hpp"
 #include "support/error.hpp"
 #include "support/kernel_exec.hpp"
+#include "support/serialize.hpp"
+
+#include "collide_reference.hpp"
 
 namespace dsmcpic::dsmc {
 namespace {
@@ -574,6 +579,210 @@ TEST(Collide, CandidateCountPastInt64IsATypedError) {
   const CellIndex index(store, grid.num_tets());
   const std::vector<std::int32_t> my_cells{cell};
   EXPECT_THROW(kernel.collide_cells(store, index, my_cells, 1e-5, 0), Error);
+}
+
+/// A dense H/H+ state in the first `ncells` cells: `per_cell` particles
+/// each, one in five an ion, at a temperature where ~8 km/s pairs, and so
+/// ionizations at a 0.15 eV threshold and charge exchanges, are common.
+ParticleStore dense_two_species_state(const mesh::TetMesh& grid, int ncells,
+                                      int per_cell) {
+  ParticleStore store;
+  Rng rng(0xc011deULL);
+  std::int64_t id = 0;
+  for (std::int32_t cell = 0; cell < ncells; ++cell) {
+    for (int i = 0; i < per_cell; ++i) {
+      ParticleRecord p;
+      p.position = grid.centroid(cell);
+      p.velocity = sample_maxwellian(rng, 1e5, constants::kHydrogenMass);
+      p.species = i % 5 == 0 ? kSpeciesHPlus : kSpeciesH;
+      p.cell = cell;
+      p.id = id++;
+      store.add(p);
+    }
+  }
+  return store;
+}
+
+/// Every array of two stores, bit for bit.
+bool same_arrays(const ParticleStore& a, const ParticleStore& b) {
+  const auto same = [](auto x, auto y) {
+    return x.size() == y.size() &&
+           (x.empty() || std::memcmp(x.data(), y.data(), x.size_bytes()) == 0);
+  };
+  return same(a.px(), b.px()) && same(a.py(), b.py()) &&
+         same(a.pz(), b.pz()) && same(a.vx(), b.vx()) &&
+         same(a.vy(), b.vy()) && same(a.vz(), b.vz()) &&
+         same(a.ids(), b.ids()) && same(a.species(), b.species()) &&
+         same(a.cells(), b.cells());
+}
+
+// The sigma bound must leave every draw, decision and majorant bit of the
+// exact candidate loop (tests/collide_reference.hpp) as it was: after each
+// step the stores, the spawned ions, the saved majorants and carries and
+// the stats are equal bit for bit, at every kernel lane count. The bound
+// must also settle nearly every candidate, so a kernel that always falls
+// back to vhs_sigma fails here rather than only running slower.
+TEST(Collide, MatchesReferenceLoopBitForBit) {
+  const mesh::TetMesh grid = mesh::make_cylinder_nozzle(test_spec());
+  const SpeciesTable table = SpeciesTable::hydrogen(6e10, 6e10);
+  ChemistryConfig chem_cfg;
+  chem_cfg.ionization_threshold = 0.15 * constants::kElementaryCharge;
+  chem_cfg.ionization_probability = 0.02;
+  constexpr int kCells = 40;
+  constexpr double kDt = 1e-5;
+  const ParticleStore initial = dense_two_species_state(grid, kCells, 150);
+  std::vector<std::int32_t> my_cells(kCells);
+  std::iota(my_cells.begin(), my_cells.end(), 0);
+  const CollisionConfig cfg;
+
+  for (const int lanes : {1, 2, 4}) {
+    const support::KernelExec exec(lanes);
+    Chemistry chemistry(table, chem_cfg);
+    CollisionKernel kernel(grid, table, cfg, &chemistry);
+    ParticleStore store = initial;
+    ParticleStore ref_store = initial;
+    reference::CollideState ref;
+    {
+      std::ostringstream os;
+      kernel.save(os);
+      std::istringstream in(os.str());
+      ref.majorant = io::read_vec<double>(in);
+      ref.carry = io::read_vec<double>(in);
+    }
+    CollisionStats total;
+    for (int step = 0; step < 4; ++step) {
+      const CellIndex index(store, grid.num_tets());
+      const CellIndex ref_index(ref_store, grid.num_tets());
+      const CollisionStats got =
+          kernel.collide_cells(store, index, my_cells, kDt, step, &exec);
+      const CollisionStats want =
+          reference::collide_cells(kernel, grid, table, cfg.seed, &chemistry,
+                                   ref, ref_store, ref_index, my_cells, kDt,
+                                   step);
+      const std::string at =
+          std::to_string(lanes) + " lanes, step " + std::to_string(step);
+      EXPECT_EQ(got.candidates, want.candidates) << at;
+      EXPECT_EQ(got.collisions, want.collisions) << at;
+      EXPECT_EQ(got.ionizations, want.ionizations) << at;
+      EXPECT_EQ(got.charge_exchanges, want.charge_exchanges) << at;
+      total += got;
+
+      ASSERT_EQ(store.size(), ref_store.size()) << at;
+      EXPECT_TRUE(same_arrays(store, ref_store)) << at;
+      std::ostringstream got_state, want_state;
+      kernel.save(got_state);
+      io::write_vec(want_state, ref.majorant);
+      io::write_vec(want_state, ref.carry);
+      EXPECT_EQ(got_state.str(), want_state.str()) << at;
+    }
+    // The first step grows every majorant from its initial value, so it
+    // has the fewest candidates and the most exact evaluations.
+    EXPECT_GE(total.candidates, 300000) << lanes << " lanes";
+    EXPECT_LT(100 * total.exact_sigmas, total.candidates) << lanes << " lanes";
+    EXPECT_GT(total.exact_sigmas, 0) << lanes << " lanes";
+    EXPECT_GT(total.ionizations, 0) << lanes << " lanes";
+    EXPECT_GT(total.charge_exchanges, 0) << lanes << " lanes";
+    EXPECT_EQ(store.size(), initial.size() + total.ionizations);
+  }
+}
+
+// ntc_accepts against the exact three lines for one candidate, at |g|^2
+// across and beyond the bound's range and at majorants and draws placed on
+// both sides of sigma * c_r: within a few ulp (where only vhs_sigma can
+// decide), around the bound's 2^-40 margin, and far off. The decision and
+// the majorant's bits must agree every time; with omega = 0.7 there is no
+// bound and every call evaluates vhs_sigma.
+TEST(Collide, SigmaBoundDecidesLikeTheExactTest) {
+  const mesh::TetMesh grid = mesh::make_cylinder_nozzle(test_spec());
+  SpeciesTable omega07;
+  for (const double mass : {constants::kHydrogenMass, 4.0 * constants::kAmu}) {
+    Species s;
+    s.mass = mass;
+    s.omega = 0.7;
+    omega07.add(s);
+  }
+  // |g|^2: zero, subnormals, the smallest normal, NaN, +-inf, the edges of
+  // the bound's range, and log-uniform over [1e-30, 1e30].
+  std::vector<double> g2s = {0.0,
+                             4.9e-324,
+                             1e-310,
+                             std::numeric_limits<double>::min(),
+                             kNaN,
+                             kInf,
+                             -kInf,
+                             1e-20,
+                             1e20,
+                             std::nextafter(1e-20, 0.0),
+                             std::nextafter(1e20, kInf)};
+  Rng rng(0x5197aULL);
+  for (int i = 0; i < 400; ++i)
+    g2s.push_back(std::pow(10.0, rng.uniform(-30.0, 30.0)));
+  // Relative placements around sigma * c_r: k ulp for |k| <= 64, then
+  // +-2^-e across the bound's 2^-40 margin, then far off.
+  std::vector<double> offsets;
+  for (int k = -64; k <= 64; ++k) offsets.push_back(k * 0x1p-52);
+  for (int e = 30; e <= 50; ++e) {
+    offsets.push_back(std::ldexp(1.0, -e));
+    offsets.push_back(-std::ldexp(1.0, -e));
+  }
+  for (const double far : {-0.5, -1e-3, 1e-3, 1.0, 1e10})
+    offsets.push_back(far);
+
+  // Counts the calls and how many of them the bound settled.
+  std::int64_t calls = 0, bounded = 0;
+  const auto check = [&](const SpeciesTable& table) {
+    const CollisionKernel kernel(grid, table, CollisionConfig{});
+    calls = bounded = 0;
+    for (std::int32_t si = 0; si < table.size(); ++si) {
+      for (std::int32_t sj = 0; sj < table.size(); ++sj) {
+        for (const double g2 : g2s) {
+          const double c_r = std::sqrt(g2);
+          const double sigma_cr = kernel.vhs_sigma(si, sj, c_r) * c_r;
+          std::vector<std::pair<double, double>> cases;  // (u, majorant)
+          if (std::isfinite(sigma_cr) && sigma_cr > 0.0) {
+            for (const double off : offsets) {
+              const double at = sigma_cr * (1.0 + off);
+              for (const double u : {0.0, 0x1p-53, 0.3, 0.999})
+                cases.emplace_back(u, at);  // the majorant at the offset
+              cases.emplace_back(0.5, 2.0 * at);  // u * majorant there
+              cases.emplace_back(0.75, at / 0.75);
+            }
+          } else {
+            for (const double m : {1e-15, 3.6e-15, 1.0})
+              for (const double u : {0.0, 0.3, 0.999}) cases.emplace_back(u, m);
+          }
+          for (const auto& [u, majorant] : cases) {
+            double got_majorant = majorant, want_majorant = majorant;
+            CollisionStats st;
+            const bool got =
+                kernel.ntc_accepts(si, sj, g2, u, got_majorant, st);
+            const bool want = reference::exact_accepts(kernel, si, sj, g2, u,
+                                                       want_majorant);
+            ++calls;
+            bounded += 1 - st.exact_sigmas;
+            const auto at = [&] {
+              std::ostringstream os;
+              os << "pair (" << si << "," << sj << ") g2 " << g2 << " u "
+                 << u << " majorant " << majorant;
+              return os.str();
+            };
+            ASSERT_EQ(got, want) << at();
+            ASSERT_EQ(std::bit_cast<std::uint64_t>(got_majorant),
+                      std::bit_cast<std::uint64_t>(want_majorant))
+                << at();
+          }
+        }
+      }
+    }
+  };
+
+  check(SpeciesTable::hydrogen(1e12, 6000.0));
+  // The bound settles the far placements and leaves the near ones.
+  EXPECT_GT(bounded, calls / 20);
+  EXPECT_LT(bounded, calls);
+  check(omega07);
+  EXPECT_GT(calls, 0);
+  EXPECT_EQ(bounded, 0);
 }
 
 TEST(CellIndex, RebuildMatchesFreshBuildAndReusesStorage) {

@@ -7,8 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <vector>
 
 #include "core/datasets.hpp"
 #include "core/solver.hpp"
@@ -222,6 +224,92 @@ TEST(Golden, SortedCentralizedMatchesUnsortedGolden) {
                  /*sort_every=*/2);
   EXPECT_EQ(got, kGoldenCcUnbalanced)
       << "new digest: 0x" << std::hex << got << "ULL";
+}
+
+// ---- A golden that collides ------------------------------------------------
+// tiny_config's runs accept no collision in their eight steps, and hash_run
+// hashes counts only, so the goldens above cannot see the NTC path. This
+// nozzle takes the dense-inlet workload's 3000x denser inflow, retuned to
+// the same particle targets (fnum grows 3000x, so only the collision load
+// changes): it accepts thousands of collisions in eight steps. Its digest
+// adds every final particle's position, velocity, species and id bits in
+// ascending-id order, so store layout cannot matter but any change to an
+// NTC draw, decision or scatter does.
+
+SolverConfig dense_config() {
+  const Dataset d = make_dataset(1, 0.25);
+  SolverConfig cfg = tiny_config(0.25);
+  cfg.density_h *= 3000.0;
+  cfg.set_target_particles(d.target_h, d.target_hplus);
+  return cfg;
+}
+
+struct DenseRun {
+  std::uint64_t digest = 0;
+  std::int64_t collisions = 0;
+};
+
+DenseRun run_dense(int kernel_threads, int sort_every) {
+  ParallelConfig par;
+  par.nranks = 6;
+  par.strategy = exchange::Strategy::kDistributed;
+  par.balance.enabled = true;
+  par.balance.period = 3;
+  par.kernel_threads = kernel_threads;
+  SolverConfig cfg = dense_config();
+  cfg.sort_every = sort_every;
+  CoupledSolver solver(cfg, par);
+  solver.run(8);
+
+  Fnv1a d;
+  hash_run(d, solver);
+  std::vector<dsmc::ParticleRecord> all;
+  for (const dsmc::ParticleStore& store : solver.stores())
+    for (std::size_t i = 0; i < store.size(); ++i)
+      all.push_back(store.record(i));
+  std::sort(all.begin(), all.end(),
+            [](const dsmc::ParticleRecord& a, const dsmc::ParticleRecord& b) {
+              return a.id < b.id;
+            });
+  EXPECT_TRUE(std::adjacent_find(all.begin(), all.end(),
+                                 [](const dsmc::ParticleRecord& a,
+                                    const dsmc::ParticleRecord& b) {
+                                   return a.id == b.id;
+                                 }) == all.end())
+      << "particle ids must be unique for the id order to be canonical";
+  for (const dsmc::ParticleRecord& p : all) {
+    for (const double x : {p.position.x, p.position.y, p.position.z,
+                           p.velocity.x, p.velocity.y, p.velocity.z})
+      d.f64(x);
+    d.i64(p.species);
+    d.i64(p.id);
+  }
+  DenseRun out;
+  out.digest = d.value();
+  for (const StepDiagnostics& s : solver.history())
+    out.collisions += s.collisions;
+  return out;
+}
+
+constexpr std::uint64_t kGoldenDense = 0xdbeb4801af895fb8ULL;
+
+TEST(GoldenDense, DistributedWithRebalance) {
+  const DenseRun got = run_dense(/*kernel_threads=*/1, /*sort_every=*/0);
+  EXPECT_GT(got.collisions, 1000);
+  EXPECT_EQ(got.digest, kGoldenDense)
+      << "new digest: 0x" << std::hex << got.digest << "ULL";
+}
+
+TEST(GoldenDense, FourKernelLanesMatch) {
+  const DenseRun got = run_dense(/*kernel_threads=*/4, /*sort_every=*/0);
+  EXPECT_EQ(got.digest, kGoldenDense)
+      << "new digest: 0x" << std::hex << got.digest << "ULL";
+}
+
+TEST(GoldenDense, SortEveryStepMatches) {
+  const DenseRun got = run_dense(/*kernel_threads=*/1, /*sort_every=*/1);
+  EXPECT_EQ(got.digest, kGoldenDense)
+      << "new digest: 0x" << std::hex << got.digest << "ULL";
 }
 
 // ---- Counters no digest covers ---------------------------------------------
