@@ -9,14 +9,15 @@
 # bookkeeping would fail here rather than corrupt a digest by luck. The
 # per-layout node-slot table the gather and deposit index phi and charge
 # through is checked against the binary search on a 24-rank Dataset-2
-# layout, including the search fallback for other ranks' tets. The runtime and
-# linalg suites cover the message rounds and the halo exchanger's
-# slot-range and halo-slot index arithmetic (DESIGN.md §2i), the prices a
-# round keeps from one routing to the next (indexed per message and per
-# node, re-priced across active-set resizes, hints and runtimes), the halo
-# exchange's and the preconditioner's checks on mis-sized vectors and
-# spans, and the CSR assembly's packed-key sort against its two-level
-# reference. The exchange,
+# layout, including the search fallback for other ranks' tets. The runtime,
+# linalg and pic suites cover the message rounds and the one grid scatter's
+# slot and index arithmetic (DESIGN.md §2i) under the CG halo and the node
+# reduce and broadcast, the prices a round keeps from one routing to the
+# next (indexed per message and per node, re-priced across active-set
+# resizes, hints and runtimes), the checks that the halo exchange, the CG,
+# the gather, the node exchange and the preconditioner make on mis-sized
+# vectors and spans, and the CSR assembly's packed-key sort against its
+# two-level reference. The exchange,
 # balance, policy and ensemble suites cover the balancer's one migration
 # call, its shared delivery step and the redistribution tail of a
 # rebalance and an ensemble resize. The checkpoint- and lease-corruption
@@ -63,9 +64,14 @@ export UBSAN_OPTIONS="print_stacktrace=1 ${UBSAN_OPTIONS:-}"
 # sort is built on.
 "$BUILD"/tests/particle_sort_test
 # The deposit traversal against its reference at kernel lanes 1, 2, 4, the
-# removal-span checks, and the node-slot table
+# removal-span checks, the node-slot table
 # (NodeExchange.TetSlotsEqualSearchInOwnersList, Field.TableGather*,
-# Field.ForeignTetTakesTheSearchPath, Deposit.TableMatchesSpanOnlyBitwise).
+# Field.ForeignTetTakesTheSearchPath, Deposit.TableMatchesSpanOnlyBitwise),
+# and the node reduce and broadcast through the grid scatter against their
+# payload form in tests/node_exchange_reference.hpp at 1 to 64 ranks
+# (NodeExchange.MatchesPayloadReferenceBitForBit), with no payload routed
+# (NodeExchange.RoutesNoPayload) and mis-sized values or a mis-sized active
+# set refused (NodeExchange.RejectsMissizedInputs).
 "$BUILD"/tests/pic_test
 # Includes move_all's push hook at lanes 1, 2 and 4
 # (Mover.PushHookDropsFlagsAndAdvancesLikeMoveOne), the collide and inlet
@@ -110,8 +116,9 @@ export UBSAN_OPTIONS="print_stacktrace=1 ${UBSAN_OPTIONS:-}"
 "$BUILD"/tests/partition_test
 # Message rounds and the prices they keep (Runtime.Round*, including
 # Runtime.RoundReusesPricesBitForBit), the runtime checkpoint's busy-row
-# check (Runtime.LoadRejectsBusyRowOfWrongLength), the halo exchanger at 1,
+# check (Runtime.LoadRejectsBusyRowOfWrongLength), the halo scatter at 1,
 # 24 and 1,024 ranks with its size checks (Dist.HaloRejectsMissizedLocals,
+# Dist.CgRejectsMissizedVectors, Dist.GatherRejectsMissizedVector,
 # Dist.PreconRejectsShortSpans), and the packed-key assembly sort
 # (Csr.FromTriplets*, up to 10^5 triplets and the Dataset-1 assembly).
 "$BUILD"/tests/par_test

@@ -34,13 +34,13 @@ export TSAN_OPTIONS="halt_on_error=1 ${TSAN_OPTIONS:-}"
 # between routings are written only on the driver thread, after the
 # superstep's join, so no body ever sees them change.
 "$BUILD"/tests/par_test
-# The distributed CG's halo exchanger (DESIGN.md §2i) moves no payloads:
+# The distributed CG's halo scatter (DESIGN.md §2i) moves no payloads:
 # each rank packs into its own slots of one shared buffer in the send
 # superstep, which routes a fixed message round, and its peers read those
 # slots in the next superstep. The reference suite runs dist_cg threaded at
 # 1, 24 and 1,024 ranks, so a receiver reading a slot before the superstep
 # join ordered its write would be flagged here; Dist.Halo* covers the plan
-# checks the exchanger makes at construction.
+# checks the scatter makes at construction.
 "$BUILD"/tests/linalg_test \
   --gtest_filter='RankCounts/DistCgTest.*:Dist.Halo*:Ranks/Dataset2Reference.DistCg*'
 # The blocked parallel deposit (DESIGN.md §2g) above the candidate cutoff:
@@ -50,7 +50,11 @@ export TSAN_OPTIONS="halt_on_error=1 ${TSAN_OPTIONS:-}"
 # Deposit.TableMatchesSpanOnlyBitwise and Field.TableGatherMatchesSearch-
 # Bitwise read the per-layout node-slot table from kernel lanes 2 and 4, as
 # the deposit and PIC_Move's gather do; Field.* and NodeExchange.* add the
-# search fallback and the table build.
+# search fallback and the table build. The node reduce and broadcast run
+# the same grid scatter as the CG halo: threaded superstep bodies write one
+# shared pack buffer, each rank its own slots, and read it after the join;
+# NodeExchange.MatchesPayloadReferenceBitForBit runs them threaded (4
+# lanes) at up to 64 ranks.
 "$BUILD"/tests/pic_test --gtest_filter='Deposit.*:Field.*:NodeExchange.*'
 # Intra-rank kernel chunking first (real threads inside move/collide/
 # react/deposit and PIC_Move's push, all summed by the one reduction), then

@@ -324,10 +324,8 @@ void CoupledSolver::do_reindex() {
 }
 
 void CoupledSolver::do_colli_react(StepDiagnostics& diag) {
-  struct RankStats {
-    std::int64_t collisions = 0, ionizations = 0, recombinations = 0;
-  };
-  std::vector<RankStats> per_rank(pcfg_.nranks);
+  std::vector<dsmc::CollisionStats> collided(pcfg_.nranks);
+  std::vector<dsmc::ChemistryStats> reacted(pcfg_.nranks);
   // Periodic cell sort (DESIGN.md §2g): reorder each store cell-major so
   // each cell's particles occupy one contiguous slot range for the collide
   // and deposit traversals. The sort only changes memory layout — traversal
@@ -351,7 +349,7 @@ void CoupledSolver::do_colli_react(StepDiagnostics& diag) {
       }
       index.rebuild(stores_[r], coarse_.num_tets());
     }
-    dsmc::CollisionStats cs;
+    dsmc::CollisionStats& cs = collided[r];
     {
       const obs::HostProfiler::Scope prof(prof_, "collide");
       cs = collide_->collide_cells(stores_[r], index, my_cells_[r],
@@ -359,7 +357,7 @@ void CoupledSolver::do_colli_react(StepDiagnostics& diag) {
                                    &collide_scratch_[r]);
     }
     removed_[r].resize(stores_[r].size(), 0);  // chemistry appended ions
-    dsmc::ChemistryStats rs;
+    dsmc::ChemistryStats& rs = reacted[r];
     {
       const obs::HostProfiler::Scope prof(prof_, "react");
       rs = chemistry_->recombine(stores_[r], index, my_cells_[r], coarse_,
@@ -369,13 +367,18 @@ void CoupledSolver::do_colli_react(StepDiagnostics& diag) {
     c.charge(par::WorkKind::kCollide, static_cast<double>(cs.candidates));
     c.charge(par::WorkKind::kReact,
              static_cast<double>(cs.ionizations + rs.recombinations));
-    per_rank[r] = {cs.collisions, cs.ionizations, rs.recombinations};
   });
-  for (const RankStats& s : per_rank) {
-    diag.collisions += s.collisions;
-    diag.ionizations += s.ionizations;
-    diag.recombinations += s.recombinations;
+  dsmc::CollisionStats cs;
+  dsmc::ChemistryStats rs;
+  for (int r = 0; r < pcfg_.nranks; ++r) {
+    cs += collided[r];
+    rs += reacted[r];
   }
+  diag.collisions += cs.collisions;
+  diag.ionizations += cs.ionizations;
+  diag.charge_exchanges += cs.charge_exchanges;
+  diag.exact_sigmas += cs.exact_sigmas;
+  diag.recombinations += rs.recombinations;
   // Each ionization appended one H+ to a store; recombination flags are
   // consumed by the next exchange (counted there via flagged_count).
   if (auditor_) auditor_->on_spawned(diag.ionizations);

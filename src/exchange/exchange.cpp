@@ -56,6 +56,12 @@ std::int64_t extract_outgoing(ParticleStore& store,
   return dropped;
 }
 
+/// Charges the packing of `recs` and sends them to `dst` as one payload.
+void ship(par::Comm& c, int dst, std::span<const ParticleRecord> recs) {
+  c.charge(par::WorkKind::kPackByte, static_cast<double>(recs.size_bytes()));
+  c.send_pod<ParticleRecord>(dst, 0, recs);
+}
+
 void append_records(ParticleStore& store, std::span<const ParticleRecord> recs) {
   for (const auto& r : recs) store.add(r);
 }
@@ -110,9 +116,7 @@ ExchangeStats exchange_centralized(par::Runtime& rt, const std::string& phase,
     if (r == root) {
       root_pool.insert(root_pool.end(), all.begin(), all.end());
     } else if (!all.empty()) {
-      c.charge(par::WorkKind::kPackByte,
-               static_cast<double>(all.size() * sizeof(ParticleRecord)));
-      c.send_pod<ParticleRecord>(root, 0, all);
+      ship(c, root, all);
     }
   });
 
@@ -139,9 +143,7 @@ ExchangeStats exchange_centralized(par::Runtime& rt, const std::string& phase,
         append_records(stores[root], recs);
         continue;
       }
-      c.charge(par::WorkKind::kPackByte,
-               static_cast<double>(recs.size() * sizeof(ParticleRecord)));
-      c.send_pod<ParticleRecord>(dest, 0, recs);
+      ship(c, dest, recs);
     }
   });
 
@@ -179,9 +181,7 @@ ExchangeStats exchange_distributed(par::Runtime& rt, const std::string& phase,
       }
       migrated[r] += static_cast<std::int64_t>(it->second.size());
       c.charge(par::WorkKind::kClassify, static_cast<double>(it->second.size()));
-      c.charge(par::WorkKind::kPackByte,
-               static_cast<double>(it->second.size() * sizeof(ParticleRecord)));
-      c.send_pod<ParticleRecord>(peer, 0, it->second);
+      ship(c, peer, it->second);
     }
   });
 
@@ -218,9 +218,7 @@ ExchangeStats exchange_hierarchical(par::Runtime& rt, const std::string& phase,
     if (r == leader) {
       leader_pool[r].insert(leader_pool[r].end(), all.begin(), all.end());
     } else if (!all.empty()) {
-      c.charge(par::WorkKind::kPackByte,
-               static_cast<double>(all.size() * sizeof(ParticleRecord)));
-      c.send_pod_vec(leader, 0, all);
+      ship(c, leader, all);
     }
   });
 
@@ -249,9 +247,7 @@ ExchangeStats exchange_hierarchical(par::Runtime& rt, const std::string& phase,
         c.charge_comm_seconds(2.0 * c.alpha_to(peer));
         continue;
       }
-      c.charge(par::WorkKind::kPackByte,
-               static_cast<double>(it->second.size() * sizeof(ParticleRecord)));
-      c.send_pod_vec(peer, 0, it->second);
+      ship(c, peer, it->second);
     }
     if (auto it = by_leader.find(r); it != by_leader.end())
       leader_pool[r] = std::move(it->second);
@@ -276,9 +272,7 @@ ExchangeStats exchange_hierarchical(par::Runtime& rt, const std::string& phase,
         append_records(stores[r], recs);
         continue;
       }
-      c.charge(par::WorkKind::kPackByte,
-               static_cast<double>(recs.size() * sizeof(ParticleRecord)));
-      c.send_pod_vec(dest, 0, recs);
+      ship(c, dest, recs);
     }
   });
 
@@ -324,9 +318,7 @@ ExchangeStats exchange_neighbor(par::Runtime& rt, const std::string& phase,
       if (recs.empty()) continue;
       migrated[r] += static_cast<std::int64_t>(recs.size());
       c.charge(par::WorkKind::kClassify, static_cast<double>(recs.size()));
-      c.charge(par::WorkKind::kPackByte,
-               static_cast<double>(recs.size() * sizeof(ParticleRecord)));
-      c.send_pod_vec(dest, 0, recs);
+      ship(c, dest, recs);
     }
   });
 

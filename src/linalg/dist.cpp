@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <map>
 
 #include "support/error.hpp"
 
@@ -18,8 +17,6 @@ DistLayout DistLayout::build(int nranks, std::span<const std::int32_t> row_owner
   l.owner.assign(row_owner.begin(), row_owner.end());
   l.owned.resize(nranks);
   l.halo.resize(nranks);
-  l.send_plan.resize(nranks);
-  l.recv_plan.resize(nranks);
 
   for (std::int32_t g = 0; g < pattern.rows(); ++g) {
     DSMCPIC_CHECK_MSG(row_owner[g] >= 0 && row_owner[g] < nranks,
@@ -43,35 +40,20 @@ DistLayout DistLayout::build(int nranks, std::span<const std::int32_t> row_owner
     l.halo[r] = hs;
   }
 
-  // Owned-id -> owned-local-index per rank (owned lists are sorted).
-  auto owned_index = [&l](int r, std::int32_t g) {
-    const auto& o = l.owned[r];
-    const auto it = std::lower_bound(o.begin(), o.end(), g);
-    DSMCPIC_CHECK(it != o.end() && *it == g);
-    return static_cast<std::int32_t>(it - o.begin());
-  };
-
   // One message per (owner, halo rank) pair; its values follow the
-  // receiver's halo order. Slots are assigned in (sender, receiver) order.
-  struct Msg {
-    std::vector<std::int32_t> owned_idx, halo_idx;
-  };
-  std::vector<std::map<int, Msg>> msgs(nranks);  // msgs[sender][receiver]
-  for (int r = 0; r < nranks; ++r)
+  // receiver's halo order.
+  std::vector<std::size_t> sizes;
+  std::vector<par::ScatterPlan::Entry> entries;
+  for (int r = 0; r < nranks; ++r) {
+    sizes.push_back(static_cast<std::size_t>(l.local_size(r)));
     for (std::size_t h = 0; h < l.halo[r].size(); ++h) {
       const std::int32_t g = l.halo[r][h];
-      Msg& m = msgs[row_owner[g]][r];
-      m.owned_idx.push_back(owned_index(row_owner[g], g));
-      m.halo_idx.push_back(static_cast<std::int32_t>(h));
+      entries.push_back({row_owner[g], r, l.local_index(row_owner[g], g),
+                         static_cast<std::int32_t>(l.owned[r].size() + h)});
     }
-  for (int p = 0; p < nranks; ++p)
-    for (const auto& [r, m] : msgs[p]) {
-      const DistLayout::Plan plan{r, l.send_idx.size(), m.owned_idx.size()};
-      l.send_plan[p].push_back(plan);
-      l.recv_plan[r].push_back({p, plan.slot, plan.count});
-      l.send_idx.insert(l.send_idx.end(), m.owned_idx.begin(), m.owned_idx.end());
-      l.recv_idx.insert(l.recv_idx.end(), m.halo_idx.begin(), m.halo_idx.end());
-    }
+  }
+  static_cast<par::ScatterPlan&>(l) =
+      par::ScatterPlan::build(std::move(sizes), std::move(entries));
   return l;
 }
 
@@ -86,6 +68,31 @@ std::int32_t DistLayout::local_index(int r, std::int32_t g) const {
     return static_cast<std::int32_t>(o.size() + (it - h.begin()));
   return -1;
 }
+
+namespace {
+
+// The layout's halo scatter. Throws dsmcpic::Error unless the receives fill
+// exactly each rank's halo: as many values as it holds (the scatter refuses
+// one filled twice), none into an owned entry.
+par::Scatter halo_scatter(const DistLayout& l) {
+  par::Scatter s(l);
+  DSMCPIC_CHECK(l.sizes.size() == static_cast<std::size_t>(l.nranks));
+  for (int r = 0; r < l.nranks; ++r) {
+    std::size_t named = 0;
+    for (const DistLayout::Plan& m : l.recv_plan[r])
+      for (std::size_t i = m.slot; i < m.slot + m.count; ++i, ++named)
+        DSMCPIC_CHECK_MSG(
+            static_cast<std::size_t>(l.recv_idx[i]) >= l.owned[r].size(),
+            "rank " << r << " receives halo into owned entry " << l.recv_idx[i]);
+    DSMCPIC_CHECK_MSG(named == l.halo[r].size() &&
+                          l.sizes[r] == static_cast<std::size_t>(l.local_size(r)),
+                      "rank " << r << " receives " << named << " values for "
+                              << l.halo[r].size() << " halo values");
+  }
+  return s;
+}
+
+}  // namespace
 
 DistMatrix DistMatrix::build(const CsrMatrix& a, DistLayout layout) {
   DistMatrix dm;
@@ -136,6 +143,7 @@ DistMatrix DistMatrix::build(const CsrMatrix& a, DistLayout layout) {
       f.inv_diag = 1.0 / f.diag;
     }
   }
+  dm.halo = halo_scatter(l);
   return dm;
 }
 
@@ -151,6 +159,9 @@ DistVector scatter_vector(const DistLayout& layout, std::span<const double> v) {
 }
 
 std::vector<double> gather_vector(const DistLayout& layout, const DistVector& v) {
+  DSMCPIC_CHECK_MSG(static_cast<int>(v.size()) == layout.nranks,
+                    "gather of a " << layout.nranks << "-rank layout given "
+                                   << v.size() << " rank vectors");
   std::vector<double> out(layout.num_global(), 0.0);
   for (int r = 0; r < layout.nranks; ++r) {
     DSMCPIC_CHECK(v[r].size() >= layout.owned[r].size());
@@ -160,133 +171,10 @@ std::vector<double> gather_vector(const DistLayout& layout, const DistVector& v)
   return out;
 }
 
-namespace {
-
-// The halo exchange of every distributed kernel here, as two superstep
-// halves. Its messages are one fixed par::MessageRound, built from the send
-// plans once per exchanger, so virtual time is that of the payloads they
-// stand for; the values move through one flat pack buffer. In the send
-// superstep each rank packs its own contiguous slot range; in the NEXT
-// superstep each rank copies its halo from its peers' slots, after the
-// superstep join that ordered those writes. No rank may pack again before
-// every receiver has read, and send and recv never run in the same
-// superstep.
-class HaloExchanger {
- public:
-  // Throws dsmcpic::Error unless the plans fit that scheme: each sender's
-  // slots follow the previous sender's; every receive plan is answered, in
-  // the runtime's (sender, send order) delivery order, by its peer's send
-  // plan with the same slot and count (else a message is lost, stray or
-  // misplaced); and the receive plans fill every halo value exactly once.
-  explicit HaloExchanger(const DistLayout& layout)
-      : layout_(layout),
-        round_(/*tag=*/0, par::CostClass::kGrid),
-        pack_(layout.send_idx.size()),
-        send_begin_(static_cast<std::size_t>(layout.nranks) + 1, 0),
-        halo_slot_(static_cast<std::size_t>(layout.nranks)) {
-    const int n = layout.nranks;
-    std::vector<std::size_t> answered(static_cast<std::size_t>(n), 0);
-    std::size_t next = 0;
-    for (int p = 0; p < n; ++p) {
-      send_begin_[p] = next;
-      for (const DistLayout::Plan& plan : layout.send_plan[p]) {
-        DSMCPIC_CHECK_MSG(plan.peer >= 0 && plan.peer < n && plan.slot == next,
-                          "rank " << p << " halo send plan to rank "
-                                  << plan.peer << " at slot " << plan.slot
-                                  << " does not follow slot " << next);
-        const auto& want = layout.recv_plan[plan.peer];
-        std::size_t& k = answered[plan.peer];
-        DSMCPIC_CHECK_MSG(
-            k < want.size() && want[k].peer == p &&
-                want[k].slot == plan.slot && want[k].count == plan.count,
-            "rank " << plan.peer << " halo message " << k << " from rank "
-                    << p << " (" << plan.count << " values at slot "
-                    << plan.slot << ") does not match its receive plan");
-        ++k;
-        next += plan.count;
-        round_.add(p, plan.peer, plan.count * sizeof(double));
-      }
-    }
-    send_begin_[n] = next;
-    DSMCPIC_CHECK(next == layout.send_idx.size() &&
-                  next == layout.recv_idx.size());
-    for (int r = 0; r < n; ++r) {
-      DSMCPIC_CHECK_MSG(answered[r] == layout.recv_plan[r].size(),
-                        "rank " << r << " expected "
-                                << layout.recv_plan[r].size()
-                                << " halo messages, got " << answered[r]);
-      std::vector<std::int32_t>& slots = halo_slot_[r];
-      slots.assign(layout.halo[r].size(), -1);
-      for (const DistLayout::Plan& plan : layout.recv_plan[r])
-        for (std::size_t i = plan.slot; i < plan.slot + plan.count; ++i) {
-          const auto h = static_cast<std::size_t>(layout.recv_idx[i]);
-          DSMCPIC_CHECK_MSG(h < slots.size() && slots[h] < 0,
-                            "rank " << r << " halo value " << h
-                                    << " out of range or filled twice");
-          slots[h] = static_cast<std::int32_t>(i);
-        }
-      DSMCPIC_CHECK_MSG(
-          std::find(slots.begin(), slots.end(), -1) == slots.end(),
-          "rank " << r << " has an unfilled halo value");
-    }
-  }
-
-  // The round the send superstep routes (Runtime::superstep's round form).
-  const par::MessageRound& round() const { return round_; }
-
-  // Send half: packs rank c.rank()'s owned values of `local` (its
-  // owned-then-halo vector) and charges the packing per message.
-  void send(par::Comm& c, std::span<const double> local) {
-    const int r = c.rank();
-    for (std::size_t i = send_begin_[r]; i < send_begin_[r + 1]; ++i)
-      pack_[i] = local[layout_.send_idx[i]];
-    for (const DistLayout::Plan& plan : layout_.send_plan[r])
-      c.charge(par::WorkKind::kPackByte,
-               static_cast<double>(plan.count * sizeof(double)));
-  }
-
-  // Receive half: fills the halo suffix of rank r's `local`.
-  void recv(int r, std::span<double> local) const {
-    const std::span<double> halo = local.subspan(layout_.owned[r].size());
-    const std::vector<std::int32_t>& slots = halo_slot_[r];
-    for (std::size_t h = 0; h < slots.size(); ++h) halo[h] = pack_[slots[h]];
-  }
-
- private:
-  const DistLayout& layout_;
-  par::MessageRound round_;
-  std::vector<double> pack_;
-  // Rank r packs slots [send_begin_[r], send_begin_[r + 1]); halo_slot_[r]
-  // lists the slot of each of its halo values, in halo order.
-  std::vector<std::size_t> send_begin_;
-  std::vector<std::vector<std::int32_t>> halo_slot_;
-};
-
-}  // namespace
-
 void halo_exchange(par::Runtime& rt, const std::string& phase,
                    const DistLayout& layout,
                    std::vector<std::vector<double>>& local) {
-  const int n = layout.nranks;
-  DSMCPIC_CHECK_MSG(static_cast<int>(local.size()) == n,
-                    "halo exchange given " << local.size()
-                                           << " rank vectors for " << n
-                                           << " ranks");
-  DSMCPIC_CHECK_MSG(rt.active_ranks() == n,
-                    "halo exchange of a " << n << "-rank layout on "
-                                          << rt.active_ranks()
-                                          << " active ranks");
-  for (int r = 0; r < n; ++r)
-    DSMCPIC_CHECK_MSG(
-        local[r].size() == static_cast<std::size_t>(layout.local_size(r)),
-        "rank " << r << " local vector holds " << local[r].size()
-                << " values, not " << layout.local_size(r));
-  HaloExchanger halo(layout);
-  rt.superstep(
-      phase, [&](par::Comm& c) { halo.send(c, local[c.rank()]); },
-      halo.round());
-  rt.superstep(phase,
-               [&](par::Comm& c) { halo.recv(c.rank(), local[c.rank()]); });
+  halo_scatter(layout).forward_insert(rt, phase, local);
 }
 
 void apply_precon(const DistMatrix& a, int rank, Precon kind,
@@ -341,6 +229,11 @@ SolveResult dist_cg(par::Runtime& rt, const std::string& phase,
   const DistLayout& l = a.layout;
   const int nranks = l.nranks;
   DSMCPIC_CHECK(rt.active_ranks() == nranks);
+  DSMCPIC_CHECK_MSG(static_cast<int>(b.size()) == nranks &&
+                        static_cast<int>(x.size()) == nranks,
+                    "CG of a " << nranks << "-rank layout given " << b.size()
+                               << " right-hand-side and " << x.size()
+                               << " solution rank vectors");
 
   // Per-rank state: owned-sized r, z, q, x; local-sized p (owned + halo).
   std::vector<std::vector<double>> rvec(nranks), zvec(nranks), qvec(nranks),
@@ -366,7 +259,7 @@ SolveResult dist_cg(par::Runtime& rt, const std::string& phase,
   // Halo of pvec: the send piggybacks on whichever superstep produced the
   // new p (one superstep saved per CG iteration — the runtime's closure
   // dispatch is the simulator's hot path at 1536 virtual ranks).
-  HaloExchanger halo(l);
+  const par::Scatter& halo = a.halo;
 
   // r = b - A x  (x is the initial guess): needs one halo exchange of x.
   rt.superstep(
@@ -374,12 +267,12 @@ SolveResult dist_cg(par::Runtime& rt, const std::string& phase,
       [&](par::Comm& c) {
         const int r = c.rank();
         std::copy(x[r].begin(), x[r].end(), pvec[r].begin());
-        halo.send(c, pvec[r]);
+        halo.forward_pack(c, pvec[r]);
       },
-      halo.round());
+      halo.forward_round());
   rt.superstep(phase, [&](par::Comm& c) {
     const int r = c.rank();
-    halo.recv(r, pvec[r]);
+    halo.forward_unpack(r, pvec[r]);
     const auto n = l.owned[r].size();
     a.local[r].matvec(pvec[r], rvec[r]);
     c.charge(par::WorkKind::kSpmvFlop, 2.0 * static_cast<double>(a.local[r].nnz()));
@@ -406,9 +299,9 @@ SolveResult dist_cg(par::Runtime& rt, const std::string& phase,
       [&](par::Comm& c) {
         const int r = c.rank();
         std::copy(zvec[r].begin(), zvec[r].end(), pvec[r].begin());
-        halo.send(c, pvec[r]);
+        halo.forward_pack(c, pvec[r]);
       },
-      halo.round());
+      halo.forward_round());
 
   SolveResult res;
   // With Jacobi M, ||r||_M ~ ||r||; track true ||r|| via an extra partial.
@@ -431,7 +324,7 @@ SolveResult dist_cg(par::Runtime& rt, const std::string& phase,
   for (int it = 0; it < opt.max_iterations; ++it) {
     rt.superstep(phase, [&](par::Comm& c) {
       const int r = c.rank();
-      halo.recv(r, pvec[r]);
+      halo.forward_unpack(r, pvec[r]);
       a.local[r].matvec(pvec[r], qvec[r]);
       c.charge(par::WorkKind::kSpmvFlop,
                2.0 * static_cast<double>(a.local[r].nnz()));
@@ -483,9 +376,9 @@ SolveResult dist_cg(par::Runtime& rt, const std::string& phase,
           for (std::size_t i = 0; i < n; ++i)
             pvec[r][i] = zvec[r][i] + beta * pvec[r][i];
           c.charge(par::WorkKind::kVecFlop, 2.0 * static_cast<double>(n));
-          halo.send(c, pvec[r]);
+          halo.forward_pack(c, pvec[r]);
         },
-        halo.round());
+        halo.forward_round());
   }
   return res;
 }

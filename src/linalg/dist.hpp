@@ -17,34 +17,19 @@
 #include "linalg/csr.hpp"
 #include "linalg/krylov.hpp"
 #include "par/runtime.hpp"
+#include "par/scatter.hpp"
 
 namespace dsmcpic::linalg {
 
-/// Row-ownership layout plus the halo-exchange communication plans.
-struct DistLayout {
+/// Row-ownership layout. As a par::ScatterPlan it is the halo exchange:
+/// owned values go to the ranks that hold them as halo, into each rank's
+/// local vector of local_size (owned, then halo).
+struct DistLayout : par::ScatterPlan {
   int nranks = 1;
   std::vector<std::int32_t> owner;  // global row -> owning rank
 
   std::vector<std::vector<std::int32_t>> owned;  // per rank, sorted global ids
   std::vector<std::vector<std::int32_t>> halo;   // per rank, sorted global ids
-
-  /// One halo message: `count` values at [slot, slot + count) of the flat
-  /// pack-buffer layout below.
-  struct Plan {
-    int peer = -1;
-    std::size_t slot = 0;
-    std::size_t count = 0;
-  };
-  // send_plan[r]: one plan per peer (ascending) that needs owned values of r.
-  std::vector<std::vector<Plan>> send_plan;
-  // recv_plan[r]: one plan per peer (ascending) that owns halo values of r;
-  // it shares its slots with that peer's send plan for r.
-  std::vector<std::vector<Plan>> recv_plan;
-  // Flat pack-buffer layout, one entry per slot, in (sender, receiver)
-  // order: the value's index into the sender's owned[] and into the
-  // receiver's halo[].
-  std::vector<std::int32_t> send_idx;
-  std::vector<std::int32_t> recv_idx;
 
   /// Derives the layout from a row->rank map and the sparsity pattern of the
   /// (square) matrix: rank r's halo is every column referenced by its rows
@@ -83,6 +68,9 @@ struct DistMatrix {
   };
   std::vector<std::vector<RowFactor>> factor;  // per rank, per owned row
 
+  /// The layout's halo exchange, built, checked and priced once per layout.
+  par::Scatter halo;
+
   static DistMatrix build(const CsrMatrix& a, DistLayout layout);
 };
 
@@ -90,6 +78,7 @@ struct DistMatrix {
 using DistVector = std::vector<std::vector<double>>;
 
 /// Scatters a global vector into per-rank owned segments / gathers it back.
+/// gather_vector throws dsmcpic::Error unless `v` holds one vector per rank.
 DistVector scatter_vector(const DistLayout& layout, std::span<const double> v);
 std::vector<double> gather_vector(const DistLayout& layout, const DistVector& v);
 
@@ -103,19 +92,18 @@ void apply_precon(const DistMatrix& a, int rank, Precon kind,
 
 /// Preconditioned CG across virtual ranks. `x` is the initial guess on
 /// input and the solution on output. All communication costs are charged
-/// under `phase` on `rt`.
+/// under `phase` on `rt`. Throws dsmcpic::Error unless `b` and `x` hold one
+/// vector per rank of the layout.
 SolveResult dist_cg(par::Runtime& rt, const std::string& phase,
                     const DistMatrix& a, const DistVector& b, DistVector& x,
                     const SolveOptions& opt = {});
 
-/// One halo exchange (two supersteps): ships owned values listed in send
-/// plans, fills halo slots. `local` holds per-rank vectors of local_size
-/// (owned then halo); the owned prefix must be filled on entry, the halo
-/// suffix is filled on return. The messages are one payload-free
-/// par::MessageRound built from the send plans; throws dsmcpic::Error when
-/// the send plans do not answer every receive plan in peer, slot and count,
-/// or when `local` or the runtime's active rank count does not fit the
-/// layout.
+/// One halo exchange (two supersteps): the forward insert of a par::Scatter
+/// built from `layout`. `local` holds per-rank vectors of local_size (owned
+/// then halo); the owned prefix must be filled on entry, the halo suffix is
+/// filled on return. Throws dsmcpic::Error when the plans do not fill each
+/// halo value exactly once, or `local` or the active rank count does not
+/// fit the layout.
 void halo_exchange(par::Runtime& rt, const std::string& phase,
                    const DistLayout& layout,
                    std::vector<std::vector<double>>& local);

@@ -35,6 +35,8 @@ struct StepDiagnostics {
   std::int64_t migrated_pic = 0;
   std::int64_t collisions = 0;
   std::int64_t ionizations = 0;
+  std::int64_t charge_exchanges = 0;  // CEX events among the collisions
+  std::int64_t exact_sigmas = 0;  // NTC decisions the sigma bound left open
   std::int64_t recombinations = 0;
   std::int64_t exited_dsmc = 0;  // neutrals removed through inlet/outlet
   std::int64_t exited_pic = 0;   // charged particles removed at boundaries

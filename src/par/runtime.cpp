@@ -20,23 +20,6 @@ void Comm::charge_outside_superstep() {
 
 void Comm::send(int dst, int tag, std::span<const std::byte> payload,
                 CostClass cls) {
-  // Copy into a pooled buffer instead of a fresh allocation: the buffer
-  // returns to this rank's pool after delivery, so steady-state traffic
-  // recycles the same memory superstep after superstep.
-  auto buf = acquire_payload(payload.size());
-  if (!payload.empty())
-    std::memcpy(buf.data(), payload.data(), payload.size());
-  send_owned(dst, tag, std::move(buf), cls);
-}
-
-std::vector<std::byte> Comm::acquire_payload(std::size_t nbytes) {
-  DSMCPIC_CHECK_MSG(rt_->in_superstep_,
-                    "acquire_payload outside a superstep");
-  return rt_->pool_acquire(rank_, nbytes);
-}
-
-void Comm::send_owned(int dst, int tag, std::vector<std::byte>&& payload,
-                      CostClass cls) {
   DSMCPIC_CHECK_MSG(rt_->in_superstep_, "send() outside a superstep");
   DSMCPIC_CHECK_MSG(!rt_->round_,
                     "send() in a round superstep (the round is its messages)");
@@ -48,7 +31,7 @@ void Comm::send_owned(int dst, int tag, std::vector<std::byte>&& payload,
   m.dst = dst;
   m.tag = tag;
   m.byte_scale = rt_->scale_of(cls);
-  m.payload = std::move(payload);
+  m.payload = rt_->pool_acquire(rank_, payload);
   // Sender-private buffer: safe under concurrent superstep bodies.
   rt_->staged_[rank_].push_back(std::move(m));
 }
@@ -214,23 +197,23 @@ void Runtime::set_active_ranks(int n) {
   active_ = n;
 }
 
-std::vector<std::byte> Runtime::pool_acquire(int rank, std::size_t nbytes) {
+std::vector<std::byte> Runtime::pool_acquire(
+    int rank, std::span<const std::byte> payload) {
   PayloadPool& p = pools_[rank];
   ++p.acquires;
   // Best fit: smallest free buffer whose capacity covers the request. The
   // free list is sorted ascending by capacity, so this is a lower_bound and
   // the reuse order is deterministic.
-  auto it = std::lower_bound(p.free.begin(), p.free.end(), nbytes,
+  auto it = std::lower_bound(p.free.begin(), p.free.end(), payload.size(),
                              [](const std::vector<std::byte>& b,
                                 std::size_t n) { return b.capacity() < n; });
   if (it == p.free.end()) {
     ++p.misses;
-    return std::vector<std::byte>(nbytes);  // zero-filled, like the hit path
+    return {payload.begin(), payload.end()};
   }
   std::vector<std::byte> buf = std::move(*it);
   p.free.erase(it);
-  buf.clear();
-  buf.resize(nbytes);  // value-initializes (zeros) without reallocating
+  buf.assign(payload.begin(), payload.end());  // fits: no reallocation
   return buf;
 }
 
@@ -394,7 +377,7 @@ void Runtime::run_superstep(const std::string& phase,
   // Deliver messages produced in the previous superstep. swap (not move +
   // clear) so pending_ keeps its vector capacity — steady-state supersteps
   // reuse the same Message arrays without reallocating. Only the active
-  // prefix can hold messages (send_owned rejects parked destinations).
+  // prefix can hold messages (send rejects parked destinations).
   for (int r = 0; r < active_; ++r) std::swap(inbox_[r], pending_[r]);
 
   if (tracer_) {

@@ -24,7 +24,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <iosfwd>
-#include <cstring>
 #include <functional>
 #include <map>
 #include <memory>
@@ -70,14 +69,6 @@ struct Message {
   double byte_scale = 1.0;  // cost-model multiplier for the payload bytes
   std::vector<std::byte> payload;
 
-  /// Reinterprets the payload as an array of trivially copyable T.
-  template <typename T>
-  std::vector<T> decode() const {
-    static_assert(std::is_trivially_copyable_v<T>);
-    const auto s = view<T>();
-    return std::vector<T>(s.begin(), s.end());
-  }
-
   /// Zero-copy view of the payload as elements of T (valid while the
   /// message is alive — i.e. within the receiving superstep body).
   template <typename T>
@@ -99,7 +90,7 @@ class Runtime;
 /// exactly as if each sender had sent payloads of the accounted sizes in
 /// this order: same NIC serialization, congestion, clocks, busy rows, phase
 /// bytes and trace records. Nothing is delivered — the data moves through
-/// caller-owned buffers (linalg's halo exchanger) — so a round creates,
+/// caller-owned buffers (par::Scatter's pack buffer) — so a round creates,
 /// queues and recycles no Message.
 ///
 /// A routing keeps the round's prices (NIC time per node, cost and scaled
@@ -158,27 +149,19 @@ class Comm {
   /// (scaled by the runtime's particle/grid scale per the kind's CostClass).
   void charge(WorkKind kind, double units);
 
-  /// Sends raw bytes to `dst`; delivered at the start of the next superstep.
-  /// `cls` selects the byte-cost scaling: particle payloads (migration) vs
-  /// grid payloads (halo/field data).
+  /// Sends a copy of raw bytes to `dst`; delivered at the start of the next
+  /// superstep. The copy lives in a buffer from this rank's payload pool,
+  /// which it returns to after delivery, so steady-state traffic allocates
+  /// nothing once the pool is warm. `cls` selects the byte-cost scaling.
   void send(int dst, int tag, std::span<const std::byte> payload,
             CostClass cls = CostClass::kParticle);
 
-  /// Move-sends an owned byte buffer (no copy; hot paths).
-  void send_owned(int dst, int tag, std::vector<std::byte>&& payload,
-                  CostClass cls = CostClass::kParticle);
-
-  /// Builds a byte buffer from trivially copyable elements and move-sends it.
-  /// The buffer comes from this rank's payload pool (zero steady-state
-  /// allocations once the pool is warm).
+  /// Sends a copy of an array of trivially copyable elements, like send.
   template <typename T>
-  void send_pod_vec(int dst, int tag, const std::vector<T>& elems,
-                    CostClass cls = CostClass::kParticle) {
+  void send_pod(int dst, int tag, std::span<const T> elems,
+                CostClass cls = CostClass::kParticle) {
     static_assert(std::is_trivially_copyable_v<T>);
-    auto bytes = acquire_payload(elems.size() * sizeof(T));
-    if (!bytes.empty())
-      std::memcpy(bytes.data(), elems.data(), bytes.size());
-    send_owned(dst, tag, std::move(bytes), cls);
+    send(dst, tag, std::as_bytes(elems), cls);
   }
 
   /// Charges raw communication seconds to this rank (used for zero-payload
@@ -186,25 +169,9 @@ class Comm {
   /// the distributed strategy's empty send/recv pairs).
   void charge_comm_seconds(double seconds);
 
-  /// Returns a payload buffer of exactly `nbytes` (zero-filled) from this
-  /// rank's buffer pool; pass it to send_owned and it returns to the pool
-  /// after delivery. Rank-private, so concurrent bodies never contend.
-  std::vector<std::byte> acquire_payload(std::size_t nbytes);
-
   /// Point-to-point latency to a peer under the current topology (no
   /// congestion term).
   double alpha_to(int peer) const;
-
-  /// Sends an array of trivially copyable elements.
-  template <typename T>
-  void send_pod(int dst, int tag, std::span<const T> elems,
-                CostClass cls = CostClass::kParticle) {
-    static_assert(std::is_trivially_copyable_v<T>);
-    std::span<const std::byte> bytes{
-        reinterpret_cast<const std::byte*>(elems.data()),
-        elems.size() * sizeof(T)};
-    send(dst, tag, bytes, cls);
-  }
 
   /// Messages delivered to this rank for the current superstep.
   const std::vector<Message>& inbox() const;
@@ -436,9 +403,10 @@ class Runtime {
                          bool with_work);
   double tree_stages() const;
   std::size_t staged_count() const;
-  /// Pops the best-fit buffer (smallest capacity >= nbytes) from `rank`'s
-  /// pool, or allocates fresh on a miss. Zero-filled to exactly nbytes.
-  std::vector<std::byte> pool_acquire(int rank, std::size_t nbytes);
+  /// Copies `payload` into the best-fit buffer (smallest capacity >= its
+  /// size) popped from `rank`'s pool, or into a fresh one on a miss.
+  std::vector<std::byte> pool_acquire(int rank,
+                                      std::span<const std::byte> payload);
   /// Returns a delivered payload to `rank`'s pool (capacity-sorted insert).
   void pool_recycle(int rank, std::vector<std::byte>&& buf);
 

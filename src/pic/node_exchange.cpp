@@ -1,7 +1,6 @@
 #include "pic/node_exchange.hpp"
 
 #include <algorithm>
-#include <map>
 
 #include "support/error.hpp"
 
@@ -56,30 +55,21 @@ NodeExchange::NodeExchange(const FineGrid& grid,
       }
   }
 
-  // Build matching ghost/owner plans (iterate ghosts in ascending global id
-  // so both sides agree on ordering).
-  ghost_plan_.resize(nranks);
-  owner_plan_.resize(nranks);
-  std::vector<std::map<int, Plan>> ghost_acc(nranks), owner_acc(nranks);
+  // Owners to ghost holders, one message per (owner, ghost rank) pair with
+  // its nodes in ascending id.
+  std::vector<std::size_t> sizes;
+  std::vector<par::ScatterPlan::Entry> entries;
   for (int r = 0; r < nranks; ++r) {
+    sizes.push_back(rank_nodes_[r].size());
     for (std::size_t i = 0; i < rank_nodes_[r].size(); ++i) {
       const std::int32_t g = rank_nodes_[r][i];
       const int o = node_owner_[g];
-      if (o == r) continue;
-      auto& gp = ghost_acc[r][o];
-      gp.peer = o;
-      gp.idx.push_back(static_cast<std::int32_t>(i));
-      auto& op = owner_acc[o][r];
-      op.peer = r;
-      const std::int32_t li = local_index(o, g);
-      DSMCPIC_CHECK_MSG(li >= 0, "owner rank missing its own shared node");
-      op.idx.push_back(li);
+      if (o != r)
+        entries.push_back({o, r, local_index(o, g), static_cast<std::int32_t>(i)});
     }
   }
-  for (int r = 0; r < nranks; ++r) {
-    for (auto& [peer, plan] : ghost_acc[r]) ghost_plan_[r].push_back(std::move(plan));
-    for (auto& [peer, plan] : owner_acc[r]) owner_plan_[r].push_back(std::move(plan));
-  }
+  scatter_ = par::Scatter(
+      par::ScatterPlan::build(std::move(sizes), std::move(entries)));
 }
 
 std::int32_t NodeExchange::local_index(int r, std::int32_t g) const {
@@ -104,66 +94,6 @@ double NodeExchange::sum_owned(
       if (node_owner_[nodes[i]] == r) total += values[r][i];
   }
   return total;
-}
-
-void NodeExchange::reduce_to_owners(par::Runtime& rt, const std::string& phase,
-                                    std::vector<std::vector<double>>& values) const {
-  rt.superstep(phase, [&](par::Comm& c) {
-    const int r = c.rank();
-    for (const auto& plan : ghost_plan_[r]) {
-      auto buf = c.acquire_payload(plan.idx.size() * sizeof(double));
-      auto* d = reinterpret_cast<double*>(buf.data());
-      for (std::size_t i = 0; i < plan.idx.size(); ++i)
-        d[i] = values[r][plan.idx[i]];
-      c.charge(par::WorkKind::kPackByte, static_cast<double>(buf.size()));
-      c.send_owned(plan.peer, 0, std::move(buf), par::CostClass::kGrid);
-    }
-  });
-  rt.superstep(phase, [&](par::Comm& c) {
-    const int r = c.rank();
-    for (const auto& msg : c.inbox()) {
-      const auto buf = msg.view<double>();
-      const auto it = std::find_if(
-          owner_plan_[r].begin(), owner_plan_[r].end(),
-          [&msg](const Plan& p) { return p.peer == msg.src; });
-      DSMCPIC_CHECK_MSG(it != owner_plan_[r].end(),
-                        "unexpected node-reduce message from " << msg.src);
-      DSMCPIC_CHECK(buf.size() == it->idx.size());
-      for (std::size_t i = 0; i < buf.size(); ++i)
-        values[r][it->idx[i]] += buf[i];
-      c.charge(par::WorkKind::kVecFlop, static_cast<double>(buf.size()));
-    }
-  });
-}
-
-void NodeExchange::broadcast_from_owners(
-    par::Runtime& rt, const std::string& phase,
-    std::vector<std::vector<double>>& values) const {
-  rt.superstep(phase, [&](par::Comm& c) {
-    const int r = c.rank();
-    for (const auto& plan : owner_plan_[r]) {
-      auto buf = c.acquire_payload(plan.idx.size() * sizeof(double));
-      auto* d = reinterpret_cast<double*>(buf.data());
-      for (std::size_t i = 0; i < plan.idx.size(); ++i)
-        d[i] = values[r][plan.idx[i]];
-      c.charge(par::WorkKind::kPackByte, static_cast<double>(buf.size()));
-      c.send_owned(plan.peer, 0, std::move(buf), par::CostClass::kGrid);
-    }
-  });
-  rt.superstep(phase, [&](par::Comm& c) {
-    const int r = c.rank();
-    for (const auto& msg : c.inbox()) {
-      const auto buf = msg.view<double>();
-      const auto it = std::find_if(
-          ghost_plan_[r].begin(), ghost_plan_[r].end(),
-          [&msg](const Plan& p) { return p.peer == msg.src; });
-      DSMCPIC_CHECK_MSG(it != ghost_plan_[r].end(),
-                        "unexpected node-broadcast message from " << msg.src);
-      DSMCPIC_CHECK(buf.size() == it->idx.size());
-      for (std::size_t i = 0; i < buf.size(); ++i)
-        values[r][it->idx[i]] = buf[i];
-    }
-  });
 }
 
 }  // namespace dsmcpic::pic

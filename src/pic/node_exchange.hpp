@@ -6,8 +6,9 @@
 //
 // Each rank holds compact per-node vectors over the fine-grid nodes its
 // local fine cells touch. Nodes shared across ranks have a unique owner
-// (the smallest touching rank); reduce_to_owners ships ghost contributions
-// to owners, broadcast_from_owners ships owner values back to ghosts.
+// (the smallest touching rank). One par::Scatter from owners to ghost
+// holders moves them: reduce_to_owners is its reverse add,
+// broadcast_from_owners its forward insert.
 //
 // The particle kernels (E-field gather, charge deposit) read those vectors
 // at a fine tet's four nodes. Their slots are resolved once per layout, in
@@ -20,6 +21,7 @@
 #include <vector>
 
 #include "par/runtime.hpp"
+#include "par/scatter.hpp"
 #include "pic/fine_grid.hpp"
 
 namespace dsmcpic::pic {
@@ -56,14 +58,20 @@ class NodeExchange {
   }
 
   /// values[r] is indexed like rank_nodes(r). Sums every ghost entry into
-  /// its owner's entry. Ghost entries are left untouched (stale) — call
-  /// broadcast_from_owners to refresh them.
+  /// its owner's entry, by ascending ghost rank, then node id. Ghost entries
+  /// are left untouched (stale) — call broadcast_from_owners to refresh
+  /// them. Both throw dsmcpic::Error unless the runtime has nranks() active
+  /// ranks and `values` is shaped like make_values().
   void reduce_to_owners(par::Runtime& rt, const std::string& phase,
-                        std::vector<std::vector<double>>& values) const;
+                        std::vector<std::vector<double>>& values) const {
+    scatter_.reverse_add(rt, phase, values);
+  }
 
   /// Copies each owned entry out to all ranks holding the node as a ghost.
   void broadcast_from_owners(par::Runtime& rt, const std::string& phase,
-                             std::vector<std::vector<double>>& values) const;
+                             std::vector<std::vector<double>>& values) const {
+    scatter_.forward_insert(rt, phase, values);
+  }
 
   /// Convenience: fresh zeroed per-rank value vectors.
   std::vector<std::vector<double>> make_values() const;
@@ -75,11 +83,6 @@ class NodeExchange {
   double sum_owned(const std::vector<std::vector<double>>& values) const;
 
  private:
-  struct Plan {
-    int peer = -1;
-    std::vector<std::int32_t> idx;  // local indices on *this* rank
-  };
-
   int nranks_;
   FineGrid grid_;
   std::vector<std::int32_t> cell_owner_;  // coarse cell -> rank
@@ -87,10 +90,7 @@ class NodeExchange {
   std::vector<std::vector<std::int32_t>> rank_nodes_;
   // Per fine tet: its nodes' slots in its parent cell owner's rank_nodes.
   std::vector<TetSlots> tet_slots_;
-  // ghost_plan_[r]: per owner-peer, r's local indices of ghosts owned by peer.
-  std::vector<std::vector<Plan>> ghost_plan_;
-  // owner_plan_[o]: per ghost-peer, o's local indices in matching order.
-  std::vector<std::vector<Plan>> owner_plan_;
+  par::Scatter scatter_;  // owners to ghost holders
 };
 
 }  // namespace dsmcpic::pic

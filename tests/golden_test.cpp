@@ -247,6 +247,8 @@ SolverConfig dense_config() {
 struct DenseRun {
   std::uint64_t digest = 0;
   std::int64_t collisions = 0;
+  std::int64_t charge_exchanges = 0;
+  std::int64_t exact_sigmas = 0;
 };
 
 DenseRun run_dense(int kernel_threads, int sort_every) {
@@ -286,30 +288,48 @@ DenseRun run_dense(int kernel_threads, int sort_every) {
   }
   DenseRun out;
   out.digest = d.value();
-  for (const StepDiagnostics& s : solver.history())
+  for (const StepDiagnostics& s : solver.history()) {
     out.collisions += s.collisions;
+    out.charge_exchanges += s.charge_exchanges;
+    out.exact_sigmas += s.exact_sigmas;
+  }
   return out;
 }
 
 constexpr std::uint64_t kGoldenDense = 0xdbeb4801af895fb8ULL;
+
+// The dense run's counters that no digest hashes, equal at every kernel
+// lane count and sort cadence.
+constexpr std::int64_t kDenseChargeExchanges = 894;
+constexpr std::int64_t kDenseExactSigmas = 91;
+
+void expect_dense_counters(const DenseRun& got) {
+  EXPECT_GT(got.exact_sigmas, 0);
+  EXPECT_LE(got.charge_exchanges, got.collisions);
+  EXPECT_EQ(got.charge_exchanges, kDenseChargeExchanges);
+  EXPECT_EQ(got.exact_sigmas, kDenseExactSigmas);
+}
 
 TEST(GoldenDense, DistributedWithRebalance) {
   const DenseRun got = run_dense(/*kernel_threads=*/1, /*sort_every=*/0);
   EXPECT_GT(got.collisions, 1000);
   EXPECT_EQ(got.digest, kGoldenDense)
       << "new digest: 0x" << std::hex << got.digest << "ULL";
+  expect_dense_counters(got);
 }
 
 TEST(GoldenDense, FourKernelLanesMatch) {
   const DenseRun got = run_dense(/*kernel_threads=*/4, /*sort_every=*/0);
   EXPECT_EQ(got.digest, kGoldenDense)
       << "new digest: 0x" << std::hex << got.digest << "ULL";
+  expect_dense_counters(got);
 }
 
 TEST(GoldenDense, SortEveryStepMatches) {
   const DenseRun got = run_dense(/*kernel_threads=*/1, /*sort_every=*/1);
   EXPECT_EQ(got.digest, kGoldenDense)
       << "new digest: 0x" << std::hex << got.digest << "ULL";
+  expect_dense_counters(got);
 }
 
 // ---- Counters no digest covers ---------------------------------------------

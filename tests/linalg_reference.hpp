@@ -117,19 +117,19 @@ struct PooledHalo {
   const DistLayout& l;
 
   void send(par::Comm& c, std::span<const double> local) const {
+    std::vector<double> buf;
     for (const auto& plan : l.send_plan[c.rank()]) {
-      auto buf = c.acquire_payload(plan.count * sizeof(double));
-      auto* d = reinterpret_cast<double*>(buf.data());
+      buf.resize(plan.count);
       for (std::size_t i = 0; i < plan.count; ++i)
-        d[i] = local[l.send_idx[plan.slot + i]];
-      c.charge(par::WorkKind::kPackByte, static_cast<double>(buf.size()));
-      c.send_owned(plan.peer, 0, std::move(buf), par::CostClass::kGrid);
+        buf[i] = local[l.send_idx[plan.slot + i]];
+      c.charge(par::WorkKind::kPackByte,
+               static_cast<double>(plan.count * sizeof(double)));
+      c.send_pod<double>(plan.peer, 0, buf, par::CostClass::kGrid);
     }
   }
 
   void recv(par::Comm& c, std::span<double> local) const {
     const int r = c.rank();
-    const std::size_t nowned = l.owned[r].size();
     for (const auto& msg : c.inbox()) {
       const std::span<const double> buf = msg.view<double>();
       const auto it = std::find_if(
@@ -137,8 +137,7 @@ struct PooledHalo {
           [&msg](const DistLayout::Plan& p) { return p.peer == msg.src; });
       DSMCPIC_CHECK(it != l.recv_plan[r].end() && buf.size() == it->count);
       for (std::size_t i = 0; i < buf.size(); ++i)
-        local[nowned + static_cast<std::size_t>(l.recv_idx[it->slot + i])] =
-            buf[i];
+        local[static_cast<std::size_t>(l.recv_idx[it->slot + i])] = buf[i];
     }
   }
 };

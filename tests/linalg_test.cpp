@@ -7,6 +7,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <numeric>
 #include <string>
 #include <vector>
 
@@ -274,7 +275,8 @@ TEST(Dist, LayoutPlansAreConsistent) {
         ASSERT_EQ(sp.slot, rp.slot);
         // Same global ids in the same order on both sides.
         for (std::size_t i = sp.slot; i < sp.slot + sp.count; ++i) {
-          EXPECT_EQ(l.owned[rp.peer][l.send_idx[i]], l.halo[r][l.recv_idx[i]]);
+          EXPECT_EQ(l.owned[rp.peer][l.send_idx[i]],
+                    l.halo[r][l.recv_idx[i] - l.owned[r].size()]);
         }
       }
       EXPECT_TRUE(found);
@@ -412,6 +414,42 @@ TEST(Dist, HaloRejectsMissizedLocals) {
   // The runtime's active ranks must be the layout's ranks.
   EXPECT_THROW(exchange(4, 4, [](Locals&) {}), Error);
   EXPECT_THROW(exchange(4, 2, [](Locals&) {}), Error);
+}
+
+TEST(Dist, CgRejectsMissizedVectors) {
+  const CsrMatrix a = laplace_1d(12);
+  const DistMatrix dm =
+      DistMatrix::build(a, DistLayout::build(3, round_robin_owner(12, 3), a));
+  // One solve after `resize` mis-counts the right-hand side or the guess.
+  auto solve = [&dm](auto resize) {
+    par::Runtime rt(3, par::Topology(par::MachineProfile::tianhe2(), 3));
+    DistVector b = scatter_vector(dm.layout, std::vector<double>(12, 1.0));
+    DistVector x(3);
+    resize(b, x);
+    dist_cg(rt, "s", dm, b, x);
+  };
+  EXPECT_NO_THROW(solve([](DistVector&, DistVector&) {}));
+  EXPECT_THROW(solve([](DistVector& b, DistVector&) { b.pop_back(); }), Error);
+  EXPECT_THROW(solve([](DistVector& b, DistVector&) { b.emplace_back(); }),
+               Error);
+  EXPECT_THROW(solve([](DistVector&, DistVector& x) { x.pop_back(); }), Error);
+  EXPECT_THROW(solve([](DistVector&, DistVector& x) { x.emplace_back(); }),
+               Error);
+}
+
+TEST(Dist, GatherRejectsMissizedVector) {
+  const CsrMatrix a = laplace_1d(12);
+  const DistLayout l = DistLayout::build(3, round_robin_owner(12, 3), a);
+  std::vector<double> v(12);
+  std::iota(v.begin(), v.end(), 0.5);
+  const DistVector d = scatter_vector(l, v);
+  EXPECT_EQ(gather_vector(l, d), v);
+  DistVector fewer = d;
+  fewer.pop_back();
+  EXPECT_THROW(gather_vector(l, fewer), Error);
+  DistVector more = d;
+  more.emplace_back();
+  EXPECT_THROW(gather_vector(l, more), Error);
 }
 
 TEST(Dist, PreconRejectsShortSpans) {

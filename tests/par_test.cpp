@@ -84,7 +84,7 @@ TEST(Runtime, MessageDeliveryNextSuperstep) {
       EXPECT_EQ(c.rank(), 2);
       EXPECT_EQ(m.src, 0);
       EXPECT_EQ(m.tag, 5);
-      const auto v = m.decode<int>();
+      const auto v = m.view<int>();
       ASSERT_EQ(v.size(), 3u);
       EXPECT_EQ(v[2], 3);
       ++delivered;
@@ -231,7 +231,7 @@ TEST(Runtime, SendOwnedAndViewRoundTrip) {
   rt.superstep("a", [](Comm& c) {
     if (c.rank() != 0) return;
     std::vector<double> vals{1.5, -2.5, 3.25};
-    c.send_pod_vec(1, 9, vals, CostClass::kGrid);
+    c.send_pod<double>(1, 9, vals, CostClass::kGrid);
   });
   rt.superstep("b", [](Comm& c) {
     if (c.rank() != 1) return;
@@ -379,8 +379,8 @@ TEST(Runtime, PayloadPoolStopsAllocatingInSteadyState) {
   auto round = [&] {
     rt.superstep("ring", [](Comm& c) {
       std::vector<double> vals(16, static_cast<double>(c.rank()));
-      c.send_pod_vec((c.rank() + 1) % c.size(), 0, vals,
-                     CostClass::kParticle);
+      c.send_pod<double>((c.rank() + 1) % c.size(), 0, vals,
+                         CostClass::kParticle);
     });
   };
   for (int i = 0; i < 3; ++i) round();
@@ -466,8 +466,9 @@ TEST(Runtime, RoundMatchesPooledPayloadMessages) {
         const std::size_t nbytes = bytes_of(c.rank(), k);
         c.charge(WorkKind::kPackByte, static_cast<double>(nbytes));
         if (!as_round)
-          c.send_owned(dst_of(c.rank(), k), 7, c.acquire_payload(nbytes),
-                       CostClass::kGrid);
+          c.send_pod<std::byte>(dst_of(c.rank(), k), 7,
+                                std::vector<std::byte>(nbytes),
+                                CostClass::kGrid);
       }
     };
     if (as_round)
@@ -545,9 +546,9 @@ TEST(Runtime, RoundReusesPricesBitForBit) {
       c.charge(WorkKind::kVecFlop, 1000.0 * (c.rank() + 1));
       if (as_round || c.rank() >= 6) return;
       for (int k = 0; k < (c.rank() == 5 ? rank5_sends : 3); ++k)
-        c.send_owned(dst_of(c.rank(), k), 5,
-                     c.acquire_payload(bytes_of(c.rank(), k)),
-                     CostClass::kGrid);
+        c.send_pod<std::byte>(dst_of(c.rank(), k), 5,
+                              std::vector<std::byte>(bytes_of(c.rank(), k)),
+                              CostClass::kGrid);
     };
     if (as_round)
       s.rt.superstep("halo", body, round);
@@ -666,30 +667,36 @@ TEST(Runtime, LoadRejectsBusyRowOfWrongLength) {
 }
 
 TEST(Runtime, AcquiredPayloadsAreZeroFilled) {
-  // A recycled buffer must come back all-zero, exactly like a fresh one —
-  // otherwise a sender that skips bytes would leak the previous message.
+  // A recycled buffer must come back holding the new message alone, exactly
+  // like a fresh one — otherwise a send would leak the previous message.
   Runtime rt = make_runtime(2);
   rt.superstep("dirty", [](Comm& c) {
     if (c.rank() != 0) return;
-    auto p = c.acquire_payload(64);
-    std::fill(p.begin(), p.end(), std::byte{0xFF});
-    c.send_owned(1, 0, std::move(p), CostClass::kParticle);
+    c.send_pod<std::byte>(1, 0, std::vector<std::byte>(64, std::byte{0xFF}),
+                          CostClass::kParticle);
   });
   rt.superstep("deliver", [](Comm& c) {
     if (c.rank() == 1) {
       ASSERT_EQ(c.inbox().size(), 1u);
     }
   });
-  // The dirty buffer recycled to rank 0's pool; a smaller acquire must
-  // best-fit it and still hand back zeroes.
+  // The dirty buffer recycled to rank 0's pool; a smaller send must
+  // best-fit it and still deliver zeroes.
   rt.superstep("reuse", [](Comm& c) {
     if (c.rank() != 0) return;
-    auto p = c.acquire_payload(32);
-    for (const std::byte b : p) EXPECT_EQ(b, std::byte{0});
-    c.send_owned(1, 0, std::move(p), CostClass::kParticle);
+    c.send_pod<std::byte>(1, 0, std::vector<std::byte>(32),
+                          CostClass::kParticle);
   });
   const PoolStats st = rt.pool_stats();
   EXPECT_EQ(st.recycles, 1u);
+  EXPECT_EQ(st.misses, 1u) << "the second send reuses the recycled buffer";
+  rt.superstep("check", [](Comm& c) {
+    if (c.rank() != 1) return;
+    ASSERT_EQ(c.inbox().size(), 1u);
+    const auto p = c.inbox()[0].view<std::byte>();
+    ASSERT_EQ(p.size(), 32u);
+    for (const std::byte b : p) EXPECT_EQ(b, std::byte{0});
+  });
 }
 
 TEST(Runtime, ActiveRankShrinkFreezesParkedClocks) {
@@ -734,7 +741,7 @@ TEST(Runtime, SetActiveRanksValidation) {
   rt.superstep("fly", [](Comm& c) {
     if (c.rank() == 0) {
       std::vector<double> v{1.0};
-      c.send_pod_vec(1, 0, v, CostClass::kParticle);
+      c.send_pod<double>(1, 0, v, CostClass::kParticle);
     }
   });
   // Messages in flight: resizing would strand them.
@@ -751,7 +758,8 @@ TEST(Runtime, SendToParkedRankThrows) {
                             [](Comm& c) {
                               if (c.rank() != 0) return;
                               std::vector<double> v{1.0};
-                              c.send_pod_vec(3, 0, v, CostClass::kParticle);
+                              c.send_pod<double>(3, 0, v,
+                                                 CostClass::kParticle);
                             }),
                Error);
 }

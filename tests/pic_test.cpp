@@ -5,6 +5,8 @@
 #include <cmath>
 #include <memory>
 #include <span>
+#include <string>
+#include <tuple>
 #include <vector>
 
 #include "cell_index_reference.hpp"
@@ -14,6 +16,7 @@
 #include "linalg/krylov.hpp"
 #include "mesh/nozzle.hpp"
 #include "mesh/refine.hpp"
+#include "node_exchange_reference.hpp"
 #include "par/runtime.hpp"
 #include "partition/partitioner.hpp"
 #include "pic/boris.hpp"
@@ -25,6 +28,7 @@
 #include "support/error.hpp"
 #include "support/kernel_exec.hpp"
 #include "support/rng.hpp"
+#include "trace/recorder.hpp"
 
 namespace dsmcpic::pic {
 namespace {
@@ -538,6 +542,205 @@ TEST(NodeExchange, TetSlotsEqualSearchInOwnersList) {
                                             nranks / ncoarse);
     const NodeExchange nx(*l.grid, blocks, nranks);
     EXPECT_EQ(wrong_slots(nx, blocks), 0) << nranks << " ranks";
+  }
+}
+
+// ---- One scatter for the node exchange (DESIGN.md §2i) ---------------------
+
+/// Everything one run of the node exchange leaves behind.
+struct ExchangeRun {
+  std::vector<std::vector<double>> values;
+  std::vector<double> clocks;
+  std::vector<std::vector<double>> busy;  // per phase
+  std::vector<par::PhaseStats> stats;     // per phase
+  std::uint64_t supersteps = 0;
+  std::vector<trace::Span> spans;
+  std::vector<trace::MessageRec> msgs;
+};
+
+/// One reduce and one broadcast of random node values through `ex` (the
+/// NodeExchange or its payload reference), after rank-dependent work so
+/// every clock differs, on 2 ranks per node so the NIC term is live.
+template <typename Exchange>
+ExchangeRun exchange_run(const Exchange& ex, const NodeExchange& nx,
+                         par::ExecMode mode, bool traced) {
+  const int n = nx.nranks();
+  par::MachineProfile prof = par::MachineProfile::tianhe2();
+  prof.cores_per_node = 2;
+  par::Runtime rt(n, par::Topology(prof, n), 3.0, 2.0,
+                  par::ExecOptions{mode, 4});
+  trace::TraceRecorder rec(n);
+  if (traced) rt.set_tracer(&rec);
+  rt.superstep("work", [](par::Comm& c) {
+    c.charge(par::WorkKind::kVecFlop, 1000.0 * (c.rank() + 1));
+  });
+  // Magnitudes from 2^-20 to 2^20, so another add order shows in the bits.
+  auto values = nx.make_values();
+  Rng rng(17);
+  for (auto& v : values)
+    for (double& x : v)
+      x = std::ldexp(rng.uniform(-1.0, 1.0),
+                     static_cast<int>(rng.uniform_index(41)) - 20);
+  ex.reduce_to_owners(rt, "reduce", values);
+  ex.broadcast_from_owners(rt, "bcast", values);
+  rt.barrier("end");
+  ExchangeRun out;
+  out.values = std::move(values);
+  for (int r = 0; r < n; ++r) out.clocks.push_back(rt.clock(r));
+  for (const std::string& p : rt.phases()) {
+    out.busy.push_back(rt.phase_busy(p));
+    out.stats.push_back(rt.phase_stats(p));
+  }
+  out.supersteps = rt.supersteps();
+  out.spans = rec.spans();
+  out.msgs = rec.messages();
+  return out;
+}
+
+void expect_same_run(const ExchangeRun& a, const ExchangeRun& b) {
+  ASSERT_EQ(a.values.size(), b.values.size());
+  for (std::size_t r = 0; r < a.values.size(); ++r)
+    EXPECT_TRUE(same_bits(a.values[r], b.values[r])) << "rank " << r;
+  EXPECT_TRUE(same_bits(a.clocks, b.clocks));
+  ASSERT_EQ(a.stats.size(), b.stats.size());
+  for (std::size_t p = 0; p < a.stats.size(); ++p) {
+    const par::PhaseStats& x = a.stats[p];
+    const par::PhaseStats& y = b.stats[p];
+    EXPECT_TRUE(same_bits(a.busy[p], b.busy[p])) << "phase " << p;
+    EXPECT_TRUE(same_bits(std::vector{x.busy_max, x.busy_min, x.busy_sum, x.bytes},
+                          std::vector{y.busy_max, y.busy_min, y.busy_sum, y.bytes}))
+        << "phase " << p;
+    EXPECT_EQ(x.transactions, y.transactions) << "phase " << p;
+  }
+  EXPECT_EQ(a.supersteps, b.supersteps);
+  ASSERT_EQ(a.spans.size(), b.spans.size());
+  for (std::size_t i = 0; i < a.spans.size(); ++i) {
+    const trace::Span& x = a.spans[i];
+    const trace::Span& y = b.spans[i];
+    ASSERT_EQ(std::tie(x.rank, x.phase, x.kind, x.seq),
+              std::tie(y.rank, y.phase, y.kind, y.seq))
+        << "span " << i;
+    ASSERT_TRUE(same_bits(x.t0, y.t0) && same_bits(x.t1, y.t1)) << "span " << i;
+    ASSERT_EQ(x.work.size(), y.work.size()) << "span " << i;
+    for (std::size_t k = 0; k < x.work.size(); ++k)
+      ASSERT_TRUE(x.work[k].key == y.work[k].key &&
+                  same_bits(x.work[k].units, y.work[k].units))
+          << "span " << i;
+  }
+  ASSERT_EQ(a.msgs.size(), b.msgs.size());
+  for (std::size_t i = 0; i < a.msgs.size(); ++i) {
+    const trace::MessageRec& x = a.msgs[i];
+    const trace::MessageRec& y = b.msgs[i];
+    ASSERT_EQ(std::tie(x.src, x.dst, x.tag, x.bytes, x.phase, x.seq),
+              std::tie(y.src, y.dst, y.tag, y.bytes, y.phase, y.seq))
+        << "message " << i;
+    ASSERT_TRUE(same_bits(std::vector{x.scaled_bytes, x.send_begin, x.send_end,
+                                      x.recv_begin, x.recv_end},
+                          std::vector{y.scaled_bytes, y.send_begin, y.send_end,
+                                      y.recv_begin, y.recv_end}))
+        << "message " << i;
+  }
+}
+
+// The scatter's reduce and broadcast equal the payload messages they
+// replaced in every value bit and every accounted number: the tiny nozzle
+// at 1, 3 and 6 ranks and Dataset 2's fine grid at 24 and 64 ranks, under
+// k-way and round-robin owners, sequential and threaded, traced and not.
+TEST(NodeExchange, MatchesPayloadReferenceBitForBit) {
+  const Meshes m = make_meshes();
+  const FineGrid tiny(m.coarse, m.refined);
+  const Dataset2Layout& d2 = dataset2_layout();
+  struct Case {
+    const char* name;
+    const FineGrid* grid;
+    int nranks;
+  };
+  for (const Case& cs : {Case{"tiny", &tiny, 1}, Case{"tiny", &tiny, 3},
+                         Case{"tiny", &tiny, 6}, Case{"dataset2", d2.grid.get(), 24},
+                         Case{"dataset2", d2.grid.get(), 64}}) {
+    const mesh::TetMesh& coarse = cs.grid->coarse();
+    partition::Graph dual;
+    coarse.dual_graph(dual.xadj, dual.adjncy);
+    const std::vector<std::int32_t> kway =
+        partition::part_graph_kway(dual, cs.nranks, {}).part;
+    std::vector<std::int32_t> round_robin(
+        static_cast<std::size_t>(coarse.num_tets()));
+    for (std::int32_t c = 0; c < coarse.num_tets(); ++c)
+      round_robin[c] = c % cs.nranks;
+    const std::pair<const std::vector<std::int32_t>*, const char*> maps[] = {
+        {&kway, "k-way"}, {&round_robin, "round-robin"}};
+    for (const auto& [owners, owners_name] : maps) {
+      const NodeExchange nx(*cs.grid, *owners, cs.nranks);
+      const reference::PayloadNodeExchange ref(nx);
+      for (const par::ExecMode mode :
+           {par::ExecMode::kSequential, par::ExecMode::kThreaded})
+        for (const bool traced : {false, true}) {
+          SCOPED_TRACE(std::string(cs.name) + " at " +
+                       std::to_string(cs.nranks) + " ranks, " + owners_name +
+                       ", " + par::exec_mode_name(mode) +
+                       (traced ? ", traced" : ", untraced"));
+          const ExchangeRun got = exchange_run(nx, nx, mode, traced);
+          if (traced && cs.nranks > 1) {
+            EXPECT_FALSE(got.msgs.empty());
+          }
+          expect_same_run(got, exchange_run(ref, nx, mode, traced));
+        }
+    }
+  }
+}
+
+TEST(NodeExchange, RoutesNoPayload) {
+  const Meshes m = make_meshes();
+  const FineGrid fg(m.coarse, m.refined);
+  const int nranks = 4;
+  std::vector<std::int32_t> owner(m.coarse.num_tets());
+  for (std::int32_t c = 0; c < m.coarse.num_tets(); ++c) owner[c] = c % nranks;
+  const NodeExchange nx(fg, owner, nranks);
+  par::Runtime rt(nranks,
+                  par::Topology(par::MachineProfile::tianhe2(), nranks));
+  auto values = nx.make_values();
+  nx.reduce_to_owners(rt, "reduce", values);
+  nx.broadcast_from_owners(rt, "bcast", values);
+  EXPECT_GT(rt.phase_stats("reduce").transactions, 0u);
+  EXPECT_EQ(rt.phase_stats("bcast").transactions,
+            rt.phase_stats("reduce").transactions);
+  EXPECT_EQ(rt.undelivered_messages(), 0u);
+  const par::PoolStats pool = rt.pool_stats();
+  EXPECT_EQ(pool.acquires, 0u);
+  EXPECT_EQ(pool.recycles, 0u);
+}
+
+TEST(NodeExchange, RejectsMissizedInputs) {
+  const Meshes m = make_meshes();
+  const FineGrid fg(m.coarse, m.refined);
+  std::vector<std::int32_t> owner(m.coarse.num_tets());
+  for (std::int32_t c = 0; c < m.coarse.num_tets(); ++c) owner[c] = c % 3;
+  const NodeExchange nx(fg, owner, 3);
+  using Values = std::vector<std::vector<double>>;
+  for (const bool reduce : {true, false}) {
+    SCOPED_TRACE(reduce ? "reduce" : "broadcast");
+    // One call on `nranks` ranks with `active` of them active, after
+    // `reshape` mis-shapes the per-rank values.
+    auto exchange = [&](int nranks, int active, auto reshape) {
+      par::Runtime rt(nranks,
+                      par::Topology(par::MachineProfile::tianhe2(), nranks));
+      rt.set_active_ranks(active);
+      Values values = nx.make_values();
+      reshape(values);
+      if (reduce)
+        nx.reduce_to_owners(rt, "x", values);
+      else
+        nx.broadcast_from_owners(rt, "x", values);
+    };
+    EXPECT_NO_THROW(exchange(3, 3, [](Values&) {}));
+    EXPECT_THROW(exchange(3, 3, [](Values& v) { v.pop_back(); }), Error);
+    EXPECT_THROW(exchange(3, 3, [](Values& v) { v.emplace_back(); }), Error);
+    EXPECT_THROW(exchange(3, 3, [](Values& v) { v[1].pop_back(); }), Error);
+    EXPECT_THROW(exchange(3, 3, [](Values& v) { v[2].push_back(0.0); }),
+                 Error);
+    // The runtime's active ranks must be the exchange's ranks.
+    EXPECT_THROW(exchange(4, 4, [](Values&) {}), Error);
+    EXPECT_THROW(exchange(4, 2, [](Values&) {}), Error);
   }
 }
 

@@ -363,8 +363,8 @@ TEST(GoldenArtifacts, MetricsExposition) {
   std::ostringstream prom, json;
   hub.write_prometheus(prom);
   hub.write_json_snapshot(json);
-  EXPECT_EQ(fnv1a64(prom.str()), 0x22f2b7ad6f8f0385ULL) << prom.str();
-  EXPECT_EQ(fnv1a64(json.str()), 0xb4b77d1974fdfbdbULL) << json.str();
+  EXPECT_EQ(fnv1a64(prom.str()), 0x3530972b5fa11a6cULL) << prom.str();
+  EXPECT_EQ(fnv1a64(json.str()), 0x8680d40d9d0968d9ULL) << json.str();
 }
 
 // ---- checkpoint restore -----------------------------------------------------
